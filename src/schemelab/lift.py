@@ -153,6 +153,13 @@ def state_from_coeffs(coeffs: np.ndarray, scheme: CutoffScheme, eps: float,
     return ModeState(xi, scheme, eps, t)
 
 
+def lift_offsets(scheme: CutoffScheme, eps: float, M: int) -> list:
+    """The shifts a lift needs for ``scheme`` at ``eps`` on an M-point grid:
+    the grid spacing 2 pi / M, then eps z for every nonzero atom z of mu."""
+    return [2.0 * np.pi / M] + [eps * z for z, w in scheme.mu.atoms
+                                if z != 0.0 and w != 0.0]
+
+
 @dataclass
 class OffsetLift:
     """Second-order increments over one fixed shift u, for every grid point.

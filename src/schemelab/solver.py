@@ -10,15 +10,28 @@ pseudo-spectrally (the quadratic-type product optionally dealiased by the
 the noise integral is an Ito one.  The linear part is integrated exactly;
 there is no CFL restriction.
 
+Half-spectrum state: the fields are real, so a run stores only the modes
+k = 0..N (uhat(-k) = conj uhat(k)) and moves to and from the M-point grid
+with rfft/irfft.  Recorded snapshots are expanded back to the modes -N..N.
+
 Noise convention: per step a draw of shape (N+1, n) with unit complex rows
 1..N and a unit real row 0 (the contract of lift.draw_increments); mode
-increments of W are sqrt(dt) times the draw, negative modes by conjugation.
-Runs that share the draws differ only through their multipliers, which is
-what makes strong-error ladders across eps possible.
+increments of W are sqrt(dt) times the draw, which is already the half
+spectrum.  Runs that share the draws differ only through their
+multipliers, which is what makes strong-error ladders across eps possible.
+
+Batches: ``simulate_coupled`` steps such runs together.  The state of B
+runs has layout (n, B, N+1) and its grid (n, B, M), so the model callables,
+which act pointwise on trailing axes, see the batch as a wider grid.  Runs
+may share a batch when they agree on N, M, dt, T, model, record_times and
+blowup_cap; each keeps its own scheme and eps (decay, derivative and noise
+multipliers), extra drift, dealiasing and conservation form.  ``simulate``
+is a batch of one, so there is a single stepping path.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -96,7 +109,8 @@ class SolverConfig:
             "extra_drift": self.extra_drift_label,
             "record_times": list(self.record_times),
             "blowup_cap": self.blowup_cap,
-            "initial": "custom" if self.initial is not None else "zero",
+            "initial": ("zero" if self.initial is None else hashlib.sha256(
+                np.ascontiguousarray(self.initial.coeffs).tobytes()).hexdigest()[:16]),
             "conservation_form": self.conservation_form,
         }
 
@@ -107,77 +121,109 @@ def config_hash(config: SolverConfig) -> str:
 
 
 class _Operators:
-    """Mode multipliers and transform helpers shared by all steps of a run."""
+    """Half-spectrum multipliers and transforms of the runs of one batch.
 
-    def __init__(self, config: SolverConfig):
-        N, M = config.N, config.M
-        ks = np.arange(-N, N + 1)
-        lap = laplacian_multiplier(config.scheme, ks, config.eps)
-        self.decay = np.exp(lap * config.dt)
-        self.dmult = derivative_multiplier(config.scheme, ks, config.eps)
-        self.hmult = noise_multiplier(config.scheme, ks, config.eps)
-        self.ks = ks
-        self.M = M
-        self.N = N
-        self.sqrt_dt = np.sqrt(config.dt)
-        cut = (2 * N) // 3
-        self.dealias_mask = (np.abs(ks) <= cut).astype(float) if config.dealias else None
+    Per-run arrays carry the run on their first axis: the multipliers are
+    (B, N+1), and they broadcast against states of layout (n, B, N+1).
+    """
+
+    def __init__(self, configs):
+        first = configs[0]
+        N, M = first.N, first.M
+        ks = np.arange(N + 1)
+        self.N, self.M, self.ks = N, M, ks
+        self.model = first.model
+        self.dt = first.dt
+        self.sqrt_dt = np.sqrt(first.dt)
         # phase bookkeeping for the -pi grid offset
         self.sign = np.where(ks % 2 == 0, 1.0, -1.0)
-        self.fold = np.mod(ks, M)
+        self.coeff_scale = self.sign * (SQRT_2PI / M)
+        self.decay = np.array([
+            np.exp(laplacian_multiplier(c.scheme, ks, c.eps) * c.dt) for c in configs])
+        self.dmult = np.array([derivative_multiplier(c.scheme, ks, c.eps)
+                               for c in configs])
+        self.hmult = np.array([noise_multiplier(c.scheme, ks, c.eps) for c in configs])
+        cut = (2 * N) // 3
+        self.dealias_mask = np.array([(ks <= cut) | (not c.dealias) for c in configs],
+                                     dtype=float)
+        self.extra_drift = [c.extra_drift for c in configs]
+        self.conservation = np.array([c.conservation_form for c in configs])
+
+    def take(self, keep: np.ndarray) -> "_Operators":
+        """The operators of the runs selected by the boolean mask ``keep``."""
+        out = copy.copy(self)
+        for name in ("decay", "dmult", "hmult", "dealias_mask", "conservation"):
+            setattr(out, name, getattr(self, name)[keep])
+        out.extra_drift = [d for d, k in zip(self.extra_drift, keep) if k]
+        return out
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        D = np.zeros(coeffs.shape[:-1] + (self.M,), dtype=complex)
-        D[..., self.fold] = coeffs * self.sign
-        return np.fft.ifft(D, axis=-1).real * (self.M / SQRT_2PI)
+        """Real grid values (..., M) of half-spectrum coefficients (..., N+1)."""
+        return np.fft.irfft(coeffs * self.sign, n=self.M, axis=-1) * (self.M / SQRT_2PI)
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        F = np.fft.fft(values, axis=-1)
-        coeffs = F[..., self.fold] * self.sign * (SQRT_2PI / self.M)
-        return 0.5 * (coeffs + np.conj(coeffs[..., ::-1]))
+        """Modes 0..N (..., N+1) of real grid values (..., M)."""
+        return np.fft.rfft(values, axis=-1)[..., :self.N + 1] * self.coeff_scale
+
+    def noise(self, increments: np.ndarray) -> np.ndarray:
+        """Increments (n, B, N+1) of H_eps W from one (N+1, n) draw."""
+        w = (increments.T * self.sqrt_dt)[:, None, :] * self.hmult
+        w[..., 0] = w[..., 0].real                # mode 0 is real
+        return w
 
 
-def _full_noise_modes(increments: np.ndarray, ops: _Operators) -> np.ndarray:
-    """Expand (N+1, n) mode draws into (n, 2N+1) increments of H_eps W."""
-    N = ops.N
-    n = increments.shape[1]
-    w = np.zeros((n, 2 * N + 1), dtype=complex)
-    pos = increments.T * ops.sqrt_dt          # (n, N+1)
-    w[:, N:] = pos
-    w[:, N] = pos[:, 0].real                  # mode 0 is real
-    w[:, :N] = np.conj(w[:, N + 1:])[:, ::-1]
-    return w * ops.hmult
+def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """Modes 0..N of the real field with (..., 2N+1) coefficients -N..N."""
+    N = (coeffs.shape[-1] - 1) // 2
+    return 0.5 * (coeffs[..., N:] + np.conj(coeffs[..., N::-1]))
 
 
-def step(u_hat: np.ndarray, config: SolverConfig, increments: np.ndarray,
-         ops: _Operators | None = None) -> np.ndarray:
-    """One exponential-Euler step; u_hat has shape (n, 2N+1)."""
-    ops = ops or _Operators(config)
-    model = config.model
-    u_grid = ops.to_grid(u_hat)
+def full_spectrum(half: np.ndarray) -> np.ndarray:
+    """Coefficients -N..N of the real field with modes 0..N ``half``."""
+    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
-    if config.conservation_form:
+
+def step(u_hat: np.ndarray, ops: _Operators, increments: np.ndarray):
+    """One exponential-Euler step of every run of a batch.
+
+    ``u_hat`` holds modes 0..N in layout (n, B, N+1); ``increments`` is the
+    (N+1, n) draw all runs share.  Returns the next state and the grid
+    values (n, B, M) of ``u_hat``, which the caller reuses for the blow-up
+    check.  The inverse transforms of u, D_eps u and the noise go through
+    one irfft call, the forward transforms of the product, the other drift
+    and the noise through one rfft call.
+    """
+    model = ops.model
+    u_grid, de_u, w_grid = ops.to_grid(
+        np.stack([u_hat, u_hat * ops.dmult, ops.noise(increments)]))
+
+    cons = ops.conservation
+    if cons.any():
         # chain-rule-respecting discretisation D_eps(potential(u))
-        prod_hat = ops.to_coeffs(model.potential(u_grid)) * ops.dmult
+        prod = np.empty_like(u_grid)
+        prod[:, cons] = model.potential(u_grid[:, cons])
+        plain = ~cons
+        if plain.any():
+            prod[:, plain] = np.einsum("ij...,j...->i...", model.G(u_grid[:, plain]),
+                                       de_u[:, plain])
     else:
-        de_u = ops.to_grid(u_hat * ops.dmult)
         prod = np.einsum("ij...,j...->i...", model.G(u_grid), de_u)
-        prod_hat = ops.to_coeffs(prod)
-    if ops.dealias_mask is not None:
-        prod_hat = prod_hat * ops.dealias_mask
-    nonlin_hat = prod_hat
 
     other = model.F(u_grid)
-    if config.extra_drift is not None:
-        other = other + config.extra_drift(u_grid)
-    if np.any(other):
-        nonlin_hat = nonlin_hat + ops.to_coeffs(other)
+    if any(d is not None for d in ops.extra_drift):
+        other = np.stack([other[:, b] if d is None else other[:, b] + d(u_grid[:, b])
+                          for b, d in enumerate(ops.extra_drift)], axis=1)
+    noise_grid = np.einsum("ij...,j...->i...", model.theta(u_grid), w_grid)
 
-    noise_grid = np.einsum("ij...,j...->i...", model.theta(u_grid),
-                           ops.to_grid(_full_noise_modes(increments, ops)))
-    s_hat = ops.to_coeffs(noise_grid)
-
-    return ops.decay * (u_hat + config.dt * nonlin_hat + s_hat)
+    with_other = bool(np.any(other))
+    hats = ops.to_coeffs(np.stack([prod, other, noise_grid] if with_other
+                                  else [prod, noise_grid]))
+    prod_hat = hats[0]
+    if cons.any():
+        prod_hat[:, cons] *= ops.dmult[cons]
+    prod_hat = prod_hat * ops.dealias_mask
+    nonlin_hat = prod_hat + hats[1] if with_other else prod_hat
+    return ops.decay * (u_hat + ops.dt * nonlin_hat + hats[-1]), u_grid
 
 
 @dataclass
@@ -207,68 +253,124 @@ def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
 
     Noise comes either from pre-drawn ``increments`` of shape
     (steps, N+1, n) or from ``rng`` (drawn once, in a fixed order, so runs
-    with equal (N, steps) consume identical increments).  The trajectory is
-    truncated at the first time the sup norm exceeds ``blowup_cap``; the
-    truncation time is recorded and later snapshots are dropped.  With
-    ``record_reference`` the theta = 1, F = G = 0 field driven by the same
-    noise is co-evolved and recorded alongside.
+    with equal (N, steps) consume identical increments).  This is
+    ``simulate_coupled`` with a single run.
     """
-    steps = config.steps
-    n, N = config.model.n, config.N
     if increments is None:
         if rng is None:
             rng = np.random.default_rng(seed)
-        increments = draw_noise(rng, steps, N, n)
+        increments = draw_noise(rng, config.steps, config.N, config.model.n)
+    return simulate_coupled([config], increments, seed=seed,
+                            record_reference=record_reference)[0]
+
+
+# settings every run of a batch must share
+_SHARED = ("N", "M", "dt", "T", "model", "record_times", "blowup_cap")
+
+
+def simulate_coupled(configs, increments: np.ndarray, seed: int | None = None,
+                     record_reference: bool = False) -> list:
+    """Step runs driven by the same increments together, one Trajectory each.
+
+    The runs must share N, M, dt, T, model, record_times and blowup_cap;
+    each keeps its own scheme, eps, extra drift, dealiasing and conservation
+    form.  A run is truncated at the first time its sup norm exceeds
+    ``blowup_cap``: its truncation time is recorded, later snapshots are
+    dropped, and it leaves the batch.  A non-finite state raises
+    NumericalAbort at the time running the configs one after another would
+    report, that of the first run in list order that goes non-finite.  With
+    ``record_reference`` each run co-evolves and records the theta = 1,
+    F = G = 0 field driven by the same noise.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one config")
+    first = configs[0]
+    for name in _SHARED:
+        if any(getattr(c, name) != getattr(first, name) for c in configs[1:]):
+            raise ValueError(f"coupled runs must share {name}")
+    steps, dt, cap = first.steps, first.dt, first.blowup_cap
+    n, N = first.model.n, first.N
     increments = np.asarray(increments, dtype=complex)
     if increments.shape != (steps, N + 1, n):
         raise ValueError(f"increments must have shape {(steps, N + 1, n)}")
 
-    ops = _Operators(config)
-    u_hat = (config.initial.coeffs.copy() if config.initial is not None
-             else np.zeros((n, 2 * N + 1), dtype=complex))
-    x_hat = np.zeros((n, 2 * N + 1), dtype=complex)
-
     record_steps = {}
-    for t in config.record_times:
-        j = int(round(t / config.dt))
-        if abs(j * config.dt - t) > 1e-9 * max(1.0, config.T):
+    for t in first.record_times:
+        j = int(round(t / dt))
+        if abs(j * dt - t) > 1e-9 * max(1.0, first.T):
             raise ValueError(f"record time {t} is not on the step grid")
         record_steps[j] = t
 
-    times, snaps, xsnaps = [], [], []
-    truncation = None
+    ops = _Operators(configs)
+    u_hat = np.stack([np.zeros((n, N + 1), dtype=complex) if c.initial is None
+                      else half_spectrum(c.initial.coeffs) for c in configs], axis=1)
+    x_hat = np.zeros_like(u_hat)
+    live = np.arange(len(configs))           # list positions of the batch's runs
+    times = [[] for _ in configs]
+    snaps = [[] for _ in configs]
+    xsnaps = [[] for _ in configs]
+    truncation = [None] * len(configs)
+    failed = {}                              # list position -> non-finite time
 
     def maybe_record(j):
         if j in record_steps:
-            times.append(record_steps[j])
-            snaps.append(u_hat.copy())
-            if record_reference:
-                xsnaps.append(x_hat.copy())
+            for pos, b in enumerate(live):
+                times[b].append(record_steps[j])
+                snaps[b].append(full_spectrum(u_hat[:, pos]))
+                if record_reference:
+                    xsnaps[b].append(full_spectrum(x_hat[:, pos]))
 
+    def survivors(j, u_grid):
+        """Mask of the runs whose state at step j stays in the batch."""
+        sup = np.abs(u_grid).max(axis=-1).max(axis=0)
+        if np.all(sup <= cap):
+            return None
+        keep = np.ones(len(live), dtype=bool)
+        for pos in np.flatnonzero(~(sup <= cap)):
+            if not np.all(np.isfinite(u_hat[:, pos])):
+                failed[live[pos]] = j * dt
+                keep[pos] = False
+            elif sup[pos] > cap:
+                truncation[live[pos]] = j * dt
+                keep[pos] = False
+        return keep
+
+    # the blow-up check of the state at step j reuses the grid that the step
+    # advancing it computes anyway; only the final state needs its own transform
     maybe_record(0)
-    for j in range(steps):
-        u_hat = step(u_hat, config, increments[j], ops)
-        if not np.all(np.isfinite(u_hat)):
-            raise NumericalAbort(
-                f"non-finite state at t = {(j + 1) * config.dt:.6g}",
-                time=(j + 1) * config.dt,
-            )
-        if record_reference:
-            x_hat = ops.decay * (x_hat + _full_noise_modes(increments[j], ops))
-        sup = float(np.abs(ops.to_grid(u_hat)).max())
-        if sup > config.blowup_cap:
-            truncation = (j + 1) * config.dt
+    for j in range(steps + 1):
+        if j < steps:
+            u_next, u_grid = step(u_hat, ops, increments[j])
+        else:
+            u_grid = ops.to_grid(u_hat)
+        if j > 0:
+            keep = survivors(j, u_grid)
+            if keep is not None:
+                live, ops = live[keep], ops.take(keep)
+                u_hat, x_hat = u_hat[:, keep], x_hat[:, keep]
+                if j < steps:
+                    u_next = u_next[:, keep]
+                if live.size == 0 or (failed and live[0] > min(failed)):
+                    break
+            maybe_record(j)
+        if j == steps:
             break
-        maybe_record(j + 1)
+        if record_reference:
+            x_hat = ops.decay * (x_hat + ops.noise(increments[j]))
+        u_hat = u_next
+    if failed:
+        t = failed[min(failed)]
+        raise NumericalAbort(f"non-finite state at t = {t:.6g}", time=t)
 
-    return Trajectory(
-        times=tuple(times),
-        coeffs=snaps,
-        config_hash=config_hash(config),
+    return [Trajectory(
+        times=tuple(times[b]),
+        coeffs=snaps[b],
+        config_hash=config_hash(c),
         seed=seed,
-        truncation_time=truncation,
-        X_coeffs=xsnaps if record_reference else None,
-    )
+        truncation_time=truncation[b],
+        X_coeffs=xsnaps[b] if record_reference else None,
+    ) for b, c in enumerate(configs)]
 
 
 def draw_noise(rng: np.random.Generator, steps: int, N: int, n: int) -> np.ndarray:
@@ -301,15 +403,13 @@ def stochastic_convolution(theta_path, scheme: CutoffScheme, eps: float,
         scheme=scheme, eps=eps, N=N, M=M, dt=dt, T=steps * dt,
         model=dummy_model, dealias=False,
     )
-    ops = _Operators(config)
-    psi_hat = np.zeros((n, 2 * N + 1), dtype=complex)
+    ops = _Operators([config])
+    psi_hat = np.zeros((n, N + 1), dtype=complex)
     for j in range(steps):
         theta_j = theta_path(j) if callable(theta_path) else theta_path[j]
-        noise_grid = np.einsum(
-            "ij...,j...->i...", theta_j,
-            ops.to_grid(_full_noise_modes(increments[j], ops)),
-        )
-        psi_hat = ops.decay * (psi_hat + ops.to_coeffs(noise_grid))
+        noise_grid = np.einsum("ij...,j...->i...", theta_j,
+                               ops.to_grid(ops.noise(increments[j])[:, 0]))
+        psi_hat = ops.decay[0] * (psi_hat + ops.to_coeffs(noise_grid))
     return GridField(ops.to_grid(psi_hat))
 
 
@@ -357,27 +457,33 @@ def make_correction_drift(model: ModelFunctions, Lambda: float):
     return drift
 
 
-def corrected_reference(config: SolverConfig, eps_ref: float,
-                        Lambda: float | None = None, **simulate_kwargs) -> Trajectory:
-    """Simulate the corrected limit equation of ``config.scheme``.
+def reference_config(config: SolverConfig, eps_ref: float,
+                     Lambda: float | None = None) -> SolverConfig:
+    """The run realising the corrected limit equation of ``config.scheme``.
 
-    Runs a zero-correction carrier (central difference with trivial cut-offs)
-    at the fine step eps_ref and adds the explicit drift
-    -Lambda * theta dG theta, so its small-eps limit is the limit equation
-    associated with the original scheme.  Lambda defaults to the scheme's
-    correction constant.
+    A zero-correction carrier (central difference with trivial cut-offs) at
+    the fine step eps_ref with the explicit drift -Lambda * theta dG theta,
+    so its small-eps limit is the limit equation associated with the
+    original scheme.  Lambda defaults to the scheme's correction constant.
+    It shares every batch setting with ``config``.
     """
     if Lambda is None:
         from schemelab.correction import lambda_exact
 
         Lambda = lambda_exact(config.scheme).value
-    carrier = make_scheme("central_difference")
-    ref_config = SolverConfig(
-        scheme=carrier, eps=eps_ref, N=config.N, M=config.M, dt=config.dt,
-        T=config.T, model=config.model, dealias=config.dealias,
+    return SolverConfig(
+        scheme=make_scheme("central_difference"), eps=eps_ref, N=config.N,
+        M=config.M, dt=config.dt, T=config.T, model=config.model,
+        dealias=config.dealias,
         extra_drift=make_correction_drift(config.model, Lambda),
         extra_drift_label=f"correction:{Lambda!r}",
         record_times=config.record_times, blowup_cap=config.blowup_cap,
         initial=config.initial,
     )
-    return simulate(ref_config, **simulate_kwargs)
+
+
+def corrected_reference(config: SolverConfig, eps_ref: float,
+                        Lambda: float | None = None, **simulate_kwargs) -> Trajectory:
+    """Simulate the corrected limit equation of ``config.scheme`` (the run of
+    ``reference_config``)."""
+    return simulate(reference_config(config, eps_ref, Lambda), **simulate_kwargs)

@@ -1,0 +1,317 @@
+"""The batched half-spectrum solver against the full-spectrum oracle.
+
+``solver_oracle`` is the one-run-at-a-time, full-spectrum integrator the
+package used before; every check here runs the same increments through
+both and compares run by run.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import solver_oracle as oracle
+from schemelab.correction import lambda_exact
+from schemelab.experiments import (
+    ExperimentConfig,
+    _common_positive_times,
+    _converge_sample,
+    _correction_sample,
+    _trajectory_gap,
+    sample_rng,
+    upsilon_diagnostic,
+    xi_diagnostic,
+)
+from schemelab.models import make_model
+from schemelab.schemes import (
+    AtomicSignedMeasure,
+    CutoffScheme,
+    make_function,
+    make_scheme,
+)
+from schemelab.solver import (
+    NumericalAbort,
+    SolverConfig,
+    draw_noise,
+    make_correction_drift,
+    simulate,
+    simulate_coupled,
+    stochastic_convolution,
+)
+from schemelab.spectral import NormConfig, SpectralField, grid_points
+
+RTOL = 1e-12
+
+
+def rel_gap(a, b):
+    scale = max(float(np.abs(b).max()), 1e-300)
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max()) / scale
+
+
+def assert_same_run(new, old):
+    assert new.times == old.times
+    assert new.truncation_time == old.truncation_time
+    assert new.config_hash == old.config_hash
+    assert len(new.coeffs) == len(old.coeffs)
+    for a, b in zip(new.coeffs, old.coeffs):
+        assert rel_gap(a, b) <= RTOL
+    assert (new.X_coeffs is None) == (old.X_coeffs is None)
+    for a, b in zip(new.X_coeffs or [], old.X_coeffs or []):
+        assert rel_gap(a, b) <= RTOL
+
+
+# -- strategies ---------------------------------------------------------------
+
+@st.composite
+def tabulated(draw, low, high):
+    """An even cut-off sampled on x >= 0 (extended by |x| and the edge)."""
+    xs = (0.0, 0.5, 1.0, 2.0, 4.0)
+    ys = tuple(draw(st.floats(low, high)) for _ in xs)
+    return make_function("tabulated", xs=xs, ys=ys)
+
+
+@st.composite
+def schemes(draw):
+    """(f, mu, h) with tabulated even f >= 1/2, tabulated even h and a
+    three-atom mu of zero mass and unit first moment."""
+    z0, z1, z2 = draw(st.lists(st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5,
+                                                1.0, 1.5, 2.0]),
+                               min_size=3, max_size=3, unique=True))
+    w0 = draw(st.floats(-1.0, 1.0))
+    w1 = (1.0 - w0 * (z0 - z2)) / (z1 - z2)
+    w2 = -w0 - w1
+    return CutoffScheme(f=draw(tabulated(0.5, 2.0)),
+                        mu=AtomicSignedMeasure([(z0, w0), (z1, w1), (z2, w2)]),
+                        h=draw(tabulated(0.0, 1.5)))
+
+
+def band_limited(rng, N, K, scale):
+    """Real field with modes |k| <= K <= N, as (1, 2N+1) coefficients."""
+    c = np.zeros(2 * N + 1, dtype=complex)
+    c[N - K:N + K + 1] = scale * (rng.standard_normal(2 * K + 1)
+                                  + 1j * rng.standard_normal(2 * K + 1))
+    c = 0.5 * (c + np.conj(c[::-1]))
+    return SpectralField(c[None, :])
+
+
+@st.composite
+def batches(draw):
+    """Configs that may share a batch, plus the increments they share."""
+    N = draw(st.sampled_from([4, 7, 12]))
+    M = 2 * N + 1 + draw(st.integers(0, 6))
+    dt = 1e-3
+    steps = draw(st.integers(4, 24))
+    model = make_model(1, G=draw(st.sampled_from(["zero", "state"])),
+                       theta=draw(st.sampled_from(["one", "state", "bounded_sqrt"])))
+    record_steps = sorted(draw(st.sets(st.integers(0, steps), min_size=1, max_size=4)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(draw(st.integers(1, 4))):
+        lam = draw(st.sampled_from([0.0, 0.25, -0.4]))
+        conservative = model.potential is not None and draw(st.booleans())
+        initial = (band_limited(rng, N, draw(st.integers(0, N)), 0.4)
+                   if draw(st.booleans()) else None)
+        configs.append(SolverConfig(
+            scheme=draw(schemes()), eps=draw(st.floats(0.05, 0.5)), N=N, M=M,
+            dt=dt, T=steps * dt, model=model, dealias=draw(st.booleans()),
+            extra_drift=make_correction_drift(model, lam),
+            extra_drift_label=f"correction:{lam!r}",
+            record_times=tuple(j * dt for j in record_steps),
+            initial=initial, conservation_form=conservative))
+    inc = draw_noise(rng, steps, N, 1)
+    if draw(st.booleans()):
+        # hand-made increments may carry an imaginary part in the real mode 0
+        inc[:, 0] += 1j * rng.standard_normal((steps, 1))
+    return configs, inc
+
+
+# -- oracle equivalence -------------------------------------------------------
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(batches(), st.booleans())
+def test_batch_matches_oracle_run_by_run(batch, with_reference):
+    configs, inc = batch
+    runs = simulate_coupled(configs, inc, record_reference=with_reference)
+    assert len(runs) == len(configs)
+    for config, run in zip(configs, runs):
+        assert_same_run(run, oracle.simulate(config, increments=inc,
+                                             record_reference=with_reference))
+
+
+def growth_batch(cap=2.0):
+    """Three runs; the middle one carries a strong growth drift and a larger
+    start, so it alone crosses ``cap`` partway through."""
+    forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
+    model = make_model(1, G="state", theta="one")
+    rng = np.random.default_rng(11)
+
+    def cfg(scheme, scale, **kw):
+        return SolverConfig(scheme=scheme, eps=0.25, N=8, M=32, dt=1e-3, T=0.2,
+                            model=model, record_times=(0.05, 0.1, 0.15, 0.2),
+                            blowup_cap=cap, initial=band_limited(rng, 8, 3, scale),
+                            **kw)
+
+    configs = [cfg(forward, 0.05), cfg(central, 0.2, extra_drift=lambda u: 40.0 * u,
+                                       extra_drift_label="growth"),
+               cfg(central, 0.05)]
+    return configs, draw_noise(rng, configs[0].steps, 8, 1) * 0.1
+
+
+def test_blowup_leaves_batch_others_equal_solo_runs():
+    configs, inc = growth_batch()
+    runs = simulate_coupled(configs, inc)
+    assert runs[1].truncation_time is not None
+    assert 0.0 < runs[1].truncation_time < configs[1].T
+    assert all(t < runs[1].truncation_time for t in runs[1].times[1:])
+    for config, run in zip(configs, runs):
+        assert_same_run(run, oracle.simulate(config, increments=inc))
+    for i in (0, 2):
+        assert runs[i].truncation_time is None
+        solo = simulate_coupled([configs[i]], inc)[0]
+        assert runs[i].times == solo.times
+        for a, b in zip(runs[i].coeffs, solo.coeffs):
+            assert np.array_equal(a, b)
+
+
+def poisoned(threshold):
+    """A drift that turns infinite once |u| exceeds ``threshold``."""
+    return lambda u: np.where(np.abs(u) > threshold, np.inf, 40.0 * u)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_first_non_finite_run_in_list_order_sets_the_abort_time():
+    configs, inc = growth_batch(cap=1e6)
+    # run 1 goes non-finite late, run 2 (after it in the list) early
+    configs[1].extra_drift = poisoned(0.8)
+    configs[2].extra_drift = poisoned(0.02)
+    expected = None
+    for config in configs:
+        try:
+            oracle.simulate(config, increments=inc)
+        except NumericalAbort as exc:
+            expected = exc.time
+            break
+    with pytest.raises(NumericalAbort) as excinfo:
+        oracle.simulate(configs[2], increments=inc)
+    assert expected is not None and excinfo.value.time < expected
+    with pytest.raises(NumericalAbort) as excinfo:
+        simulate_coupled(configs, inc)
+    assert excinfo.value.time == expected
+
+
+def test_batch_settings_must_agree():
+    configs, inc = growth_batch()
+    configs[2].blowup_cap = 3.0
+    with pytest.raises(ValueError, match="blowup_cap"):
+        simulate_coupled(configs, inc)
+    with pytest.raises(ValueError):
+        simulate_coupled([], inc)
+
+
+def test_stochastic_convolution_matches_oracle(forward):
+    steps, N, M, dt = 30, 10, 40, 2e-3
+    inc = draw_noise(np.random.default_rng(21), steps, N, 1)
+    x = grid_points(M)
+    theta = np.stack([(1.0 + 0.4 * np.sin(x + 0.1 * j))[None, None, :]
+                      for j in range(steps)])
+    new = stochastic_convolution(theta, forward, 0.1, dt, N, M, inc)
+    old = oracle.stochastic_convolution(theta, forward, 0.1, dt, N, M, inc)
+    assert rel_gap(new.values, old.values) <= RTOL
+
+
+@pytest.mark.parametrize("theta", ["one", "state"])
+def test_diagnostics_match_oracle(theta):
+    scheme = make_scheme("forward_difference")
+    cfg = SolverConfig(scheme=scheme, eps=0.125, N=16, M=64, dt=1e-3, T=0.05,
+                       model=make_model(1, G="state", theta=theta),
+                       record_times=(0.01, 0.02, 0.03, 0.04, 0.05),
+                       initial=band_limited(np.random.default_rng(4), 16, 4, 0.5))
+    traj = simulate(cfg, seed=5, record_reference=True)
+    for new, old in ((upsilon_diagnostic, oracle.upsilon_diagnostic),
+                     (xi_diagnostic, oracle.xi_diagnostic)):
+        assert rel_gap(new(traj, cfg).values, old(traj, cfg).values) <= RTOL
+
+
+# -- per-sample experiment rows -----------------------------------------------
+
+def small_cfg(kind, **overrides):
+    base = dict(
+        kind=kind, scheme=make_scheme("forward_difference"),
+        scheme2=make_scheme("central_difference"),
+        model=make_model(1, G="state", theta="one"),
+        eps_ladder=(0.25, 0.125, 0.0625), samples=2, master_seed=5, N=16, M=64,
+        dt=1e-3, T=0.04, record_times=(0.02, 0.04), eps_ref=0.01,
+        norms=NormConfig(stride=8))
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def oracle_correction_row(cfg, Lambda1, s):
+    eps = min(cfg.eps_ladder)
+    inc = draw_noise(sample_rng(cfg.master_seed, s), cfg.solver_config(eps).steps,
+                     cfg.N, cfg.model.n)
+    run1 = oracle.simulate(cfg.solver_config(eps), increments=inc)
+    run2 = oracle.simulate(cfg.solver_config(eps, scheme=cfg.scheme2), increments=inc)
+    run2c = oracle.simulate(cfg.solver_config(
+        eps, scheme=cfg.scheme2, extra_drift=make_correction_drift(cfg.model, Lambda1),
+        extra_drift_label=f"correction:{Lambda1!r}"), increments=inc)
+    ia, jb, _t = _common_positive_times(run1, run2, cfg.T)[-1]
+    return {"eps": eps, "sample": s,
+            "gap_uncorrected": _trajectory_gap(run1, run2, cfg.M, cfg.T)[0],
+            "gap_corrected": _trajectory_gap(run1, run2c, cfg.M, cfg.T)[0],
+            "signed_mean_gap": float((run1.grid(ia, cfg.M).values
+                                      - run2.grid(jb, cfg.M).values).mean())}
+
+
+def oracle_converge_rows(cfg, Lambda, s):
+    base = cfg.solver_config(cfg.eps_ladder[0])
+    inc = draw_noise(sample_rng(cfg.master_seed, s), base.steps, cfg.N, cfg.model.n)
+    ref = oracle.simulate(SolverConfig(
+        scheme=make_scheme("central_difference"), eps=cfg.eps_ref, N=cfg.N, M=cfg.M,
+        dt=cfg.dt, T=cfg.T, model=cfg.model,
+        extra_drift=make_correction_drift(cfg.model, Lambda),
+        extra_drift_label=f"correction:{Lambda!r}", record_times=base.record_times,
+        blowup_cap=base.blowup_cap, initial=base.initial), increments=inc)
+    rows = []
+    for eps in cfg.eps_ladder:
+        traj = oracle.simulate(cfg.solver_config(eps), increments=inc)
+        sup_err, holder_err, last = _trajectory_gap(
+            traj, ref, cfg.M, cfg.T, holder_gamma=cfg.norms.alpha_tilde,
+            stride=cfg.norms.stride)
+        rows.append({"eps": eps, "sample": s, "sup_error": sup_err,
+                     "holder_error": holder_err, "last_common_time": last,
+                     "truncated": traj.truncation_time is not None,
+                     "ref_truncated": ref.truncation_time is not None})
+    return rows
+
+
+def assert_rows_close(new, old):
+    assert new.keys() == old.keys()
+    for key, value in old.items():
+        if isinstance(value, float) and not isinstance(value, bool):
+            assert math.isclose(new[key], value, rel_tol=RTOL, abs_tol=0.0), key
+        else:
+            assert new[key] == value, key
+
+
+def test_correction_rows_match_oracle():
+    cfg = small_cfg("correction", eps_ladder=(0.0625,), dt=5e-4)
+    Lambda1 = lambda_exact(cfg.scheme).value
+    for s in range(cfg.samples):
+        assert_rows_close(_correction_sample((cfg, Lambda1, s)),
+                          oracle_correction_row(cfg, Lambda1, s))
+
+
+def test_converge_rows_match_oracle():
+    scheme = make_scheme("forward_difference", h=make_function("indicator", cutoff=1.0))
+    cfg = small_cfg("converge", scheme=scheme,
+                    model=make_model(1, G="state", theta="bounded_sqrt"))
+    Lambda = lambda_exact(cfg.scheme).value
+    for s in range(cfg.samples):
+        new, old = _converge_sample((cfg, Lambda, s)), oracle_converge_rows(cfg, Lambda, s)
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert_rows_close(a, b)

@@ -236,6 +236,18 @@ class TestDiagnostics:
             converge_experiment(cfg)
 
 
+def test_config_hash_follows_the_resolved_seed():
+    from schemelab.config import load_config
+
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "correction.json")
+    plain = load_config(path).config_hash()
+    # the file's own seed (1111): same hash as before seeds were hashed
+    assert plain == "e3dc60d5170c7f3d"
+    assert load_config(path, seed=1111).config_hash() == plain
+    hashes = {load_config(path, seed=s).config_hash() for s in (1, 2)}
+    assert len(hashes) == 2 and plain not in hashes
+
+
 def test_sample_rng_streams_are_stable():
     a = sample_rng(7, 3).standard_normal(4)
     b = sample_rng(7, 3).standard_normal(4)

@@ -7,6 +7,7 @@ from schemelab.schemes import make_scheme
 from schemelab.solver import (
     NumericalAbort,
     SolverConfig,
+    _Operators,
     config_hash,
     corrected_reference,
     draw_noise,
@@ -53,11 +54,10 @@ class TestStep:
         N = 8
         cfg = SolverConfig(scheme=forward, eps=0.1, N=N, M=32, dt=1e-2,
                            T=0.1, model=zero_model())
-        u = np.zeros((1, 2 * N + 1), dtype=complex)
-        u[0, N + 3] = 1.0
-        u[0, N - 3] = 1.0
-        out = step(u, cfg, np.zeros((N + 1, 1), dtype=complex))
-        assert out[0, N + 3] == pytest.approx(np.exp(-9 * 1e-2))
+        u = np.zeros((1, 1, N + 1), dtype=complex)      # (n, B, N+1)
+        u[0, 0, 3] = 1.0
+        out, _ = step(u, _Operators([cfg]), np.zeros((N + 1, 1), dtype=complex))
+        assert out[0, 0, 3] == pytest.approx(np.exp(-9 * 1e-2))
 
     def test_additive_noise_mode_variance(self, forward):
         # theta = 1, F = G = 0: the state is the reference convolution; its
@@ -180,6 +180,16 @@ class TestSimulate:
         cfg = SolverConfig(scheme=forward, eps=0.1, N=8, M=32, dt=1e-3,
                            T=0.1, model=zero_model())
         assert config_hash(cfg) == config_hash(cfg)
+
+    def test_config_hash_covers_initial_data(self, forward):
+        u0 = random_initial(np.random.default_rng(2), 8)
+        hashes = set()
+        for amplitude in (1.0, 2.0):
+            cfg = SolverConfig(scheme=forward, eps=0.1, N=8, M=32, dt=1e-3,
+                               T=0.1, model=zero_model(),
+                               initial=SpectralField(amplitude * u0.coeffs))
+            hashes.add(config_hash(cfg))
+        assert len(hashes) == 2
 
 
 class TestStochasticConvolution:
