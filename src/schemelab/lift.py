@@ -15,8 +15,19 @@ over a shift u is the double series
     I_{k,l}(u) = l/(k+l) (e^{i(k+l)u} - 1) - (e^{i l u} - 1),   k != -l
                = i l u - (e^{i l u} - 1),                        k  = -l,
 
-evaluated by grouping the series by m = k + l (two mode convolutions per
-shift) followed by one exact grid evaluation.
+evaluated by grouping the series by m = k + l.  With A = sum_k a_k e^{ikx},
+C = sum_l l a_l e^{ilx} and B_u = sum_l a_l (e^{ilu} - 1) e^{ilx}
+(a_k = q_k xi_k), the coefficient of e^{imx}, m != 0, is
+
+    C_m(u) = (e^{imu} - 1)/m [A C]_m - [A B_u]_m,
+
+where [F]_m is the coefficient of e^{imx} in F, and the k = -l terms give
+the m = 0 block in closed form.  A, C/i and every B_u are real fields, so
+one lift puts them all on a P = 2M point grid with one batched irfft, takes
+the modes m = 1..2N of the products A_i (C/i)_j and A_i (B_u)_j with one
+batched rfft (P > 4N, so no product mode aliases), and evaluates every
+shift with one batched irfft on the same grid, whose even points are the
+M-point grid.  Negative modes are the complex conjugates.
 """
 
 from __future__ import annotations
@@ -27,13 +38,7 @@ import numpy as np
 
 from schemelab.correction import lambda_eps
 from schemelab.schemes import CutoffScheme
-from schemelab.spectral import (
-    GridField,
-    SQRT_2PI,
-    SpectralField,
-    eval_modes_on_grid,
-    sobolev_minus_alpha_norm,
-)
+from schemelab.spectral import SQRT_2PI, SpectralField, sobolev_minus_alpha_norm
 from schemelab.roughpath import RoughPathSample
 
 REALITY_TOL = 1e-10
@@ -193,34 +198,6 @@ class LiftSample:
         raise KeyError(f"offset {u!r} not present in the lift")
 
 
-def _xx_coeffs(a: np.ndarray, ls: np.ndarray, u: float) -> np.ndarray:
-    """Coefficients C_m of XX(x, x+u) = sum_m C_m e^{imx} by mode convolution.
-
-    a[p] = q_l xi_l at l = ls[p]; the k != -l branch splits into two
-    convolutions, the k = -l branch fills m = 0 directly.
-    """
-    n = a.shape[1]
-    L = len(ls)
-    out = np.zeros((2 * L - 1, n, n), dtype=complex)
-    if u == 0.0:
-        return out
-    ms = np.arange(-(L - 1), L) + 0.0  # m = k + l
-    phase_l = np.exp(1j * ls * u) - 1.0
-    b = a * phase_l[:, None]
-    c = a * ls[:, None]
-    for i in range(n):
-        for j in range(n):
-            conv_c = np.convolve(a[:, i], c[:, j])
-            conv_b = np.convolve(a[:, i], b[:, j])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                factor = np.where(ms != 0, (np.exp(1j * ms * u) - 1.0) / np.where(ms != 0, ms, 1.0), 0.0)
-            out[:, i, j] = conv_c * factor - conv_b
-    # m = 0: the k = -l branch replaces the convolution value entirely
-    w0 = 1j * ls * u - phase_l
-    out[L - 1] = np.einsum("l,li,lj->ij", w0, np.conj(a), a)
-    return out
-
-
 def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
     """Iterated-integral lift over each requested shift, plus the rough-path
     sample built from the grid-spacing shift.
@@ -231,37 +208,52 @@ def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
     N, n = state.N, state.n
     if M < 2 * N + 1:
         raise ValueError(f"grid size {M} too small for max mode {N}")
-    q = mode_amplitudes(state.scheme, state.eps, N)
-    ls = np.arange(-N, N + 1)
-    a = np.zeros((2 * N + 1, n), dtype=complex)
-    a[N:] = q[:, None] * state.xi
-    a[:N] = np.conj(a[N + 1:])[::-1]
-
     dx = 2.0 * np.pi / M
-    offsets = list(offsets)
+    us = [float(u) for u in offsets]
     grid_key = None
-    for u in offsets:
+    for u in us:
         if abs(u - dx) <= 1e-12:
-            grid_key = float(u)
+            grid_key = u
     if grid_key is None:
         raise ValueError("offsets must include the grid spacing 2*pi/M")
 
-    table = {}
-    ms = np.arange(-2 * N, 2 * N + 1)
-    for u in offsets:
-        C = _xx_coeffs(a, ls, float(u))
-        vals = eval_modes_on_grid(np.moveaxis(C, 0, -1), ms, M)   # (n, n, M)
-        scale = max(1.0, float(np.abs(vals.real).max()))
-        if float(np.abs(vals.imag).max()) > REALITY_TOL * scale:
-            raise FloatingPointError("lift lost the reality constraint")
-        table[float(u)] = OffsetLift(
-            u=float(u), coeffs=C, values=np.moveaxis(vals.real, -1, 0)
-        )
+    # modes l = 0..N of A; the negative half is the complex conjugate
+    a = (mode_amplitudes(state.scheme, state.eps, N)[:, None] * state.xi).T   # (n, N+1)
+    u = np.array(us)[:, None]
+    ms = np.arange(2 * N + 1)
+    phase = np.exp(1j * u * ms) - 1.0          # e^{imu} - 1, (U, 2N+1)
+    sign = np.where(ms % 2 == 0, 1.0, -1.0)    # e^{imx} at the grid origin x = -pi
+    P = 2 * M                                  # >= 4N + 2
+    # rows: A, C/i, then B_u for every shift
+    half = np.concatenate([a[None], (-1j * ms[:N + 1] * a)[None],
+                           phase[:, None, :N + 1] * a])
+    fields = np.fft.irfft(half * sign[:N + 1], n=P, axis=-1) * P        # (2+U, n, P)
+    A = fields[0]
+    conv = (np.fft.rfft(A[None, :, None] * fields[1:, None], axis=-1)[..., 1:2 * N + 1]
+            * (sign[1:] / P))                                         # (1+U, n, n, 2N)
+    pos = (1j * conv[0] * (phase[:, 1:] / ms[1:])[:, None, None, :]
+           - conv[1:])                                                # modes 1..2N
+    # m = 0: the k = -l branch replaces the convolution value entirely
+    full = np.concatenate([np.conj(a[:, :0:-1]), a], axis=-1)          # modes -N..N
+    w0 = (1j * np.arange(-N, N + 1) * u
+          - np.concatenate([np.conj(phase[:, N:0:-1]), phase[:, :N + 1]], axis=-1))
+    c0 = ((w0[:, None, :] * np.conj(full)) @ full.T)[..., None]
+    coeffs = np.concatenate([np.conj(pos[..., ::-1]), c0, pos], axis=-1)
+    values = np.fft.irfft(np.concatenate([c0, pos], axis=-1) * sign, n=P,
+                          axis=-1)[..., ::2] * P                      # (U, n, n, M)
+    # the transforms force the values real; the m = 0 block and the negative
+    # half are not, so evaluate the stored coefficients at x = 0
+    defect = float(np.abs(coeffs.sum(axis=-1).imag).max())
+    if defect > REALITY_TOL * max(1.0, float(np.abs(values).max())):
+        raise FloatingPointError("lift lost the reality constraint")
+    coeffs = np.moveaxis(coeffs, -1, 1)
+    values = np.ascontiguousarray(np.moveaxis(values, -1, 1))
+    table = {u: OffsetLift(u=u, coeffs=coeffs[k], values=values[k])
+             for k, u in enumerate(us)}
 
-    field_vals = eval_modes_on_grid(a.T, ls, M).real.T          # (M, n)
     rough = RoughPathSample(
         x=-np.pi + dx * np.arange(M),
-        X=field_vals,
+        X=A[:, ::2].T,
         XXinc=table[grid_key].values,
     )
     return LiftSample(rough=rough, offsets=table, state=state, M=M)

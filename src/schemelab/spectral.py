@@ -90,19 +90,22 @@ def grid_points(M: int) -> np.ndarray:
 def eval_modes_on_grid(coeffs: np.ndarray, ks: np.ndarray, M: int) -> np.ndarray:
     """Evaluate sum_k coeffs[..., k] e^{i k x_m} at the M grid points, exactly.
 
-    Works for any mode list (also |k| >= M) by folding modes modulo M with
-    the phase (-1)^k coming from the -pi grid offset.
+    ``ks`` is a run of consecutive modes k0, k0+1, ...; any range works (also
+    |k| >= M): the modes are folded modulo M with the phase (-1)^k coming from
+    the -pi grid offset.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     ks = np.asarray(ks)
+    K = len(ks)
+    if np.any(ks != ks[0] + np.arange(K)):
+        raise ValueError("ks must be consecutive ascending modes")
     signed = coeffs * np.where(ks % 2 == 0, 1.0, -1.0)
-    flat = signed.reshape(-1, len(ks))
-    D = np.zeros((flat.shape[0], M), dtype=complex)
-    idx = np.mod(ks, M)
-    for row in range(flat.shape[0]):
-        np.add.at(D[row], idx, flat[row])
-    vals = np.fft.ifft(D, axis=-1) * M
-    return vals.reshape(coeffs.shape[:-1] + (M,))
+    # entry r of the padded, reshaped mode axis holds the modes k0 + r + jM
+    pad = -K % M
+    folded = np.pad(signed, [(0, 0)] * (signed.ndim - 1) + [(0, pad)])
+    folded = folded.reshape(coeffs.shape[:-1] + (-1, M)).sum(axis=-2)
+    D = np.roll(folded, int(ks[0]), axis=-1)
+    return np.fft.ifft(D, axis=-1) * M
 
 
 def to_physical(field: SpectralField, M: int) -> GridField:

@@ -4,14 +4,16 @@ This is the stepping code the package used before it moved to a batched
 real-FFT half spectrum: one run at a time, the state holding every mode
 -N..N, complex FFTs of length M, and a separate inverse transform per step
 for the blow-up check.  It is deliberately slow and simple.  Tests compare
-``schemelab.solver.simulate_coupled`` with it run by run.
+``schemelab.solver.simulate_coupled`` with it run by run.  Its diagnostics
+lift with the reference lift of ``lift_oracle``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from schemelab.lift import d_eps_xx, lift_offsets, lift_XX, state_from_coeffs
+from lift_oracle import lift_XX
+from schemelab.lift import d_eps_xx, lift_offsets, state_from_coeffs
 from schemelab.models import ModelFunctions
 from schemelab.schemes import (
     derivative_multiplier,

@@ -1,0 +1,137 @@
+"""The transform-based lift against the direct-convolution oracle.
+
+``lift_oracle`` is the shift-by-shift, O(N^2) direct-convolution lift the
+package used before; every check here lifts the same state through both
+and compares coefficients, grid values, the rough-path sample, D_eps XX,
+the fluctuation statistic and the per-sample rows of the experiments.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import lift_oracle as oracle
+from strategies import schemes
+from schemelab import experiments
+from schemelab.experiments import ExperimentConfig, _fluctuation_sample, lift_experiment
+from schemelab.lift import (
+    ModeState,
+    d_eps_xx,
+    draw_increments,
+    evolve_modes,
+    fluctuation_statistic,
+    lift_offsets,
+    lift_XX,
+    mode_amplitudes,
+)
+from schemelab.models import ModelFunctions
+from schemelab.schemes import make_scheme
+
+RTOL = 1e-12
+# Both lifts round at the size of the terms they add, not of their sum.  A
+# term of C_m(u) is at most |a_k| |l a_l| (2 + |u|), so each check allows,
+# beside RTOL of the oracle's largest entry, ROUND times that term scale:
+# with h(eps k) tiny for every k != 0 the field is nearly constant and the
+# O(a_0) terms that cancel exactly dwarf the lift itself.  Below TINY,
+# products of subnormal amplitudes keep no relative precision at all.
+ROUND = 1e-15
+TINY = 1e-300
+
+
+def gap_within(new, old, slack=0.0):
+    new, old = np.asarray(new), np.asarray(old)
+    gap = float(np.abs(new - old).max())
+    return gap <= RTOL * float(np.abs(old).max()) + ROUND * slack + TINY
+
+
+def term_scale(state, u):
+    """(sum_l |a_l|)(sum_l |l a_l|)(2 + |u|) over l = -N..N, a_l = q_l xi_l."""
+    a = np.abs(mode_amplitudes(state.scheme, state.eps, state.N)[:, None] * state.xi)
+    l = np.arange(state.N + 1)[:, None]
+    return float((a[0] + 2 * a[1:].sum(axis=0)).max()
+                 * (2 * l * a).sum(axis=0).max() * (2.0 + abs(u)))
+
+
+@st.composite
+def lift_cases(draw):
+    """A random state, grid and shift list: M from the edge 2N+1 upward,
+    shifts covering zero, negative, off-grid and |u| > pi."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    N = draw(st.integers(1, 12))
+    M = 2 * N + 1 + draw(st.integers(0, 2 * N + 3))
+    scheme = draw(schemes())
+    eps = draw(st.floats(0.05, 0.5))
+    t = draw(st.floats(0.05, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    state = evolve_modes(ModeState.zero(scheme, eps, N, n), t, draw_increments(rng, N, n))
+    extra = draw(st.lists(st.one_of(st.just(0.0), st.floats(-7.0, 7.0)), max_size=3))
+    return state, M, lift_offsets(scheme, eps, M) + extra
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lift_cases())
+def test_lift_matches_oracle(case):
+    state, M, offsets = case
+    new, old = lift_XX(state, M, offsets), oracle.lift_XX(state, M, offsets)
+    width = 4 * state.N + 1
+    assert new.offsets.keys() == old.offsets.keys()
+    for u, entry in old.offsets.items():
+        assert new.offsets[u].coeffs.shape == entry.coeffs.shape
+        assert new.offsets[u].values.shape == entry.values.shape
+        assert gap_within(new.offsets[u].coeffs, entry.coeffs, term_scale(state, u))
+        assert gap_within(new.offsets[u].values, entry.values,
+                          width * term_scale(state, u))
+    assert np.array_equal(new.rough.x, old.rough.x)
+    assert gap_within(new.rough.X, old.rough.X)
+    assert gap_within(new.rough.XXinc, old.rough.XXinc,
+                      width * term_scale(state, offsets[0]))
+
+    scheme, eps, t = state.scheme, state.eps, state.t
+    slack = sum(abs(w) * term_scale(state, eps * z) for z, w in scheme.mu.atoms) / eps
+    dn, do = d_eps_xx(new, scheme, eps), d_eps_xx(old, scheme, eps)
+    assert gap_within(dn.coeffs, do.coeffs, slack)
+    assert gap_within(dn.values, do.values, width * slack)
+    assert gap_within(fluctuation_statistic(new, scheme, eps, t, 0.45),
+                      fluctuation_statistic(old, scheme, eps, t, 0.45),
+                      state.n * width * slack)
+
+
+# -- per-sample experiment rows -----------------------------------------------
+
+def small_cfg(kind, **overrides):
+    base = dict(kind=kind, scheme=make_scheme("forward_difference"),
+                model=ModelFunctions(n=2, F=None, G=None, DG=None, theta=None),
+                eps_ladder=(0.25, 0.125), samples=2, master_seed=9, N=16, M=40,
+                times=(0.1, 0.5), alpha=0.45)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def assert_rows_close(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.keys() == b.keys()
+        for key, value in b.items():
+            if isinstance(value, float):
+                assert math.isclose(a[key], value, rel_tol=RTOL, abs_tol=0.0), key
+            else:
+                assert a[key] == value, key
+
+
+def test_fluctuation_rows_match_oracle(monkeypatch):
+    cfg = small_cfg("fluctuation")
+    args = [(cfg, eps, s) for eps in cfg.eps_ladder for s in range(cfg.samples)]
+    new = [_fluctuation_sample(a) for a in args]
+    monkeypatch.setattr(experiments, "lift_XX", oracle.lift_XX)
+    assert_rows_close(new, [_fluctuation_sample(a) for a in args])
+
+
+def test_lift_rows_match_oracle(monkeypatch):
+    # forward difference: under central difference dxx_trace_mean is zero up
+    # to rounding, which no two lifts share
+    cfg = small_cfg("lift", samples=3)
+    new = lift_experiment(cfg).per_sample
+    monkeypatch.setattr(experiments, "lift_XX", oracle.lift_XX)
+    assert_rows_close(new, lift_experiment(cfg).per_sample)

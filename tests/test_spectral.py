@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import lift_oracle
 from schemelab.spectral import (
     GridField,
     NormConfig,
     SQRT_2PI,
     SpectralField,
     apply_multiplier,
+    eval_modes_on_grid,
     grr_norm_estimate,
     holder_seminorm_estimate,
     load_spectral,
@@ -63,6 +65,32 @@ class TestTransforms:
         lhs = float((np.abs(f.coeffs) ** 2).sum())
         rhs = 2.0 * np.pi / 64 * float((g.values ** 2).sum())
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+    @pytest.mark.parametrize("N, M", [(0, 1), (3, 7), (3, 8), (16, 40), (16, 33)])
+    def test_grid_evaluation_without_folding_is_bitwise(self, rng, N, M):
+        # M >= 2N+1: no two modes share a residue mod M, as in to_physical
+        ks = np.arange(-N, N + 1)
+        c = rng.standard_normal((2, 3, 2 * N + 1)) + 1j * rng.standard_normal((2, 3, 2 * N + 1))
+        assert np.array_equal(eval_modes_on_grid(c, ks, M),
+                              lift_oracle.eval_modes_on_grid(c, ks, M))
+
+    @pytest.mark.parametrize("k0, K, M", [(-40, 81, 16), (5, 30, 7), (-3, 100, 9),
+                                          (-12, 25, 24)])
+    def test_grid_evaluation_folds_modes(self, rng, k0, K, M):
+        ks = np.arange(k0, k0 + K)
+        c = rng.standard_normal((4, K)) + 1j * rng.standard_normal((4, K))
+        new = eval_modes_on_grid(c, ks, M)
+        old = lift_oracle.eval_modes_on_grid(c, ks, M)
+        assert np.abs(new - old).max() <= 1e-15 * np.abs(old).max()
+        # the direct sum at the grid points x_m = -pi + 2 pi m / M
+        x = -np.pi + 2.0 * np.pi * np.arange(M) / M
+        direct = c @ np.exp(1j * np.outer(ks, x))
+        np.testing.assert_allclose(new, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
+
+    def test_grid_evaluation_needs_consecutive_modes(self):
+        with pytest.raises(ValueError):
+            eval_modes_on_grid(np.ones(3), np.array([0, 1, 3]), 8)
 
 
 class TestMultipliers:
