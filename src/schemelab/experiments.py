@@ -1,8 +1,8 @@
 """Monte-Carlo experiments, rate fitting, persistence, and diagnostics.
 
 Every experiment follows the same pattern: derive one RNG per sample from
-(master seed, sample index), draw the full noise array once, run the
-coupled simulations, and reduce per-sample rows into aggregates plus a
+(master seed, sample index), stream that sample's noise, run the coupled
+simulations, and reduce per-sample rows into aggregates plus a
 least-squares rate fit.  Per-sample numbers are persisted next to the
 aggregates so every reported mean can be recomputed from the table.
 """
@@ -33,10 +33,10 @@ from schemelab.lift import (
 from schemelab.models import ModelFunctions
 from schemelab.schemes import CutoffScheme, laplacian_multiplier
 from schemelab.solver import (
+    NoiseStream,
     SolverConfig,
     Trajectory,
     _Operators,
-    draw_noise,
     half_spectrum,
     make_correction_drift,
     reference_config,
@@ -161,11 +161,28 @@ class ExperimentConfig:
         )
 
     def config_hash(self) -> str:
+        """Digest of the config file with the resolved seed or, for a config
+        built in code (no ``raw``), of every resolved field."""
+        import dataclasses
         import hashlib
 
-        # the resolved seed stands in for the file's, so --seed changes the hash
-        payload = (dict(self.raw, seed=self.master_seed) if self.raw
-                   else {"kind": self.kind, "seed": self.master_seed})
+        if self.raw:
+            # the resolved seed stands in for the file's, so --seed changes the hash
+            payload = dict(self.raw, seed=self.master_seed)
+        else:
+            payload = {
+                "kind": self.kind, "seed": self.master_seed,
+                "scheme": self.scheme.describe(),
+                "scheme2": None if self.scheme2 is None else self.scheme2.describe(),
+                "model": self.model.describe(), "eps_ladder": self.eps_ladder,
+                "samples": self.samples, "N": self.N, "M": self.M, "dt": self.dt,
+                "T": self.T, "record_times": self.record_times,
+                "blowup_cap": self.blowup_cap, "eps_ref": self.eps_ref,
+                "norms": dataclasses.asdict(self.norms), "alpha": self.alpha,
+                "times": self.times, "nu": self.nu,
+                "initial": [self.initial_kind, self.initial_amplitude, self.initial_mode],
+                "conservation_form": self.conservation_form,
+            }
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -306,7 +323,7 @@ def _converge_sample(args):
     cfg, Lambda, s = args
     rng = sample_rng(cfg.master_seed, s)
     ladder = [cfg.solver_config(eps) for eps in cfg.eps_ladder]
-    inc = draw_noise(rng, ladder[0].steps, cfg.N, cfg.model.n)
+    inc = NoiseStream(rng, ladder[0].steps, cfg.N, cfg.model.n)
     ref, *runs = simulate_coupled(
         [reference_config(ladder[0], cfg.eps_ref, Lambda)] + ladder, inc)
     rows = []
@@ -355,7 +372,7 @@ def _correction_sample(args):
     cfg, Lambda1, s = args
     eps = min(cfg.eps_ladder)
     rng = sample_rng(cfg.master_seed, s)
-    inc = draw_noise(rng, cfg.solver_config(eps).steps, cfg.N, cfg.model.n)
+    inc = NoiseStream(rng, cfg.solver_config(eps).steps, cfg.N, cfg.model.n)
     drift = make_correction_drift(cfg.model, Lambda1)
     run1, run2, run2c = simulate_coupled([
         cfg.solver_config(eps),
@@ -413,7 +430,7 @@ def correction_experiment(cfg: ExperimentConfig) -> RunRecord:
 
 
 def _fluctuation_sample(args):
-    cfg, eps, s = args
+    cfg, eps, s, centers = args
     rng = sample_rng(cfg.master_seed, s)
     n = cfg.model.n
     state = ModeState.zero(cfg.scheme, eps, cfg.N, n)
@@ -425,7 +442,7 @@ def _fluctuation_sample(args):
         prev = t
         lift = lift_XX(state, cfg.M, offsets)
         best = max(best, fluctuation_statistic(lift, cfg.scheme, eps, t,
-                                               cfg.alpha))
+                                               cfg.alpha, centers[t]))
     return {"eps": eps, "sample": s, "statistic": best}
 
 
@@ -441,8 +458,11 @@ def fluctuation_experiment(cfg: ExperimentConfig) -> RunRecord:
     if any(t <= 0 for t in cfg.times):
         raise ValueError("fluctuation times must be positive")
     t0 = time.perf_counter()
+    # the statistic's centring constant Lambda_eps(t), once per (eps, t)
+    centers = {eps: {t: lambda_eps(cfg.scheme, eps, t, cfg.N) for t in cfg.times}
+               for eps in cfg.eps_ladder}
     rows = _pool_map(_fluctuation_sample,
-                     [(cfg, eps, s) for eps in cfg.eps_ladder
+                     [(cfg, eps, s, centers[eps]) for eps in cfg.eps_ladder
                       for s in range(cfg.samples)])
     aggregates = []
     for eps in cfg.eps_ladder:
@@ -488,13 +508,14 @@ def lift_experiment(cfg: ExperimentConfig) -> RunRecord:
     eps = cfg.eps_ladder[0]
     t = cfg.times[-1]
     n = cfg.model.n
+    center = lambda_eps(cfg.scheme, eps, t, cfg.N)
     rows = []
     for s in range(cfg.samples):
         rng = sample_rng(cfg.master_seed, s)
         state = ModeState.zero(cfg.scheme, eps, cfg.N, n)
         state = evolve_modes(state, t, draw_increments(rng, cfg.N, n))
         lift = lift_XX(state, cfg.M, lift_offsets(cfg.scheme, eps, cfg.M))
-        stat = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha)
+        stat = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha, center)
         dxx = d_eps_xx(lift, cfg.scheme, eps)
         trace_mean = float(np.trace(dxx.values.mean(axis=0)) / n)
         rows.append({"eps": eps, "t": t, "sample": s, "statistic": stat,
@@ -503,7 +524,7 @@ def lift_experiment(cfg: ExperimentConfig) -> RunRecord:
     tr_mean, tr_se, _ = mean_and_se([r["dxx_trace_mean"] for r in rows])
     aggregates = [{"eps": eps, "mean": mean, "se": se, "n": nkept,
                    "dxx_trace_mean": tr_mean, "dxx_trace_se": tr_se,
-                   "lambda_eps": lambda_eps(cfg.scheme, eps, t, cfg.N)}]
+                   "lambda_eps": center}]
     return RunRecord(
         kind="lift", config_hash=cfg.config_hash(),
         master_seed=cfg.master_seed, per_sample=rows, aggregates=aggregates,

@@ -40,6 +40,7 @@ from schemelab.correction import lambda_eps
 from schemelab.schemes import CutoffScheme
 from schemelab.spectral import SQRT_2PI, SpectralField, sobolev_minus_alpha_norm
 from schemelab.roughpath import RoughPathSample
+from schemelab.solver import draw_noise
 
 REALITY_TOL = 1e-10
 
@@ -76,12 +77,9 @@ class ModeState:
 
 def draw_increments(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
     """Standard Gaussian increments for one transition: rows 1..N are unit
-    complex normals (Re, Im ~ N(0, 1/2)), row 0 is a unit real normal."""
-    re = rng.standard_normal((N + 1, n))
-    im = rng.standard_normal((N + 1, n))
-    inc = (re + 1j * im) / np.sqrt(2.0)
-    inc[0] = re[0]
-    return inc
+    complex normals (Re, Im ~ N(0, 1/2)), row 0 is a unit real normal.
+    This is one step of the solver's noise draw."""
+    return draw_noise(rng, 1, N, n)[0]
 
 
 def mode_rates(scheme: CutoffScheme, eps: float, N: int) -> np.ndarray:
@@ -217,8 +215,13 @@ def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
     if grid_key is None:
         raise ValueError("offsets must include the grid spacing 2*pi/M")
 
-    # modes l = 0..N of A; the negative half is the complex conjugate
+    # modes l = 0..N of A; the negative half is the complex conjugate.  XX
+    # does not depend on the mode-0 amplitude a_0 (its terms cancel exactly),
+    # so a_0 stays out of the products, where its rounding would swamp small
+    # fields, and only rough.X gets it back
     a = (mode_amplitudes(state.scheme, state.eps, N)[:, None] * state.xi).T   # (n, N+1)
+    a0 = a[:, 0].real.copy()
+    a[:, 0] = 0.0
     u = np.array(us)[:, None]
     ms = np.arange(2 * N + 1)
     phase = np.exp(1j * u * ms) - 1.0          # e^{imu} - 1, (U, 2N+1)
@@ -253,7 +256,7 @@ def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
 
     rough = RoughPathSample(
         x=-np.pi + dx * np.arange(M),
-        X=A[:, ::2].T,
+        X=A[:, ::2].T + a0,
         XXinc=table[grid_key].values,
     )
     return LiftSample(rough=rough, offsets=table, state=state, M=M)
@@ -295,13 +298,15 @@ def d_eps_xx(lift: LiftSample, scheme: CutoffScheme, eps: float) -> MatrixField:
 
 
 def fluctuation_statistic(lift: LiftSample, scheme: CutoffScheme, eps: float,
-                          t: float, alpha: float) -> float:
+                          t: float, alpha: float, center: float | None = None) -> float:
     """|D_eps XX(t, .) - Lambda_eps(t) Id|_{H^{-alpha}}, root-sum-square over
     matrix entries.
 
     The centering constant is the finite-eps correction constant truncated at
     the same mode count as the lift, so the statistic is exactly mean-zero
-    for the truncated field.  ``t`` must match the lift's time.
+    for the truncated field.  ``t`` must match the lift's time.  ``center``
+    is that constant, ``lambda_eps(scheme, eps, t, N)``, when the caller
+    already has it; it is computed otherwise.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
@@ -309,7 +314,8 @@ def fluctuation_statistic(lift: LiftSample, scheme: CutoffScheme, eps: float,
         raise ValueError("t does not match the time of the lifted state")
     field = d_eps_xx(lift, scheme, eps)
     N = lift.N
-    center = lambda_eps(scheme, eps, t, N)
+    if center is None:
+        center = lambda_eps(scheme, eps, t, N)
     coeffs = field.coeffs.copy()
     for i in range(field.n):
         coeffs[2 * N, i, i] -= center

@@ -15,10 +15,19 @@ k = 0..N (uhat(-k) = conj uhat(k)) and moves to and from the M-point grid
 with rfft/irfft.  Recorded snapshots are expanded back to the modes -N..N.
 
 Noise convention: per step a draw of shape (N+1, n) with unit complex rows
-1..N and a unit real row 0 (the contract of lift.draw_increments); mode
+1..N and a unit real row 0 (lift.draw_increments is one such step); mode
 increments of W are sqrt(dt) times the draw, which is already the half
 spectrum.  Runs that share the draws differ only through their
 multipliers, which is what makes strong-error ladders across eps possible.
+A run's generator is consumed in one canonical order: every real part of
+every step, then every imaginary part.  ``draw_noise`` returns that stream
+as one (steps, N+1, n) array; ``NoiseStream`` gives the same increments,
+bit for bit, one block of NOISE_BLOCK steps at a time, by saving the
+generator state at each block start and replaying the block on request,
+so a run holds O(NOISE_BLOCK) noise instead of O(steps).  The stepping
+loop reads either form block by block, scales every run's block of noise
+by its multipliers and moves it to the grid with one irfft call before
+stepping through the block.
 
 Batches: ``simulate_coupled`` steps such runs together.  The state of B
 runs has layout (n, B, N+1) and its grid (n, B, M), so the model callables,
@@ -148,6 +157,14 @@ class _Operators:
                                      dtype=float)
         self.extra_drift = [c.extra_drift for c in configs]
         self.conservation = np.array([c.conservation_form for c in configs])
+        self._allocate()
+
+    def _allocate(self):
+        """Per-step work buffers: the coefficients of u and D_eps u, and the
+        grids of the product, the noise term and the other drift."""
+        shape = (self.model.n, len(self.extra_drift))
+        self.coeff_buf = np.empty((2,) + shape + (self.N + 1,), dtype=complex)
+        self.grid_buf = np.empty((3,) + shape + (self.M,))
 
     def take(self, keep: np.ndarray) -> "_Operators":
         """The operators of the runs selected by the boolean mask ``keep``."""
@@ -155,6 +172,7 @@ class _Operators:
         for name in ("decay", "dmult", "hmult", "dealias_mask", "conservation"):
             setattr(out, name, getattr(self, name)[keep])
         out.extra_drift = [d for d, k in zip(self.extra_drift, keep) if k]
+        out._allocate()
         return out
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
@@ -166,8 +184,9 @@ class _Operators:
         return np.fft.rfft(values, axis=-1)[..., :self.N + 1] * self.coeff_scale
 
     def noise(self, increments: np.ndarray) -> np.ndarray:
-        """Increments (n, B, N+1) of H_eps W from one (N+1, n) draw."""
-        w = (increments.T * self.sqrt_dt)[:, None, :] * self.hmult
+        """Increments (..., n, B, N+1) of H_eps W from draws (..., N+1, n):
+        one step's draw or a block of them."""
+        w = (np.swapaxes(increments, -1, -2) * self.sqrt_dt)[..., None, :] * self.hmult
         w[..., 0] = w[..., 0].real                # mode 0 is real
         return w
 
@@ -183,47 +202,48 @@ def full_spectrum(half: np.ndarray) -> np.ndarray:
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
-def step(u_hat: np.ndarray, ops: _Operators, increments: np.ndarray):
+def step(u_hat: np.ndarray, ops: _Operators, w_grid: np.ndarray):
     """One exponential-Euler step of every run of a batch.
 
-    ``u_hat`` holds modes 0..N in layout (n, B, N+1); ``increments`` is the
-    (N+1, n) draw all runs share.  Returns the next state and the grid
-    values (n, B, M) of ``u_hat``, which the caller reuses for the blow-up
-    check.  The inverse transforms of u, D_eps u and the noise go through
-    one irfft call, the forward transforms of the product, the other drift
-    and the noise through one rfft call.
+    ``u_hat`` holds modes 0..N in layout (n, B, N+1); ``w_grid`` holds the
+    grid values (n, B, M) of every run's H_eps W increment over the step.
+    Returns the next state and the grid values (n, B, M) of ``u_hat``,
+    which the caller reuses for the blow-up check.  The inverse transforms
+    of u and D_eps u go through one irfft call, the forward transforms of
+    the product, the noise and the other drift through one rfft call.
     """
     model = ops.model
-    u_grid, de_u, w_grid = ops.to_grid(
-        np.stack([u_hat, u_hat * ops.dmult, ops.noise(increments)]))
+    coeffs, grids = ops.coeff_buf, ops.grid_buf
+    coeffs[0] = u_hat
+    np.multiply(u_hat, ops.dmult, out=coeffs[1])
+    u_grid, de_u = ops.to_grid(coeffs)
+    prod, noise_grid, other = grids
 
     cons = ops.conservation
     if cons.any():
         # chain-rule-respecting discretisation D_eps(potential(u))
-        prod = np.empty_like(u_grid)
         prod[:, cons] = model.potential(u_grid[:, cons])
         plain = ~cons
         if plain.any():
             prod[:, plain] = np.einsum("ij...,j...->i...", model.G(u_grid[:, plain]),
                                        de_u[:, plain])
     else:
-        prod = np.einsum("ij...,j...->i...", model.G(u_grid), de_u)
+        np.einsum("ij...,j...->i...", model.G(u_grid), de_u, out=prod)
 
-    other = model.F(u_grid)
-    if any(d is not None for d in ops.extra_drift):
-        other = np.stack([other[:, b] if d is None else other[:, b] + d(u_grid[:, b])
-                          for b, d in enumerate(ops.extra_drift)], axis=1)
-    noise_grid = np.einsum("ij...,j...->i...", model.theta(u_grid), w_grid)
+    other[...] = model.F(u_grid)
+    for b, d in enumerate(ops.extra_drift):
+        if d is not None:
+            other[:, b] += d(u_grid[:, b])
+    np.einsum("ij...,j...->i...", model.theta(u_grid), w_grid, out=noise_grid)
 
     with_other = bool(np.any(other))
-    hats = ops.to_coeffs(np.stack([prod, other, noise_grid] if with_other
-                                  else [prod, noise_grid]))
+    hats = ops.to_coeffs(grids if with_other else grids[:2])
     prod_hat = hats[0]
     if cons.any():
         prod_hat[:, cons] *= ops.dmult[cons]
     prod_hat = prod_hat * ops.dealias_mask
-    nonlin_hat = prod_hat + hats[1] if with_other else prod_hat
-    return ops.decay * (u_hat + ops.dt * nonlin_hat + hats[-1]), u_grid
+    nonlin_hat = prod_hat + hats[2] if with_other else prod_hat
+    return ops.decay * (u_hat + ops.dt * nonlin_hat + hats[1]), u_grid
 
 
 @dataclass
@@ -252,14 +272,14 @@ def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
     """Iterate the exponential-Euler step from 0 to T, recording snapshots.
 
     Noise comes either from pre-drawn ``increments`` of shape
-    (steps, N+1, n) or from ``rng`` (drawn once, in a fixed order, so runs
-    with equal (N, steps) consume identical increments).  This is
-    ``simulate_coupled`` with a single run.
+    (steps, N+1, n) or from ``rng`` (streamed in the canonical order of
+    ``draw_noise``, so runs with equal (N, steps) consume identical
+    increments).  This is ``simulate_coupled`` with a single run.
     """
     if increments is None:
         if rng is None:
             rng = np.random.default_rng(seed)
-        increments = draw_noise(rng, config.steps, config.N, config.model.n)
+        increments = NoiseStream(rng, config.steps, config.N, config.model.n)
     return simulate_coupled([config], increments, seed=seed,
                             record_reference=record_reference)[0]
 
@@ -268,10 +288,12 @@ def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
 _SHARED = ("N", "M", "dt", "T", "model", "record_times", "blowup_cap")
 
 
-def simulate_coupled(configs, increments: np.ndarray, seed: int | None = None,
+def simulate_coupled(configs, increments, seed: int | None = None,
                      record_reference: bool = False) -> list:
     """Step runs driven by the same increments together, one Trajectory each.
 
+    ``increments`` is a NoiseStream or a pre-drawn (steps, N+1, n) array;
+    either is read one block of NOISE_BLOCK steps at a time.
     The runs must share N, M, dt, T, model, record_times and blowup_cap;
     each keeps its own scheme, eps, extra drift, dealiasing and conservation
     form.  A run is truncated at the first time its sup norm exceeds
@@ -291,7 +313,8 @@ def simulate_coupled(configs, increments: np.ndarray, seed: int | None = None,
             raise ValueError(f"coupled runs must share {name}")
     steps, dt, cap = first.steps, first.dt, first.blowup_cap
     n, N = first.model.n, first.N
-    increments = np.asarray(increments, dtype=complex)
+    if not isinstance(increments, NoiseStream):
+        increments = np.asarray(increments, dtype=complex)
     if increments.shape != (steps, N + 1, n):
         raise ValueError(f"increments must have shape {(steps, N + 1, n)}")
 
@@ -340,8 +363,13 @@ def simulate_coupled(configs, increments: np.ndarray, seed: int | None = None,
     # advancing it computes anyway; only the final state needs its own transform
     maybe_record(0)
     for j in range(steps + 1):
+        i = j % NOISE_BLOCK
         if j < steps:
-            u_next, u_grid = step(u_hat, ops, increments[j])
+            if i == 0:
+                # every run's noise of the block, spectral (L, n, B, N+1) and grid
+                w_hat = ops.noise(_noise_block(increments, j // NOISE_BLOCK))
+                w_grid = ops.to_grid(w_hat)
+            u_next, u_grid = step(u_hat, ops, w_grid[i])
         else:
             u_grid = ops.to_grid(u_hat)
         if j > 0:
@@ -351,13 +379,14 @@ def simulate_coupled(configs, increments: np.ndarray, seed: int | None = None,
                 u_hat, x_hat = u_hat[:, keep], x_hat[:, keep]
                 if j < steps:
                     u_next = u_next[:, keep]
+                    w_hat, w_grid = w_hat[:, :, keep], w_grid[:, :, keep]
                 if live.size == 0 or (failed and live[0] > min(failed)):
                     break
             maybe_record(j)
         if j == steps:
             break
         if record_reference:
-            x_hat = ops.decay * (x_hat + ops.noise(increments[j]))
+            x_hat = ops.decay * (x_hat + w_hat[i])
         u_hat = u_next
     if failed:
         t = failed[min(failed)]
@@ -373,13 +402,67 @@ def simulate_coupled(configs, increments: np.ndarray, seed: int | None = None,
     ) for b, c in enumerate(configs)]
 
 
+def _increments(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Unit complex rows 1..N and a unit real row 0 from (steps, N+1, n)
+    standard normal real and imaginary parts."""
+    inc = (re + 1j * im) / np.sqrt(2.0)
+    inc[:, 0, :] = re[:, 0, :]
+    return inc
+
+
 def draw_noise(rng: np.random.Generator, steps: int, N: int, n: int) -> np.ndarray:
     """All increments of one run, shape (steps, N+1, n), in the canonical order."""
     re = rng.standard_normal((steps, N + 1, n))
     im = rng.standard_normal((steps, N + 1, n))
-    inc = (re + 1j * im) / np.sqrt(2.0)
-    inc[:, 0, :] = re[:, 0, :]
-    return inc
+    return _increments(re, im)
+
+
+# steps per block of a NoiseStream, and per noise transform of the stepping loop
+NOISE_BLOCK = 128
+
+
+class NoiseStream:
+    """The increments ``draw_noise(rng, steps, N, n)`` would return, replayed
+    one block of NOISE_BLOCK steps at a time instead of held whole.
+
+    Construction walks ``rng`` once through the canonical order (every real
+    part, then every imaginary part), saving the generator state at the
+    start of each block of real and of imaginary parts and discarding the
+    values; ``rng`` ends where ``draw_noise`` would leave it.  ``block(k)``
+    replays block k from its two saved states and equals
+    ``draw_noise(...)[k * NOISE_BLOCK:(k + 1) * NOISE_BLOCK]`` bit for bit.
+    """
+
+    def __init__(self, rng: np.random.Generator, steps: int, N: int, n: int):
+        self.shape = (steps, N + 1, n)
+        self._gen = np.random.Generator(type(rng.bit_generator)(0))
+        scratch = np.empty((NOISE_BLOCK, N + 1, n))
+        self._states = []                 # real, then imaginary: one state per block
+        for _ in range(2):
+            states = []
+            for start in range(0, steps, NOISE_BLOCK):
+                states.append(rng.bit_generator.state)
+                rng.standard_normal(out=scratch[:min(NOISE_BLOCK, steps - start)])
+            self._states.append(states)
+
+    def block(self, k: int) -> np.ndarray:
+        """Increments of steps k * NOISE_BLOCK up to the next block or the end."""
+        steps, N1, n = self.shape
+        if not 0 <= k * NOISE_BLOCK < steps:
+            raise IndexError(f"block {k} out of range")
+        length = min(NOISE_BLOCK, steps - k * NOISE_BLOCK)
+        parts = []
+        for states in self._states:
+            self._gen.bit_generator.state = states[k]
+            parts.append(self._gen.standard_normal((length, N1, n)))
+        return _increments(*parts)
+
+
+def _noise_block(increments, k: int) -> np.ndarray:
+    """Block k (NOISE_BLOCK steps) of a NoiseStream or a pre-drawn array."""
+    if isinstance(increments, NoiseStream):
+        return increments.block(k)
+    return increments[k * NOISE_BLOCK:(k + 1) * NOISE_BLOCK]
 
 
 def stochastic_convolution(theta_path, scheme: CutoffScheme, eps: float,

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from schemelab.correction import lambda_eps
 from schemelab.experiments import (
     ExperimentConfig,
     ExperimentFailure,
@@ -189,6 +190,31 @@ class TestFluctuationExperiment:
         assert gaps[0] > gaps[-1]
         assert table["slopes_by_t"]["0.5"]["slope"] > 0.3
 
+    def test_centring_constant_once_per_eps_and_t(self, monkeypatch):
+        from schemelab import experiments, lift
+
+        cfg = small_cfg("fluctuation", samples=3, eps_ladder=(0.25, 0.125),
+                        N=12, M=48, times=(0.1, 0.3))
+        pairs = []
+
+        def counted(scheme, eps, t, N):
+            pairs.append((eps, t))
+            return lambda_eps(scheme, eps, t, N)
+
+        def per_lift(*args):
+            raise AssertionError("lambda_eps called once per lift")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "lambda_eps", counted)
+            patch.setattr(lift, "lambda_eps", per_lift)
+            rows = fluctuation_experiment(cfg).per_sample
+        # the centring constants and the decay table, nu = 1
+        assert len(set(pairs)) == len(pairs) / 2 == 4
+        # the same rows as when the statistic computes its own constant
+        monkeypatch.setattr(experiments, "fluctuation_statistic",
+                            lambda *args: lift.fluctuation_statistic(*args[:5]))
+        assert fluctuation_experiment(cfg).per_sample == rows
+
 
 class TestLiftExperiment:
     def test_rows_and_aggregates(self):
@@ -246,6 +272,36 @@ def test_config_hash_follows_the_resolved_seed():
     assert load_config(path, seed=1111).config_hash() == plain
     hashes = {load_config(path, seed=s).config_hash() for s in (1, 2)}
     assert len(hashes) == 2 and plain not in hashes
+
+
+def test_config_hash_covers_every_resolved_field():
+    from schemelab.schemes import make_function
+
+    base = dict(kind="converge", scheme=make_scheme("forward_difference"),
+                scheme2=None, model=make_model(1, G="state", theta="one"),
+                eps_ladder=(0.25, 0.125), samples=4, master_seed=99, N=16, M=64)
+    variants = {
+        "scheme": make_scheme("forward_difference",
+                              h=make_function("indicator", cutoff=1.0)),
+        "scheme2": make_scheme("central_difference"),
+        "model": make_model(1, G="state", theta="bounded_sqrt"),
+        "N": 32, "M": 128, "dt": 5e-4, "T": 0.5, "eps_ladder": (0.25, 0.0625),
+        "samples": 5, "master_seed": 98, "kind": "correction",
+        "record_times": (0.05,), "blowup_cap": 1e3, "eps_ref": 0.02,
+        "norms": NormConfig(stride=8), "alpha": 0.4, "times": (0.2,), "nu": 2.0,
+        "initial_kind": "sine", "conservation_form": True,
+    }
+    plain = ExperimentConfig(**base).config_hash()
+    assert ExperimentConfig(**base).config_hash() == plain
+    for name, value in variants.items():
+        assert ExperimentConfig(**dict(base, **{name: value})).config_hash() != plain, name
+    sine = dict(base, initial_kind="sine", initial_amplitude=0.5)
+    hashes = {ExperimentConfig(**dict(sine, **change)).config_hash()
+              for change in ({}, {"initial_amplitude": 0.6}, {"initial_mode": 2})}
+    assert len(hashes) == 3
+    # the configs that used to share a hash
+    assert (ExperimentConfig(**dict(base, N=16, M=64)).config_hash()
+            != ExperimentConfig(**dict(base, N=32, M=128, T=0.5)).config_hash())
 
 
 def test_sample_rng_streams_are_stable():

@@ -200,6 +200,22 @@ class TestLiftXX:
             composed = xx_eval(lift.rough, i, i + s)
             np.testing.assert_allclose(table[i], composed, atol=1e-11)
 
+    def test_xx_ignores_the_mode_zero_amplitude(self, rng, forward):
+        # XX does not depend on a_0; a large a_0 must not even round into it
+        state = random_state(rng, forward, 0.1, 12, 2)
+        M = 40
+        offsets = [2 * np.pi / M, 0.1, -0.1, 1.3]
+        lifts = []
+        for xi0 in (0.0, 1e3 * np.sqrt(2 * np.pi)):      # a_0 = q_0 xi_0 = 0, 1e3
+            xi = state.xi.copy()
+            xi[0] = xi0
+            lifts.append(lift_XX(ModeState(xi, forward, 0.1, state.t), M, offsets))
+        zero, big = lifts
+        for u in offsets:
+            assert np.array_equal(zero.offset(u).coeffs, big.offset(u).coeffs)
+            assert np.array_equal(zero.offset(u).values, big.offset(u).values)
+        np.testing.assert_allclose(big.rough.X - zero.rough.X, 1e3, rtol=1e-15)
+
 
 class TestDEpsXX:
     def test_missing_offset_raises(self, rng, forward):

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import lift_oracle as oracle
 from strategies import schemes
 from schemelab import experiments
+from schemelab.correction import lambda_eps
 from schemelab.experiments import ExperimentConfig, _fluctuation_sample, lift_experiment
 from schemelab.lift import (
     ModeState,
@@ -122,7 +123,8 @@ def assert_rows_close(new, old):
 
 def test_fluctuation_rows_match_oracle(monkeypatch):
     cfg = small_cfg("fluctuation")
-    args = [(cfg, eps, s) for eps in cfg.eps_ladder for s in range(cfg.samples)]
+    args = [(cfg, eps, s, {t: lambda_eps(cfg.scheme, eps, t, cfg.N) for t in cfg.times})
+            for eps in cfg.eps_ladder for s in range(cfg.samples)]
     new = [_fluctuation_sample(a) for a in args]
     monkeypatch.setattr(experiments, "lift_XX", oracle.lift_XX)
     assert_rows_close(new, [_fluctuation_sample(a) for a in args])

@@ -56,7 +56,7 @@ class TestStep:
                            T=0.1, model=zero_model())
         u = np.zeros((1, 1, N + 1), dtype=complex)      # (n, B, N+1)
         u[0, 0, 3] = 1.0
-        out, _ = step(u, _Operators([cfg]), np.zeros((N + 1, 1), dtype=complex))
+        out, _ = step(u, _Operators([cfg]), np.zeros((1, 1, 32)))    # noise grid
         assert out[0, 0, 3] == pytest.approx(np.exp(-9 * 1e-2))
 
     def test_additive_noise_mode_variance(self, forward):
