@@ -120,7 +120,6 @@ def parse_config(raw: dict, kind: str | None = None,
             initial_kind=initial.get("kind", "zero"),
             initial_amplitude=float(initial.get("amplitude", 0.0)),
             initial_mode=int(initial.get("mode", 1)),
-            raw=raw,
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc

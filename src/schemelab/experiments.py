@@ -3,8 +3,11 @@
 Every experiment follows the same pattern: derive one RNG per sample from
 (master seed, sample index), stream that sample's noise, run the coupled
 simulations, and reduce per-sample rows into aggregates plus a
-least-squares rate fit.  Per-sample numbers are persisted next to the
-aggregates so every reported mean can be recomputed from the table.
+least-squares rate fit.  The converge and correction experiments map
+chunks of CHUNK_SAMPLES samples over the workers and step the runs of
+every sample of a chunk as one batch.  Per-sample numbers are persisted
+next to the aggregates so every reported mean can be recomputed from the
+table.
 """
 
 from __future__ import annotations
@@ -122,7 +125,6 @@ class ExperimentConfig:
     initial_amplitude: float = 0.0
     initial_mode: int = 1
     conservation_form: bool = False
-    raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.eps_ladder = tuple(float(e) for e in self.eps_ladder)
@@ -161,28 +163,24 @@ class ExperimentConfig:
         )
 
     def config_hash(self) -> str:
-        """Digest of the config file with the resolved seed or, for a config
-        built in code (no ``raw``), of every resolved field."""
+        """Digest of every resolved field, so a config file, the defaults
+        its loader fills in and the experiment kind all reach it."""
         import dataclasses
         import hashlib
 
-        if self.raw:
-            # the resolved seed stands in for the file's, so --seed changes the hash
-            payload = dict(self.raw, seed=self.master_seed)
-        else:
-            payload = {
-                "kind": self.kind, "seed": self.master_seed,
-                "scheme": self.scheme.describe(),
-                "scheme2": None if self.scheme2 is None else self.scheme2.describe(),
-                "model": self.model.describe(), "eps_ladder": self.eps_ladder,
-                "samples": self.samples, "N": self.N, "M": self.M, "dt": self.dt,
-                "T": self.T, "record_times": self.record_times,
-                "blowup_cap": self.blowup_cap, "eps_ref": self.eps_ref,
-                "norms": dataclasses.asdict(self.norms), "alpha": self.alpha,
-                "times": self.times, "nu": self.nu,
-                "initial": [self.initial_kind, self.initial_amplitude, self.initial_mode],
-                "conservation_form": self.conservation_form,
-            }
+        payload = {
+            "kind": self.kind, "seed": self.master_seed,
+            "scheme": self.scheme.describe(),
+            "scheme2": None if self.scheme2 is None else self.scheme2.describe(),
+            "model": self.model.describe(), "eps_ladder": self.eps_ladder,
+            "samples": self.samples, "N": self.N, "M": self.M, "dt": self.dt,
+            "T": self.T, "record_times": self.record_times,
+            "blowup_cap": self.blowup_cap, "eps_ref": self.eps_ref,
+            "norms": dataclasses.asdict(self.norms), "alpha": self.alpha,
+            "times": self.times, "nu": self.nu,
+            "initial": [self.initial_kind, self.initial_amplitude, self.initial_mode],
+            "conservation_form": self.conservation_form,
+        }
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -271,12 +269,39 @@ def mean_and_se(values) -> tuple:
     return mean, se, len(values)
 
 
+def _workers() -> int:
+    return int(os.environ.get("SCHEMELAB_WORKERS", "1"))
+
+
 def _pool_map(fn, args):
-    workers = int(os.environ.get("SCHEMELAB_WORKERS", "1"))
+    workers = _workers()
     if workers <= 1:
         return [fn(a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args))
+
+
+# samples whose runs one converge or correction chunk steps as one batch
+CHUNK_SAMPLES = 8
+
+
+def _chunks(samples: int) -> list:
+    """Consecutive ranges of sample indices, CHUNK_SAMPLES long or shorter
+    so that every worker gets at least one."""
+    size = min(CHUNK_SAMPLES, -(-samples // max(1, _workers())))
+    return [range(s, min(s + size, samples)) for s in range(0, samples, size)]
+
+
+def _coupled_samples(cfg: ExperimentConfig, configs: list, samples) -> list:
+    """The runs of ``configs`` for each sample of ``samples``, each sample's
+    runs driven by its own noise stream, all stepped in one batch in
+    sample-major order; one list of trajectories per sample."""
+    streams = [NoiseStream(sample_rng(cfg.master_seed, s), configs[0].steps,
+                           cfg.N, cfg.model.n) for s in samples]
+    runs = simulate_coupled([c for _ in streams for c in configs],
+                            [stream for stream in streams for _ in configs])
+    k = len(configs)
+    return [runs[i:i + k] for i in range(0, len(runs), k)]
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +344,20 @@ def _trajectory_gap(a: Trajectory, b: Trajectory, M: int, T: float,
 # experiments
 # ---------------------------------------------------------------------------
 
-def _converge_sample(args):
-    cfg, Lambda, s = args
-    rng = sample_rng(cfg.master_seed, s)
-    ladder = [cfg.solver_config(eps) for eps in cfg.eps_ladder]
-    inc = NoiseStream(rng, ladder[0].steps, cfg.N, cfg.model.n)
-    ref, *runs = simulate_coupled(
-        [reference_config(ladder[0], cfg.eps_ref, Lambda)] + ladder, inc)
+def _converge_chunk(args):
+    cfg, configs, samples = args
     rows = []
-    for eps, traj in zip(cfg.eps_ladder, runs):
-        sup_err, holder_err, last = _trajectory_gap(
-            traj, ref, cfg.M, cfg.T,
-            holder_gamma=cfg.norms.alpha_tilde, stride=cfg.norms.stride)
-        rows.append({
-            "eps": eps, "sample": s, "sup_error": sup_err,
-            "holder_error": holder_err, "last_common_time": last,
-            "truncated": traj.truncation_time is not None,
-            "ref_truncated": ref.truncation_time is not None,
-        })
+    for s, (ref, *runs) in zip(samples, _coupled_samples(cfg, configs, samples)):
+        for eps, traj in zip(cfg.eps_ladder, runs):
+            sup_err, holder_err, last = _trajectory_gap(
+                traj, ref, cfg.M, cfg.T,
+                holder_gamma=cfg.norms.alpha_tilde, stride=cfg.norms.stride)
+            rows.append({
+                "eps": eps, "sample": s, "sup_error": sup_err,
+                "holder_error": holder_err, "last_common_time": last,
+                "truncated": traj.truncation_time is not None,
+                "ref_truncated": ref.truncation_time is not None,
+            })
     return rows
 
 
@@ -344,9 +365,10 @@ def converge_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Coupled-noise strong-error ladder against the corrected reference."""
     t0 = time.perf_counter()
     Lambda = lambda_exact(cfg.scheme, nu=cfg.nu).value
-    all_rows = _pool_map(_converge_sample,
-                         [(cfg, Lambda, s) for s in range(cfg.samples)])
-    rows = [r for chunk in all_rows for r in chunk]
+    ladder = [cfg.solver_config(eps) for eps in cfg.eps_ladder]
+    configs = [reference_config(ladder[0], cfg.eps_ref, Lambda)] + ladder
+    rows = [r for chunk in _pool_map(_converge_chunk, [
+        (cfg, configs, samples) for samples in _chunks(cfg.samples)]) for r in chunk]
     aggregates, points = [], []
     for eps in cfg.eps_ladder:
         errs = [r["sup_error"] for r in rows if r["eps"] == eps]
@@ -368,28 +390,34 @@ def converge_experiment(cfg: ExperimentConfig) -> RunRecord:
     )
 
 
-def _correction_sample(args):
-    cfg, Lambda1, s = args
+def _correction_configs(cfg: ExperimentConfig, Lambda1: float) -> list:
+    """Scheme 1, scheme 2 and scheme 2 with scheme 1's correction drift, at
+    the finest ladder eps."""
     eps = min(cfg.eps_ladder)
-    rng = sample_rng(cfg.master_seed, s)
-    inc = NoiseStream(rng, cfg.solver_config(eps).steps, cfg.N, cfg.model.n)
-    drift = make_correction_drift(cfg.model, Lambda1)
-    run1, run2, run2c = simulate_coupled([
+    return [
         cfg.solver_config(eps),
         cfg.solver_config(eps, scheme=cfg.scheme2),
-        cfg.solver_config(eps, scheme=cfg.scheme2, extra_drift=drift,
+        cfg.solver_config(eps, scheme=cfg.scheme2,
+                          extra_drift=make_correction_drift(cfg.model, Lambda1),
                           extra_drift_label=f"correction:{Lambda1!r}"),
-    ], inc)
-    gap_a, _, _ = _trajectory_gap(run1, run2, cfg.M, cfg.T)
-    gap_b, _, _ = _trajectory_gap(run1, run2c, cfg.M, cfg.T)
-    shared = _common_positive_times(run1, run2, cfg.T)
-    signed = math.nan
-    if shared:
-        ia, jb, _t = shared[-1]
-        signed = float((run1.grid(ia, cfg.M).values
-                        - run2.grid(jb, cfg.M).values).mean())
-    return {"eps": eps, "sample": s, "gap_uncorrected": gap_a,
-            "gap_corrected": gap_b, "signed_mean_gap": signed}
+    ]
+
+
+def _correction_chunk(args):
+    cfg, configs, samples = args
+    rows = []
+    for s, (run1, run2, run2c) in zip(samples, _coupled_samples(cfg, configs, samples)):
+        gap_a, _, _ = _trajectory_gap(run1, run2, cfg.M, cfg.T)
+        gap_b, _, _ = _trajectory_gap(run1, run2c, cfg.M, cfg.T)
+        shared = _common_positive_times(run1, run2, cfg.T)
+        signed = math.nan
+        if shared:
+            ia, jb, _t = shared[-1]
+            signed = float((run1.grid(ia, cfg.M).values
+                            - run2.grid(jb, cfg.M).values).mean())
+        rows.append({"eps": configs[0].eps, "sample": s, "gap_uncorrected": gap_a,
+                     "gap_corrected": gap_b, "signed_mean_gap": signed})
+    return rows
 
 
 def correction_experiment(cfg: ExperimentConfig) -> RunRecord:
@@ -403,8 +431,9 @@ def correction_experiment(cfg: ExperimentConfig) -> RunRecord:
         raise ValueError("correction experiment needs two schemes")
     t0 = time.perf_counter()
     Lambda1 = lambda_exact(cfg.scheme, nu=cfg.nu).value
-    rows = _pool_map(_correction_sample,
-                     [(cfg, Lambda1, s) for s in range(cfg.samples)])
+    configs = _correction_configs(cfg, Lambda1)
+    rows = [r for chunk in _pool_map(_correction_chunk, [
+        (cfg, configs, samples) for samples in _chunks(cfg.samples)]) for r in chunk]
     mean_a, se_a, n_a = mean_and_se([r["gap_uncorrected"] for r in rows])
     mean_b, se_b, n_b = mean_and_se([r["gap_corrected"] for r in rows])
     if n_a == 0 or n_b == 0:

@@ -38,11 +38,9 @@ import numpy as np
 
 from schemelab.correction import lambda_eps
 from schemelab.schemes import CutoffScheme
-from schemelab.spectral import SQRT_2PI, SpectralField, sobolev_minus_alpha_norm
+from schemelab.spectral import REALITY_TOL, SQRT_2PI, SpectralField, sobolev_minus_alpha_norm
 from schemelab.roughpath import RoughPathSample
 from schemelab.solver import draw_noise
-
-REALITY_TOL = 1e-10
 
 
 @dataclass

@@ -24,23 +24,34 @@ every step, then every imaginary part.  ``draw_noise`` returns that stream
 as one (steps, N+1, n) array; ``NoiseStream`` gives the same increments,
 bit for bit, one block of NOISE_BLOCK steps at a time, by saving the
 generator state at each block start and replaying the block on request,
-so a run holds O(NOISE_BLOCK) noise instead of O(steps).  The stepping
-loop reads either form block by block, scales every run's block of noise
-by its multipliers and moves it to the grid with one irfft call before
-stepping through the block.
+so a run holds O(NOISE_BLOCK) noise instead of O(steps).
 
-Batches: ``simulate_coupled`` steps such runs together.  The state of B
+Noise groups: ``simulate_coupled`` takes one noise source (stream or
+array) for all its runs or one per run; the runs given the same source
+object form a group.  The stepping loop replays each group's block once,
+then, per sub-block of NOISE_BLOCK / 2^k steps (the longest with at most
+NOISE_ROWS grid rows, n B per step), scales the group's draws by each of
+its runs' multipliers and moves every run's noise to the grid with one
+irfft call; runs of one group with equal multipliers share that work.  So
+the noise grid holds at most NOISE_ROWS rows of M values whatever the
+batch width B, unless one step alone holds more.
+
+Batches: ``simulate_coupled`` steps its runs together.  The state of B
 runs has layout (n, B, N+1) and its grid (n, B, M), so the model callables,
-which act pointwise on trailing axes, see the batch as a wider grid.  Runs
-may share a batch when they agree on N, M, dt, T, model, record_times and
-blowup_cap; each keeps its own scheme and eps (decay, derivative and noise
-multipliers), extra drift, dealiasing and conservation form.  ``simulate``
-is a batch of one, so there is a single stepping path.
+which act pointwise on trailing axes, see the batch as a wider grid; so
+does an extra drift, called once per step on all the runs that share it.
+Runs may share a batch when they agree on N, M, dt, T, model, record_times
+and blowup_cap; each keeps its own noise group, scheme and eps (decay,
+derivative and noise multipliers), extra drift, dealiasing and
+conservation form.  ``simulate`` is a batch of one, so there is a single
+stepping path.  The Monte-Carlo experiments step a chunk of samples as one
+batch, in sample-major order, each sample one noise group.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -136,7 +147,7 @@ class _Operators:
     (B, N+1), and they broadcast against states of layout (n, B, N+1).
     """
 
-    def __init__(self, configs):
+    def __init__(self, configs, groups=None):
         first = configs[0]
         N, M = first.N, first.M
         ks = np.arange(N + 1)
@@ -157,22 +168,37 @@ class _Operators:
                                      dtype=float)
         self.extra_drift = [c.extra_drift for c in configs]
         self.conservation = np.array([c.conservation_form for c in configs])
-        self._allocate()
+        # noise group of each run: the runs of a group read the same draws
+        self.group = (np.zeros(len(configs), dtype=int) if groups is None
+                      else np.asarray(groups))
+        self._per_batch()
 
-    def _allocate(self):
-        """Per-step work buffers: the coefficients of u and D_eps u, and the
-        grids of the product, the noise term and the other drift."""
+    def _per_batch(self):
+        """Per-step work buffers (the coefficients of u and D_eps u, and the
+        grids of the product, the noise term and the other drift) and the
+        runs of each distinct extra drift and of each distinct noise."""
         shape = (self.model.n, len(self.extra_drift))
         self.coeff_buf = np.empty((2,) + shape + (self.N + 1,), dtype=complex)
         self.grid_buf = np.empty((3,) + shape + (self.M,))
+        runs = {}
+        for b, d in enumerate(self.extra_drift):
+            if d is not None:
+                runs.setdefault(d, []).append(b)
+        self.drifts = [(d, _positions(r)) for d, r in runs.items()]
+        # runs of one noise group with equal multipliers have equal noise
+        keys = [(g, h.tobytes()) for g, h in zip(self.group, self.hmult)]
+        distinct = list(dict.fromkeys(keys))
+        self.noise_runs = np.array([keys.index(k) for k in distinct])
+        self.noise_row = np.array([distinct.index(k) for k in keys])
 
     def take(self, keep: np.ndarray) -> "_Operators":
         """The operators of the runs selected by the boolean mask ``keep``."""
         out = copy.copy(self)
-        for name in ("decay", "dmult", "hmult", "dealias_mask", "conservation"):
+        for name in ("decay", "dmult", "hmult", "dealias_mask", "conservation",
+                     "group"):
             setattr(out, name, getattr(self, name)[keep])
         out.extra_drift = [d for d, k in zip(self.extra_drift, keep) if k]
-        out._allocate()
+        out._per_batch()
         return out
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
@@ -183,12 +209,30 @@ class _Operators:
         """Modes 0..N (..., N+1) of real grid values (..., M)."""
         return np.fft.rfft(values, axis=-1)[..., :self.N + 1] * self.coeff_scale
 
-    def noise(self, increments: np.ndarray) -> np.ndarray:
-        """Increments (..., n, B, N+1) of H_eps W from draws (..., N+1, n):
-        one step's draw or a block of them."""
-        w = (np.swapaxes(increments, -1, -2) * self.sqrt_dt)[..., None, :] * self.hmult
+    def noise(self, draws: np.ndarray):
+        """Every run's increments of H_eps W from the draws (G, ..., N+1, n)
+        of the batch's G noise groups (one step's draws or a block of them),
+        spectral (..., n, B, N+1) and on the grid (..., n, B, M).  Each run
+        scales its group's draws; runs with equal noise share one
+        computation and one transform."""
+        r = self.noise_runs
+        w = np.swapaxes(draws, -1, -2) * self.sqrt_dt
+        w = np.moveaxis(w[self.group[r]], 0, -2) * self.hmult[r]
         w[..., 0] = w[..., 0].real                # mode 0 is real
-        return w
+        grid = self.to_grid(w)
+        if len(r) < len(self.group):
+            return w[..., self.noise_row, :], grid[..., self.noise_row, :]
+        return w, grid
+
+
+def _positions(runs: list):
+    """An index of the batch positions ``runs``: a slice, which selects a
+    view, when they are evenly spaced (as in sample-major chunks), else an
+    index array."""
+    stride = runs[1] - runs[0] if len(runs) > 1 else 1
+    if runs == list(range(runs[0], runs[-1] + 1, stride)):
+        return slice(runs[0], runs[-1] + 1, stride)
+    return np.array(runs)
 
 
 def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
@@ -210,7 +254,8 @@ def step(u_hat: np.ndarray, ops: _Operators, w_grid: np.ndarray):
     Returns the next state and the grid values (n, B, M) of ``u_hat``,
     which the caller reuses for the blow-up check.  The inverse transforms
     of u and D_eps u go through one irfft call, the forward transforms of
-    the product, the noise and the other drift through one rfft call.
+    the product, the noise and the other drift through one rfft call.  The
+    runs that share an extra drift callable are evaluated in one call of it.
     """
     model = ops.model
     coeffs, grids = ops.coeff_buf, ops.grid_buf
@@ -231,9 +276,8 @@ def step(u_hat: np.ndarray, ops: _Operators, w_grid: np.ndarray):
         np.einsum("ij...,j...->i...", model.G(u_grid), de_u, out=prod)
 
     other[...] = model.F(u_grid)
-    for b, d in enumerate(ops.extra_drift):
-        if d is not None:
-            other[:, b] += d(u_grid[:, b])
+    for d, runs in ops.drifts:
+        other[:, runs] += d(u_grid[:, runs])
     np.einsum("ij...,j...->i...", model.theta(u_grid), w_grid, out=noise_grid)
 
     with_other = bool(np.any(other))
@@ -290,10 +334,13 @@ _SHARED = ("N", "M", "dt", "T", "model", "record_times", "blowup_cap")
 
 def simulate_coupled(configs, increments, seed: int | None = None,
                      record_reference: bool = False) -> list:
-    """Step runs driven by the same increments together, one Trajectory each.
+    """Step runs together, one Trajectory each.
 
-    ``increments`` is a NoiseStream or a pre-drawn (steps, N+1, n) array;
-    either is read one block of NOISE_BLOCK steps at a time.
+    ``increments`` is one noise source for every run or a list with one
+    source per run; a source is a NoiseStream or a pre-drawn (steps, N+1, n)
+    array, read one block of NOISE_BLOCK steps at a time.  The runs that
+    share a source object form a noise group: its block is replayed once
+    and scaled by each run's own multipliers.
     The runs must share N, M, dt, T, model, record_times and blowup_cap;
     each keeps its own scheme, eps, extra drift, dealiasing and conservation
     form.  A run is truncated at the first time its sup norm exceeds
@@ -313,10 +360,17 @@ def simulate_coupled(configs, increments, seed: int | None = None,
             raise ValueError(f"coupled runs must share {name}")
     steps, dt, cap = first.steps, first.dt, first.blowup_cap
     n, N = first.model.n, first.N
-    if not isinstance(increments, NoiseStream):
-        increments = np.asarray(increments, dtype=complex)
-    if increments.shape != (steps, N + 1, n):
-        raise ValueError(f"increments must have shape {(steps, N + 1, n)}")
+    if not isinstance(increments, list):
+        increments = [increments] * len(configs)
+    if len(increments) != len(configs):
+        raise ValueError("need one noise source per run")
+    index = {}                               # id of a source -> its noise group
+    group = [index.setdefault(id(src), len(index)) for src in increments]
+    sources = [src if isinstance(src, NoiseStream) else np.asarray(src, dtype=complex)
+               for src in {id(src): src for src in increments}.values()]
+    for src in sources:
+        if src.shape != (steps, N + 1, n):
+            raise ValueError(f"increments must have shape {(steps, N + 1, n)}")
 
     record_steps = {}
     for t in first.record_times:
@@ -325,7 +379,12 @@ def simulate_coupled(configs, increments, seed: int | None = None,
             raise ValueError(f"record time {t} is not on the step grid")
         record_steps[j] = t
 
-    ops = _Operators(configs)
+    ops = _Operators(configs, group)
+    # steps per noise transform: the longest NOISE_BLOCK / 2^k whose noise
+    # grid holds at most NOISE_ROWS rows
+    sub = NOISE_BLOCK
+    while sub > 1 and sub * n * len(configs) > NOISE_ROWS:
+        sub //= 2
     u_hat = np.stack([np.zeros((n, N + 1), dtype=complex) if c.initial is None
                       else half_spectrum(c.initial.coeffs) for c in configs], axis=1)
     x_hat = np.zeros_like(u_hat)
@@ -366,10 +425,12 @@ def simulate_coupled(configs, increments, seed: int | None = None,
         i = j % NOISE_BLOCK
         if j < steps:
             if i == 0:
-                # every run's noise of the block, spectral (L, n, B, N+1) and grid
-                w_hat = ops.noise(_noise_block(increments, j // NOISE_BLOCK))
-                w_grid = ops.to_grid(w_hat)
-            u_next, u_grid = step(u_hat, ops, w_grid[i])
+                # every group's draws of the block (G, L, N+1, n)
+                draws = np.stack([_noise_block(src, j // NOISE_BLOCK) for src in sources])
+            if i % sub == 0:
+                # every run's noise of the sub-block, spectral (l, n, B, N+1) and grid
+                w_hat, w_grid = ops.noise(draws[:, i:i + sub])
+            u_next, u_grid = step(u_hat, ops, w_grid[i % sub])
         else:
             u_grid = ops.to_grid(u_hat)
         if j > 0:
@@ -386,7 +447,7 @@ def simulate_coupled(configs, increments, seed: int | None = None,
         if j == steps:
             break
         if record_reference:
-            x_hat = ops.decay * (x_hat + w_hat[i])
+            x_hat = ops.decay * (x_hat + w_hat[i % sub])
         u_hat = u_next
     if failed:
         t = failed[min(failed)]
@@ -417,8 +478,10 @@ def draw_noise(rng: np.random.Generator, steps: int, N: int, n: int) -> np.ndarr
     return _increments(re, im)
 
 
-# steps per block of a NoiseStream, and per noise transform of the stepping loop
+# steps per block of a NoiseStream, and per noise replay of the stepping loop
 NOISE_BLOCK = 128
+# most grid rows (M values each) of one noise transform of the stepping loop
+NOISE_ROWS = 256
 
 
 class NoiseStream:
@@ -491,7 +554,7 @@ def stochastic_convolution(theta_path, scheme: CutoffScheme, eps: float,
     for j in range(steps):
         theta_j = theta_path(j) if callable(theta_path) else theta_path[j]
         noise_grid = np.einsum("ij...,j...->i...", theta_j,
-                               ops.to_grid(ops.noise(increments[j])[:, 0]))
+                               ops.noise(increments[None, j])[1][:, 0])
         psi_hat = ops.decay[0] * (psi_hat + ops.to_coeffs(noise_grid))
     return GridField(ops.to_grid(psi_hat))
 
@@ -525,19 +588,20 @@ def remainder_diagnostic(psi: GridField, theta_now, X_now: GridField,
     return best
 
 
+def _correction_drift(model: ModelFunctions, Lambda: float, u_grid: np.ndarray):
+    DG = model.DG(u_grid)                      # (n, n, n, ...)
+    th = model.theta(u_grid)                   # (n, n, ...)
+    tt = np.einsum("jk...,lk...->jl...", th, th)
+    return -Lambda * np.einsum("jil...,jl...->i...", DG, tt)
+
+
 def make_correction_drift(model: ModelFunctions, Lambda: float):
     """Grid drift u -> -Lambda theta^j_k dG^i_l/du_j theta^l_k, or None if
-    Lambda vanishes."""
+    Lambda vanishes.  It pickles with the model, so one drift can be built
+    per experiment and shipped to worker processes."""
     if Lambda == 0.0:
         return None
-
-    def drift(u_grid):
-        DG = model.DG(u_grid)                  # (n, n, n, M)
-        th = model.theta(u_grid)               # (n, n, M)
-        tt = np.einsum("jk...,lk...->jl...", th, th)
-        return -Lambda * np.einsum("jil...,jl...->i...", DG, tt)
-
-    return drift
+    return functools.partial(_correction_drift, model, Lambda)
 
 
 def reference_config(config: SolverConfig, eps_ref: float,

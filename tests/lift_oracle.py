@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from schemelab.lift import REALITY_TOL, LiftSample, ModeState, OffsetLift, mode_amplitudes
+from schemelab.lift import LiftSample, ModeState, OffsetLift, mode_amplitudes
 from schemelab.roughpath import RoughPathSample
+from schemelab.spectral import REALITY_TOL
 
 
 def eval_modes_on_grid(coeffs: np.ndarray, ks: np.ndarray, M: int) -> np.ndarray:

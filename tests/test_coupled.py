@@ -17,9 +17,9 @@ from schemelab.correction import lambda_exact
 from schemelab.experiments import (
     ExperimentConfig,
     _common_positive_times,
-    _converge_sample,
-    _correction_sample,
     _trajectory_gap,
+    converge_experiment,
+    correction_experiment,
     sample_rng,
     upsilon_diagnostic,
     xi_diagnostic,
@@ -273,9 +273,10 @@ def assert_rows_close(new, old):
 def test_correction_rows_match_oracle():
     cfg = small_cfg("correction", eps_ladder=(0.0625,), dt=5e-4)
     Lambda1 = lambda_exact(cfg.scheme).value
-    for s in range(cfg.samples):
-        assert_rows_close(_correction_sample((cfg, Lambda1, s)),
-                          oracle_correction_row(cfg, Lambda1, s))
+    rows = correction_experiment(cfg).per_sample
+    assert len(rows) == cfg.samples
+    for s, row in enumerate(rows):
+        assert_rows_close(row, oracle_correction_row(cfg, Lambda1, s))
 
 
 def test_converge_rows_match_oracle():
@@ -283,8 +284,8 @@ def test_converge_rows_match_oracle():
     cfg = small_cfg("converge", scheme=scheme,
                     model=make_model(1, G="state", theta="bounded_sqrt"))
     Lambda = lambda_exact(cfg.scheme).value
-    for s in range(cfg.samples):
-        new, old = _converge_sample((cfg, Lambda, s)), oracle_converge_rows(cfg, Lambda, s)
-        assert len(new) == len(old)
-        for a, b in zip(new, old):
-            assert_rows_close(a, b)
+    rows = converge_experiment(cfg).per_sample
+    old = [r for s in range(cfg.samples) for r in oracle_converge_rows(cfg, Lambda, s)]
+    assert len(rows) == len(old)
+    for a, b in zip(rows, old):
+        assert_rows_close(a, b)

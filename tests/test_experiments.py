@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from schemelab.experiments import (
     ExperimentConfig,
     ExperimentFailure,
     RunRecord,
+    _chunks,
     converge_experiment,
     correction_experiment,
     fluctuation_experiment,
@@ -267,8 +269,8 @@ def test_config_hash_follows_the_resolved_seed():
 
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "correction.json")
     plain = load_config(path).config_hash()
-    # the file's own seed (1111): same hash as before seeds were hashed
-    assert plain == "e3dc60d5170c7f3d"
+    # the file's own seed (1111); pinned so a change of the digest shows
+    assert plain == "5e66ae9c4a8c41e9"
     assert load_config(path, seed=1111).config_hash() == plain
     hashes = {load_config(path, seed=s).config_hash() for s in (1, 2)}
     assert len(hashes) == 2 and plain not in hashes
@@ -304,6 +306,29 @@ def test_config_hash_covers_every_resolved_field():
             != ExperimentConfig(**dict(base, N=32, M=128, T=0.5)).config_hash())
 
 
+def test_file_config_hash_covers_kind_and_filled_in_defaults():
+    from schemelab.config import load_config, parse_config
+
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "fluctuation.json")
+    kinds = ("lift", "fluctuation", "lambda-table")
+    assert len({load_config(path, kind=k).config_hash() for k in kinds}) == 3
+    with open(path) as fh:
+        raw = json.load(fh)
+    plain = parse_config(raw).config_hash()
+    # a file stating a default hashes as one that leaves it to the loader ...
+    stated = dict(raw, solver=dict(raw["solver"], dt=1e-3, eps_ref=1e-2))
+    assert parse_config(stated).config_hash() == plain
+    # ... and a different value of a filled-in field changes the hash
+    for key, value in (("dt", 2e-3), ("eps_ref", 2e-2), ("blowup_cap", 1e3),
+                       ("T", 0.2), ("record_times", [0.05])):
+        changed = dict(raw, solver=dict(raw["solver"], **{key: value}))
+        assert parse_config(changed).config_hash() != plain, key
+    # the same resolved fields built in code give the file's hash
+    cfg = parse_config(raw)
+    assert ExperimentConfig(**{f.name: getattr(cfg, f.name) for f in
+                               dataclasses.fields(cfg)}).config_hash() == plain
+
+
 def test_sample_rng_streams_are_stable():
     a = sample_rng(7, 3).standard_normal(4)
     b = sample_rng(7, 3).standard_normal(4)
@@ -316,5 +341,7 @@ def test_worker_pool_matches_serial(monkeypatch):
     cfg = small_cfg("converge", samples=4)
     serial = converge_experiment(cfg)
     monkeypatch.setenv("SCHEMELAB_WORKERS", "2")
+    # the chunks shrink to two samples so that each worker gets one
+    assert [list(c) for c in _chunks(cfg.samples)] == [[0, 1], [2, 3]]
     parallel = converge_experiment(cfg)
     assert serial.per_sample == parallel.per_sample

@@ -1,8 +1,10 @@
 """The replayable noise stream against the array draw it replaces.
 
 ``draw_noise`` holds a run's whole noise; ``NoiseStream`` replays it block
-by block from saved generator states.  Every check here asks for bitwise
-equality: the stream exists to change memory, not numbers.
+by block from saved generator states.  A batch may read several such
+sources, one noise group each, and transforms its noise in sub-blocks.
+Every check here asks for bitwise equality or bounds traced memory: the
+stream and the sub-blocks exist to change memory, not numbers.
 """
 
 import tracemalloc
@@ -13,7 +15,11 @@ import pytest
 import solver_oracle as oracle
 from test_coupled import assert_same_run
 from schemelab.correction import lambda_exact
-from schemelab.experiments import ExperimentConfig, _correction_sample
+from schemelab.experiments import (
+    ExperimentConfig,
+    _correction_chunk,
+    _correction_configs,
+)
 from schemelab.lift import draw_increments
 from schemelab.models import make_model
 from schemelab.schemes import make_scheme
@@ -21,6 +27,7 @@ from schemelab.solver import (
     NOISE_BLOCK,
     NoiseStream,
     SolverConfig,
+    _Operators,
     draw_noise,
     simulate,
     simulate_coupled,
@@ -109,23 +116,103 @@ def test_stream_and_array_drive_identical_runs():
         assert np.array_equal(x, y)
 
 
-def test_correction_sample_holds_a_fraction_of_its_noise():
-    """At a shape whose pre-drawn noise is 16.6 MB, one sample's peak traced
-    memory stays below a quarter of it (the array draw alone exceeds it)."""
+def test_noise_groups_match_their_solo_batches():
+    """Five noise sources, three runs each: a stream used by several runs,
+    arrays and a stream given once per run.  The 15-run batch transforms
+    its noise in sub-blocks shorter than a block, once per group for the
+    runs of equal multipliers; every run, its reference field and its
+    truncation equal those of its group's own batch."""
+    forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
+    model = make_model(1, G="state", theta="one")
+    steps, N = 2 * NOISE_BLOCK + 44, 8
+
+    def cfg(scheme, **kw):
+        return SolverConfig(scheme=scheme, eps=0.25, N=N, M=32, dt=1e-3,
+                            T=steps * 1e-3, model=model, blowup_cap=1.0,
+                            record_times=(0.1, 0.2, steps * 1e-3), **kw)
+
+    trio = [cfg(forward), cfg(central, extra_drift=lambda u: 12.0 * u,
+                              extra_drift_label="growth"), cfg(central)]
+    seeds = (11, 12, 13, 14, 15)
+    sources = [NoiseStream(np.random.default_rng(seeds[0]), steps, N, 1),
+               draw_noise(np.random.default_rng(seeds[1]), steps, N, 1),
+               NoiseStream(np.random.default_rng(seeds[2]), steps, N, 1),
+               draw_noise(np.random.default_rng(seeds[3]), steps, N, 1)]
+    per_run = [src for src in sources for _ in trio]
+    # the same noise given once per run: three sources of one group each
+    per_run += [NoiseStream(np.random.default_rng(seeds[4]), steps, N, 1)
+                for _ in trio]
+    # h = 1 gives both schemes the same noise multipliers: one noise per
+    # group, and the stream given once per run is three groups
+    groups = [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 5, 6]
+    ops = _Operators(trio * 5, groups)
+    assert list(ops.noise_row) == groups
+    assert list(ops.take(np.arange(15) % 3 == 1).noise_row) == [0, 1, 2, 3, 4]
+    runs = simulate_coupled(trio * 5, per_run, record_reference=True)
+    truncated = [r.truncation_time is not None for r in runs]
+    assert any(truncated) and not all(truncated)
+    for g, seed in enumerate(seeds):
+        solo = simulate_coupled(trio, draw_noise(np.random.default_rng(seed), steps, N, 1),
+                                record_reference=True)
+        for a, b in zip(runs[3 * g:3 * g + 3], solo):
+            assert a.times == b.times and a.truncation_time == b.truncation_time
+            for x, y in zip(a.coeffs + a.X_coeffs, b.coeffs + b.X_coeffs):
+                assert np.array_equal(x, y)
+    with pytest.raises(ValueError, match="one noise source per run"):
+        simulate_coupled(trio, per_run[:2])
+
+
+def correction_chunk_peak(samples):
+    """Peak traced memory of one correction chunk of ``samples`` samples at
+    a shape whose pre-drawn noise is 16.6 MB per sample, and that size."""
     N, dt, steps = 64, 1e-5, 16000
     cfg = ExperimentConfig(
         kind="correction", scheme=make_scheme("forward_difference"),
         scheme2=make_scheme("central_difference"),
         model=make_model(1, G="state", theta="one"), eps_ladder=(0.0625,),
-        samples=1, master_seed=3, N=N, M=3 * N, dt=dt, T=steps * dt,
+        samples=samples, master_seed=3, N=N, M=3 * N, dt=dt, T=steps * dt,
         record_times=(steps * dt / 2, steps * dt))
     noise_bytes = steps * (N + 1) * cfg.model.n * 16
     assert noise_bytes >= 16e6
-    Lambda1 = lambda_exact(cfg.scheme).value
+    configs = _correction_configs(cfg, lambda_exact(cfg.scheme).value)
     tracemalloc.start()
     try:
-        _correction_sample((cfg, Lambda1, 0))
+        rows = _correction_chunk((cfg, configs, range(samples)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(rows) == samples
+    return peak, noise_bytes
+
+
+def test_correction_sample_holds_a_fraction_of_its_noise():
+    """One sample's peak traced memory stays below a quarter of its
+    pre-drawn noise (the array draw alone exceeds it)."""
+    peak, noise_bytes = correction_chunk_peak(1)
     assert peak < noise_bytes / 4
+
+
+def test_correction_chunk_holds_a_fraction_of_its_noise_per_sample():
+    peak, noise_bytes = correction_chunk_peak(3)
+    assert peak < 3 * noise_bytes / 4
+
+
+def test_noise_transform_stays_small_for_a_wide_batch():
+    """Eight samples of three runs at N = 256, M = 768 over one block: the
+    loop's peak traced memory stays below what one block's noise grid for
+    all 24 runs would take, because the noise is transformed in sub-blocks
+    of at most NOISE_ROWS grid rows."""
+    model = make_model(1, G="state", theta="one")
+    N, M, steps, samples = 256, 768, NOISE_BLOCK, 8
+    trio = [SolverConfig(scheme=make_scheme(name), eps=1 / 32, N=N, M=M, dt=2e-5,
+                         T=steps * 2e-5, model=model)
+            for name in ("forward_difference", "central_difference", "central_difference")]
+    streams = [NoiseStream(np.random.default_rng(s), steps, N, 1) for s in range(samples)]
+    block_grid_bytes = steps * samples * len(trio) * M * 8
+    tracemalloc.start()
+    try:
+        simulate_coupled(trio * samples, [s for s in streams for _ in trio])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block_grid_bytes
