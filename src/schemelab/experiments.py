@@ -40,7 +40,6 @@ from schemelab.solver import (
     SolverConfig,
     Trajectory,
     _Operators,
-    half_spectrum,
     make_correction_drift,
     reference_config,
     simulate,  # unused here; perfbench's self-test checks this binding is traced
@@ -565,6 +564,21 @@ def lift_experiment(cfg: ExperimentConfig) -> RunRecord:
 # post-hoc diagnostics on frozen trajectories
 # ---------------------------------------------------------------------------
 
+def _left_rule(traj: Trajectory, config: SolverConfig, integrand) -> GridField:
+    """Left-rule time integral over the recorded times of S_eps(t_final - s)
+    g(s), where integrand(ops, i) gives the grid values of g at time i."""
+    ops = _Operators([config])
+    t_final = traj.times[-1]
+    lap = laplacian_multiplier(config.scheme, ops.ks, config.eps)
+    acc = np.zeros((config.model.n, config.N + 1), dtype=complex)
+    for i in range(len(traj.times) - 1):
+        s = traj.times[i]
+        dt_rec = traj.times[i + 1] - s
+        acc += (dt_rec * np.exp(lap * (t_final - s))
+                * ops.transform.to_coeffs(integrand(ops, i)))
+    return GridField(ops.transform.to_grid(acc))
+
+
 def upsilon_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
     """Extra second-order term accumulated along a frozen trajectory.
 
@@ -575,43 +589,33 @@ def upsilon_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
     if traj.X_coeffs is None:
         raise ValueError("trajectory lacks reference modes; rerun simulate "
                          "with record_reference=True")
-    ops = _Operators([config])
     model = config.model
     eps = config.eps
-    t_final = traj.times[-1]
     offsets = lift_offsets(config.scheme, eps, config.M)
-    acc = np.zeros((model.n, config.N + 1), dtype=complex)
-    lap = laplacian_multiplier(config.scheme, ops.ks, eps)
-    for i in range(len(traj.times) - 1):
-        s = traj.times[i]
-        dt_rec = traj.times[i + 1] - s
-        u_grid = ops.to_grid(half_spectrum(traj.coeffs[i]))
+
+    def integrand(ops, i):
+        u_grid = ops.transform.to_grid(traj.coeffs[i])
         theta = model.theta(u_grid)
         DG = model.DG(u_grid)
-        state = state_from_coeffs(traj.X_coeffs[i], config.scheme, eps, s)
+        state = state_from_coeffs(traj.X_coeffs[i], config.scheme, eps, traj.times[i])
         lift = lift_XX(state, config.M, offsets)
         D = d_eps_xx(lift, config.scheme, eps).values       # (M, n, n)
-        integrand = np.einsum("dijm,dlm,mlk,jkm->im", DG, theta, D, theta)
-        acc += dt_rec * np.exp(lap * (t_final - s)) * ops.to_coeffs(integrand)
-    return GridField(ops.to_grid(acc))
+        return np.einsum("dijm,dlm,mlk,jkm->im", DG, theta, D, theta)
+
+    return _left_rule(traj, config, integrand)
 
 
 def xi_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
     """Corrected nonlinear term along a frozen trajectory: the left-rule
     accumulation of S_eps(t_final - s)[G(u) D_eps u](s) plus the
     second-order extra term."""
-    ops = _Operators([config])
     model = config.model
-    t_final = traj.times[-1]
-    lap = laplacian_multiplier(config.scheme, ops.ks, config.eps)
-    acc = np.zeros((model.n, config.N + 1), dtype=complex)
-    for i in range(len(traj.times) - 1):
-        s = traj.times[i]
-        dt_rec = traj.times[i + 1] - s
-        u_hat = half_spectrum(traj.coeffs[i])
-        u_grid, de_u = ops.to_grid(np.stack([u_hat, u_hat * ops.dmult[0]]))
-        prod = np.einsum("ij...,j...->i...", model.G(u_grid), de_u)
-        acc += dt_rec * np.exp(lap * (t_final - s)) * ops.to_coeffs(prod)
-    first = GridField(ops.to_grid(acc))
+
+    def integrand(ops, i):
+        u_hat = traj.coeffs[i]
+        u_grid, de_u = ops.transform.to_grid(np.stack([u_hat, u_hat * ops.dmult[0]]))
+        return np.einsum("ij...,j...->i...", model.G(u_grid), de_u)
+
+    first = _left_rule(traj, config, integrand)
     extra = upsilon_diagnostic(traj, config)
     return GridField(first.values + extra.values)

@@ -38,7 +38,8 @@ import numpy as np
 
 from schemelab.correction import lambda_eps
 from schemelab.schemes import CutoffScheme
-from schemelab.spectral import REALITY_TOL, SQRT_2PI, SpectralField, sobolev_minus_alpha_norm
+from schemelab.spectral import (REALITY_TOL, SQRT_2PI, GridField, SpectralField, Transform,
+                                full_spectrum, grid_points, sobolev_minus_alpha_norm)
 from schemelab.roughpath import RoughPathSample
 from schemelab.solver import draw_noise
 
@@ -121,35 +122,28 @@ def mode_amplitudes(scheme: CutoffScheme, eps: float, N: int) -> np.ndarray:
 def assemble_X(state: ModeState, M: int | None = None):
     """Field coefficients q_k xi_k as a SpectralField (uhat = sqrt(2 pi) q xi);
     with M given, also return the real grid values."""
-    N, n = state.N, state.n
-    q = mode_amplitudes(state.scheme, state.eps, N)
-    coeffs = np.zeros((n, 2 * N + 1), dtype=complex)
-    pos = SQRT_2PI * q[:, None] * state.xi
-    coeffs[:, N:] = pos.T
-    coeffs[:, :N] = np.conj(pos[1:].T)[:, ::-1]
-    field = SpectralField(coeffs)
+    q = mode_amplitudes(state.scheme, state.eps, state.N)
+    half = (SQRT_2PI * q[:, None] * state.xi).T
+    field = SpectralField(full_spectrum(half))
     if M is None:
         return field
-    from schemelab.spectral import to_physical
-
-    return field, to_physical(field, M)
+    return field, GridField(Transform(state.N, M).to_grid(half))
 
 
 def state_from_coeffs(coeffs: np.ndarray, scheme: CutoffScheme, eps: float,
                       t: float) -> ModeState:
-    """Invert assemble_X: recover xi_k = uhat(k) / (sqrt(2 pi) q_k) for k >= 0.
+    """Invert assemble_X: recover xi_k = uhat(k) / (sqrt(2 pi) q_k) from the
+    modes k = 0..N, shape (n, N+1).
 
     Used to lift a spectral field that was evolved elsewhere (e.g. by the
     SPDE integrator) with the same noise.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    n, width = coeffs.shape
-    N = (width - 1) // 2
-    q = mode_amplitudes(scheme, eps, N)
+    q = mode_amplitudes(scheme, eps, coeffs.shape[1] - 1)
     # modes killed by the noise cut-off carry no field amplitude; their xi is
     # irrelevant for the lift and set to zero
     safe = np.where(q > 0.0, q, 1.0)
-    xi = coeffs[:, N:].T / (SQRT_2PI * safe[:, None])
+    xi = coeffs.T / (SQRT_2PI * safe[:, None])
     xi[q == 0.0] = 0.0
     return ModeState(xi, scheme, eps, t)
 
@@ -213,35 +207,33 @@ def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
     if grid_key is None:
         raise ValueError("offsets must include the grid spacing 2*pi/M")
 
-    # modes l = 0..N of A; the negative half is the complex conjugate.  XX
-    # does not depend on the mode-0 amplitude a_0 (its terms cancel exactly),
-    # so a_0 stays out of the products, where its rounding would swamp small
-    # fields, and only rough.X gets it back
-    a = (mode_amplitudes(state.scheme, state.eps, N)[:, None] * state.xi).T   # (n, N+1)
-    a0 = a[:, 0].real.copy()
-    a[:, 0] = 0.0
+    # modes l = 0..N of A, zero up to the products' 2N, as the package's
+    # coefficients a = sqrt(2 pi) q xi; the negative half is the complex
+    # conjugate.  XX does not depend on the mode-0 amplitude (its terms cancel
+    # exactly), so it stays out of the products, where its rounding would
+    # swamp small fields, and only rough.X gets it back
+    q = mode_amplitudes(state.scheme, state.eps, N)
+    a = np.zeros((n, 2 * N + 1), dtype=complex)
+    a[:, 1:N + 1] = (SQRT_2PI * q[1:, None] * state.xi[1:]).T
     u = np.array(us)[:, None]
     ms = np.arange(2 * N + 1)
     phase = np.exp(1j * u * ms) - 1.0          # e^{imu} - 1, (U, 2N+1)
-    sign = np.where(ms % 2 == 0, 1.0, -1.0)    # e^{imx} at the grid origin x = -pi
-    P = 2 * M                                  # >= 4N + 2
+    grid = Transform(2 * N, 2 * M)             # P = 2M >= 4N + 2 points
     # rows: A, C/i, then B_u for every shift
-    half = np.concatenate([a[None], (-1j * ms[:N + 1] * a)[None],
-                           phase[:, None, :N + 1] * a])
-    fields = np.fft.irfft(half * sign[:N + 1], n=P, axis=-1) * P        # (2+U, n, P)
+    half = np.concatenate([a[None], (-1j * ms * a)[None], phase[:, None] * a])
+    fields = grid.to_grid(half)                                       # (2+U, n, P)
     A = fields[0]
-    conv = (np.fft.rfft(A[None, :, None] * fields[1:, None], axis=-1)[..., 1:2 * N + 1]
-            * (sign[1:] / P))                                         # (1+U, n, n, 2N)
+    conv = grid.to_coeffs(A[None, :, None] * fields[1:, None])[..., 1:]  # (1+U, n, n, 2N)
     pos = (1j * conv[0] * (phase[:, 1:] / ms[1:])[:, None, None, :]
            - conv[1:])                                                # modes 1..2N
-    # m = 0: the k = -l branch replaces the convolution value entirely
-    full = np.concatenate([np.conj(a[:, :0:-1]), a], axis=-1)          # modes -N..N
-    w0 = (1j * np.arange(-N, N + 1) * u
-          - np.concatenate([np.conj(phase[:, N:0:-1]), phase[:, :N + 1]], axis=-1))
-    c0 = ((w0[:, None, :] * np.conj(full)) @ full.T)[..., None]
-    coeffs = np.concatenate([np.conj(pos[..., ::-1]), c0, pos], axis=-1)
-    values = np.fft.irfft(np.concatenate([c0, pos], axis=-1) * sign, n=P,
-                          axis=-1)[..., ::2] * P                      # (U, n, n, M)
+    # m = 0: the k = -l branch replaces the convolution value entirely; a
+    # product of two coefficients carries sqrt(2 pi) once too often
+    full = full_spectrum(a[:, :N + 1])                                 # modes -N..N
+    w0 = 1j * np.arange(-N, N + 1) * u - full_spectrum(phase[:, :N + 1])
+    c0 = ((w0[:, None, :] * np.conj(full)) @ full.T)[..., None] * (1.0 / SQRT_2PI)
+    spec = np.concatenate([c0, pos], axis=-1)                         # modes 0..2N
+    values = grid.to_grid(spec)[..., ::2]                             # (U, n, n, M)
+    coeffs = full_spectrum(spec * (1.0 / SQRT_2PI))   # the series' own coefficients
     # the transforms force the values real; the m = 0 block and the negative
     # half are not, so evaluate the stored coefficients at x = 0
     defect = float(np.abs(coeffs.sum(axis=-1).imag).max())
@@ -253,8 +245,8 @@ def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
              for k, u in enumerate(us)}
 
     rough = RoughPathSample(
-        x=-np.pi + dx * np.arange(M),
-        X=A[:, ::2].T + a0,
+        x=grid_points(M),
+        X=A[:, ::2].T + q[0] * state.xi[0].real,
         XXinc=table[grid_key].values,
     )
     return LiftSample(rough=rough, offsets=table, state=state, M=M)

@@ -11,8 +11,8 @@ the noise integral is an Ito one.  The linear part is integrated exactly;
 there is no CFL restriction.
 
 Half-spectrum state: the fields are real, so a run stores only the modes
-k = 0..N (uhat(-k) = conj uhat(k)) and moves to and from the M-point grid
-with rfft/irfft.  Recorded snapshots are expanded back to the modes -N..N.
+k = 0..N (uhat(-k) = conj uhat(k)), moves to and from the M-point grid with
+``spectral.Transform`` and records that half spectrum (``Trajectory.spectral``).
 
 Noise convention: per step a draw of shape (N+1, n) with unit complex rows
 1..N and a unit real row 0 (lift.draw_increments is one such step); mode
@@ -66,7 +66,8 @@ from schemelab.schemes import (
     make_scheme,
     noise_multiplier,
 )
-from schemelab.spectral import GridField, SQRT_2PI, SpectralField
+from schemelab.spectral import (GridField, SpectralField, Transform, full_spectrum,
+                                half_spectrum, pair_reduce)
 
 
 class NumericalAbort(RuntimeError):
@@ -155,9 +156,7 @@ class _Operators:
         self.model = first.model
         self.dt = first.dt
         self.sqrt_dt = np.sqrt(first.dt)
-        # phase bookkeeping for the -pi grid offset
-        self.sign = np.where(ks % 2 == 0, 1.0, -1.0)
-        self.coeff_scale = self.sign * (SQRT_2PI / M)
+        self.transform = Transform(N, M)
         self.decay = np.array([
             np.exp(laplacian_multiplier(c.scheme, ks, c.eps) * c.dt) for c in configs])
         self.dmult = np.array([derivative_multiplier(c.scheme, ks, c.eps)
@@ -201,14 +200,6 @@ class _Operators:
         out._per_batch()
         return out
 
-    def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real grid values (..., M) of half-spectrum coefficients (..., N+1)."""
-        return np.fft.irfft(coeffs * self.sign, n=self.M, axis=-1) * (self.M / SQRT_2PI)
-
-    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Modes 0..N (..., N+1) of real grid values (..., M)."""
-        return np.fft.rfft(values, axis=-1)[..., :self.N + 1] * self.coeff_scale
-
     def noise(self, draws: np.ndarray):
         """Every run's increments of H_eps W from the draws (G, ..., N+1, n)
         of the batch's G noise groups (one step's draws or a block of them),
@@ -219,7 +210,7 @@ class _Operators:
         w = np.swapaxes(draws, -1, -2) * self.sqrt_dt
         w = np.moveaxis(w[self.group[r]], 0, -2) * self.hmult[r]
         w[..., 0] = w[..., 0].real                # mode 0 is real
-        grid = self.to_grid(w)
+        grid = self.transform.to_grid(w)
         if len(r) < len(self.group):
             return w[..., self.noise_row, :], grid[..., self.noise_row, :]
         return w, grid
@@ -233,17 +224,6 @@ def _positions(runs: list):
     if runs == list(range(runs[0], runs[-1] + 1, stride)):
         return slice(runs[0], runs[-1] + 1, stride)
     return np.array(runs)
-
-
-def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    """Modes 0..N of the real field with (..., 2N+1) coefficients -N..N."""
-    N = (coeffs.shape[-1] - 1) // 2
-    return 0.5 * (coeffs[..., N:] + np.conj(coeffs[..., N::-1]))
-
-
-def full_spectrum(half: np.ndarray) -> np.ndarray:
-    """Coefficients -N..N of the real field with modes 0..N ``half``."""
-    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
 def step(u_hat: np.ndarray, ops: _Operators, w_grid: np.ndarray):
@@ -261,7 +241,7 @@ def step(u_hat: np.ndarray, ops: _Operators, w_grid: np.ndarray):
     coeffs, grids = ops.coeff_buf, ops.grid_buf
     coeffs[0] = u_hat
     np.multiply(u_hat, ops.dmult, out=coeffs[1])
-    u_grid, de_u = ops.to_grid(coeffs)
+    u_grid, de_u = ops.transform.to_grid(coeffs)
     prod, noise_grid, other = grids
 
     cons = ops.conservation
@@ -281,7 +261,7 @@ def step(u_hat: np.ndarray, ops: _Operators, w_grid: np.ndarray):
     np.einsum("ij...,j...->i...", model.theta(u_grid), w_grid, out=noise_grid)
 
     with_other = bool(np.any(other))
-    hats = ops.to_coeffs(grids if with_other else grids[:2])
+    hats = ops.transform.to_coeffs(grids if with_other else grids[:2])
     prod_hat = hats[0]
     if cons.any():
         prod_hat[:, cons] *= ops.dmult[cons]
@@ -295,19 +275,19 @@ class Trajectory:
     """Recorded states of one run plus reproducibility metadata."""
 
     times: tuple
-    coeffs: list                      # (n, 2N+1) arrays, one per recorded time
+    coeffs: list                      # modes 0..N (n, N+1), one per recorded time
     config_hash: str
     seed: int | None = None
     truncation_time: float | None = None
-    X_coeffs: list | None = None      # co-evolved theta=1 reference, if recorded
+    X_coeffs: list | None = None      # same layout: co-evolved theta=1 reference
 
     def spectral(self, i: int) -> SpectralField:
-        return SpectralField(self.coeffs[i])
+        """Snapshot i with its coefficients -N..N."""
+        return SpectralField(full_spectrum(self.coeffs[i]))
 
     def grid(self, i: int, M: int) -> GridField:
-        from schemelab.spectral import to_physical
-
-        return to_physical(self.spectral(i), M)
+        half = self.coeffs[i]
+        return GridField(Transform(half.shape[-1] - 1, M).to_grid(half))
 
 
 def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
@@ -399,9 +379,9 @@ def simulate_coupled(configs, increments, seed: int | None = None,
         if j in record_steps:
             for pos, b in enumerate(live):
                 times[b].append(record_steps[j])
-                snaps[b].append(full_spectrum(u_hat[:, pos]))
+                snaps[b].append(u_hat[:, pos].copy())
                 if record_reference:
-                    xsnaps[b].append(full_spectrum(x_hat[:, pos]))
+                    xsnaps[b].append(x_hat[:, pos].copy())
 
     def survivors(j, u_grid):
         """Mask of the runs whose state at step j stays in the batch."""
@@ -432,7 +412,7 @@ def simulate_coupled(configs, increments, seed: int | None = None,
                 w_hat, w_grid = ops.noise(draws[:, i:i + sub])
             u_next, u_grid = step(u_hat, ops, w_grid[i % sub])
         else:
-            u_grid = ops.to_grid(u_hat)
+            u_grid = ops.transform.to_grid(u_hat)
         if j > 0:
             keep = survivors(j, u_grid)
             if keep is not None:
@@ -555,8 +535,8 @@ def stochastic_convolution(theta_path, scheme: CutoffScheme, eps: float,
         theta_j = theta_path(j) if callable(theta_path) else theta_path[j]
         noise_grid = np.einsum("ij...,j...->i...", theta_j,
                                ops.noise(increments[None, j])[1][:, 0])
-        psi_hat = ops.decay[0] * (psi_hat + ops.to_coeffs(noise_grid))
-    return GridField(ops.to_grid(psi_hat))
+        psi_hat = ops.decay[0] * (psi_hat + ops.transform.to_coeffs(noise_grid))
+    return GridField(ops.transform.to_grid(psi_hat))
 
 
 def remainder_diagnostic(psi: GridField, theta_now, X_now: GridField,
@@ -571,21 +551,15 @@ def remainder_diagnostic(psi: GridField, theta_now, X_now: GridField,
     theta = np.asarray(theta_now.values if hasattr(theta_now, "values") else theta_now)
     if theta.ndim == 2:                      # scalar theta field -> 1x1 matrix
         theta = theta[None, :, :]
-    M = psi.M
-    dist = 2.0 * np.pi * np.arange(M) / M
-    dist = np.minimum(dist, 2.0 * np.pi - dist)
-    idx = np.arange(M)
-    best = 0.0
-    for i in range(0, M, stride):
-        dP = P - P[:, i][:, None]
-        dX = X - X[:, i][:, None]
-        R = dP - np.einsum("ij,jm->im", theta[:, :, i], dX)
-        sep = (idx - i) % M
-        mag = np.linalg.norm(R, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(sep > 0, mag / dist[sep] ** (2.0 * gamma), 0.0)
-        best = max(best, float(ratio.max()))
-    return best
+
+    def remainder(i, j):
+        dX = X[:, j] - X[:, i]
+        # theta(x_i) dX, summed over the components in a fixed order
+        th_dX = sum((theta[:, k, i] * dX[k] for k in range(1, len(dX))),
+                    theta[:, 0, i] * dX[0])
+        return np.linalg.norm((P[:, j] - P[:, i]) - th_dX, axis=0)
+
+    return pair_reduce(psi.M, stride, remainder, 2.0 * gamma, np.max)
 
 
 def _correction_drift(model: ModelFunctions, Lambda: float, u_grid: np.ndarray):

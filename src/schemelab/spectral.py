@@ -79,12 +79,45 @@ class GridField:
 
     @property
     def x(self) -> np.ndarray:
-        M = self.M
-        return -np.pi + 2.0 * np.pi * np.arange(M) / M
+        return grid_points(self.M)
 
 
 def grid_points(M: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(M) / M
+
+
+class Transform:
+    """Real fields given by modes 0..N, uhat(-k) = conj uhat(k), to and from
+    the M-point grid by one irfft or rfft; the grid phase (-1)^k and the scale
+    1/sqrt(2 pi) are precomputed as one scalar and one mode array."""
+
+    def __init__(self, N: int, M: int):
+        if M < 2 * N + 1:
+            raise ValueError(f"grid size {M} too small for max mode {N}")
+        self.N, self.M = N, M
+        self.sign = np.ones(N + 1)
+        self.sign[1::2] = -1.0
+        self.grid_scale = M / SQRT_2PI
+        self.coeff_scale = self.sign * (SQRT_2PI / M)
+
+    def to_grid(self, half: np.ndarray) -> np.ndarray:
+        """Real grid values (..., M) of modes 0..N (..., N+1)."""
+        return np.fft.irfft(half * self.sign, n=self.M, axis=-1) * self.grid_scale
+
+    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
+        """Modes 0..N (..., N+1) of real grid values (..., M)."""
+        return np.fft.rfft(values, axis=-1)[..., :self.N + 1] * self.coeff_scale
+
+
+def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """Modes 0..N of the real field with (..., 2N+1) coefficients -N..N."""
+    N = (coeffs.shape[-1] - 1) // 2
+    return 0.5 * (coeffs[..., N:] + np.conj(coeffs[..., N::-1]))
+
+
+def full_spectrum(half: np.ndarray) -> np.ndarray:
+    """Coefficients -N..N of the real field with modes 0..N ``half``."""
+    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
 def eval_modes_on_grid(coeffs: np.ndarray, ks: np.ndarray, M: int) -> np.ndarray:
@@ -109,32 +142,21 @@ def eval_modes_on_grid(coeffs: np.ndarray, ks: np.ndarray, M: int) -> np.ndarray
 
 
 def to_physical(field: SpectralField, M: int) -> GridField:
-    """Evaluate a spectral field on the M-point grid (requires M >= 2N+1)."""
-    if M < 2 * field.N + 1:
-        raise ValueError(f"grid size {M} too small for max mode {field.N}")
-    vals = eval_modes_on_grid(field.coeffs, field.modes, M) / SQRT_2PI
-    defect = float(np.abs(vals.imag).max()) if vals.size else 0.0
-    if defect > REALITY_TOL * max(1.0, float(np.abs(vals.real).max())):
+    """Evaluate a real spectral field on the M-point grid (requires M >= 2N+1)."""
+    transform = Transform(field.N, M)
+    defect = field.reality_defect()
+    if defect > REALITY_TOL * max(1.0, float(np.abs(field.coeffs).max())):
         raise ValueError(f"field violates the reality constraint (defect {defect:.2e})")
-    return GridField(vals.real)
+    return GridField(transform.to_grid(half_spectrum(field.coeffs)))
 
 
 def to_spectral(grid: GridField, N: int) -> SpectralField:
     """Recover modes -N..N from grid values (requires M >= 2N+1).
 
-    The output satisfies the reality constraint exactly (enforced by
-    Hermitian symmetrisation, which is a no-op up to rounding for real
-    input).
+    The output satisfies the reality constraint exactly: the negative modes
+    are the conjugates of the positive ones, and mode 0 of a real rfft is real.
     """
-    M = grid.M
-    if M < 2 * N + 1:
-        raise ValueError(f"grid size {M} too small for requested max mode {N}")
-    F = np.fft.fft(grid.values, axis=-1)
-    ks = np.arange(-N, N + 1)
-    coeffs = F[:, np.mod(ks, M)] * np.where(ks % 2 == 0, 1.0, -1.0)
-    coeffs *= SQRT_2PI / M
-    coeffs = 0.5 * (coeffs + np.conj(coeffs[:, ::-1]))
-    return SpectralField(coeffs)
+    return SpectralField(full_spectrum(Transform(N, grid.M).to_coeffs(grid.values)))
 
 
 def apply_multiplier(field: SpectralField, m) -> SpectralField:
@@ -168,9 +190,9 @@ def heat_kernel(scheme: CutoffScheme, eps: float, t: float, N: int,
         raise ValueError("t must be > 0")
     from schemelab.schemes import laplacian_multiplier
 
-    ks = np.arange(-N, N + 1)
+    ks = np.arange(N + 1)
     coeffs = np.exp(laplacian_multiplier(scheme, ks, eps) * t)
-    return to_physical(SpectralField(coeffs[None, :].astype(complex)), M)
+    return GridField(Transform(N, M).to_grid(coeffs[None, :]))
 
 
 def sobolev_minus_alpha_norm(field: SpectralField, alpha: float) -> float:
@@ -189,6 +211,30 @@ def _pair_distances(M: int) -> np.ndarray:
     return np.minimum(d, 2.0 * np.pi - d)
 
 
+# grid pairs per block of ``pair_reduce``
+PAIR_BLOCK = 1 << 16
+
+
+def pair_reduce(M: int, stride: int, magnitude, exponent: float, reduce) -> float:
+    """reduce (np.max or np.sum) of magnitude(i, j) / dist(x_i, x_j)^exponent
+    over the pairs x_j = x_i + d, start i = 0, stride, ..., every separation
+    d = 1..M-1; ``magnitude`` maps starts i (B, 1) and ends j (B, M-1) to pair
+    values (B, M-1).  Blocks of about PAIR_BLOCK pairs bound the memory."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    weight = _pair_distances(M)[1:] ** exponent
+    d = np.arange(1, M)
+    starts = np.arange(0, M, stride)[:, None]
+    size = max(1, PAIR_BLOCK // M)
+    return float(reduce([reduce(magnitude(i, (i + d) % M) / weight, initial=0.0)
+                         for i in np.split(starts, range(size, len(starts), size))]))
+
+
+def _increment_norm(u: np.ndarray):
+    """Pair magnitude |u(x_j) - u(x_i)|, Euclidean over the components."""
+    return lambda i, j: np.linalg.norm(u[:, j] - u[:, i], axis=0)
+
+
 def holder_seminorm_estimate(grid: GridField, gamma: float, stride: int = 1) -> float:
     """sup |u(x)-u(y)| / dist(x,y)^gamma over grid pairs, periodic distance.
 
@@ -198,20 +244,7 @@ def holder_seminorm_estimate(grid: GridField, gamma: float, stride: int = 1) -> 
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    u = grid.values
-    M = grid.M
-    dist = _pair_distances(M)
-    best = 0.0
-    idx = np.arange(M)
-    for i in range(0, M, stride):
-        diff = np.linalg.norm(u - u[:, i][:, None], axis=0)
-        sep = (idx - i) % M
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(sep > 0, diff / dist[sep] ** gamma, 0.0)
-        best = max(best, float(ratio.max()))
-    return best
+    return pair_reduce(grid.M, stride, _increment_norm(grid.values), gamma, np.max)
 
 
 def grr_norm_estimate(grid: GridField, alpha: float, p: float) -> float:
@@ -223,14 +256,9 @@ def grr_norm_estimate(grid: GridField, alpha: float, p: float) -> float:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    u = grid.values
-    M = grid.M
-    dx = 2.0 * np.pi / M
-    dist = _pair_distances(M)
-    total = 0.0
-    for s in range(1, M):
-        diff = np.linalg.norm(np.roll(u, -s, axis=1) - u, axis=0)
-        total += float((diff ** p).sum()) / dist[s] ** (alpha * p + 2.0)
+    norm = _increment_norm(grid.values)
+    total = pair_reduce(grid.M, 1, lambda i, j: norm(i, j) ** p, alpha * p + 2.0, np.sum)
+    dx = 2.0 * np.pi / grid.M
     return (total * dx * dx) ** (1.0 / p)
 
 

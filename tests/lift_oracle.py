@@ -14,7 +14,7 @@ import numpy as np
 
 from schemelab.lift import LiftSample, ModeState, OffsetLift, mode_amplitudes
 from schemelab.roughpath import RoughPathSample
-from schemelab.spectral import REALITY_TOL
+from schemelab.spectral import REALITY_TOL, grid_points
 
 
 def eval_modes_on_grid(coeffs: np.ndarray, ks: np.ndarray, M: int) -> np.ndarray:
@@ -95,7 +95,7 @@ def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
 
     field_vals = eval_modes_on_grid(a.T, ls, M).real.T          # (M, n)
     rough = RoughPathSample(
-        x=-np.pi + dx * np.arange(M),
+        x=grid_points(M),
         X=field_vals,
         XXinc=table[grid_key].values,
     )

@@ -27,7 +27,7 @@ from schemelab.solver import (
     config_hash,
     draw_noise,
 )
-from schemelab.spectral import SQRT_2PI, GridField
+from schemelab.spectral import SQRT_2PI, GridField, full_spectrum, half_spectrum
 
 
 class Operators:
@@ -155,13 +155,14 @@ def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
             break
         maybe_record(j + 1)
 
+    # the package's trajectories hold the half spectrum
     return Trajectory(
         times=tuple(times),
-        coeffs=snaps,
+        coeffs=[half_spectrum(c) for c in snaps],
         config_hash=config_hash(config),
         seed=seed,
         truncation_time=truncation,
-        X_coeffs=xsnaps if record_reference else None,
+        X_coeffs=[half_spectrum(c) for c in xsnaps] if record_reference else None,
     )
 
 
@@ -190,7 +191,7 @@ def upsilon_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
     lap = laplacian_multiplier(config.scheme, ops.ks, eps)
     for i in range(len(traj.times) - 1):
         s = traj.times[i]
-        u_grid = ops.to_grid(traj.coeffs[i])
+        u_grid = ops.to_grid(full_spectrum(traj.coeffs[i]))
         theta = model.theta(u_grid)
         state = state_from_coeffs(traj.X_coeffs[i], config.scheme, eps, s)
         D = d_eps_xx(lift_XX(state, config.M, offsets), config.scheme, eps).values
@@ -209,7 +210,7 @@ def xi_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
     acc = np.zeros((model.n, 2 * config.N + 1), dtype=complex)
     for i in range(len(traj.times) - 1):
         s = traj.times[i]
-        u_hat = traj.coeffs[i]
+        u_hat = full_spectrum(traj.coeffs[i])
         u_grid = ops.to_grid(u_hat)
         prod = np.einsum("ij...,j...->i...", model.G(u_grid),
                          ops.to_grid(u_hat * ops.dmult))

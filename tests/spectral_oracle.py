@@ -1,0 +1,109 @@
+"""Complex-FFT grid transforms and per-start-point pair loops, kept only to
+check the package against.
+
+These are the transforms and Hoelder-type estimators the package used
+before one real-FFT ``schemelab.spectral.Transform`` and one blocked pair
+kernel replaced them: ``to_physical`` evaluates the full -N..N spectrum with
+a complex inverse FFT and keeps the real part, ``to_spectral`` takes a full
+complex FFT and symmetrises, and every estimator loops over its start points
+(or separations) one at a time.  They are deliberately slow and simple.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from schemelab.spectral import (
+    REALITY_TOL,
+    SQRT_2PI,
+    GridField,
+    SpectralField,
+    eval_modes_on_grid,
+)
+
+
+def to_physical(field: SpectralField, M: int) -> GridField:
+    if M < 2 * field.N + 1:
+        raise ValueError(f"grid size {M} too small for max mode {field.N}")
+    vals = eval_modes_on_grid(field.coeffs, field.modes, M) / SQRT_2PI
+    defect = float(np.abs(vals.imag).max()) if vals.size else 0.0
+    if defect > REALITY_TOL * max(1.0, float(np.abs(vals.real).max())):
+        raise ValueError(f"field violates the reality constraint (defect {defect:.2e})")
+    return GridField(vals.real)
+
+
+def to_spectral(grid: GridField, N: int) -> SpectralField:
+    M = grid.M
+    if M < 2 * N + 1:
+        raise ValueError(f"grid size {M} too small for requested max mode {N}")
+    F = np.fft.fft(grid.values, axis=-1)
+    ks = np.arange(-N, N + 1)
+    coeffs = F[:, np.mod(ks, M)] * np.where(ks % 2 == 0, 1.0, -1.0)
+    coeffs *= SQRT_2PI / M
+    coeffs = 0.5 * (coeffs + np.conj(coeffs[:, ::-1]))
+    return SpectralField(coeffs)
+
+
+def _pair_distances(M: int) -> np.ndarray:
+    s = np.arange(M)
+    d = 2.0 * np.pi * s / M
+    return np.minimum(d, 2.0 * np.pi - d)
+
+
+def holder_seminorm_estimate(grid: GridField, gamma: float, stride: int = 1) -> float:
+    if not 0 < gamma < 1:
+        raise ValueError("gamma must lie in (0, 1)")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    u = grid.values
+    M = grid.M
+    dist = _pair_distances(M)
+    best = 0.0
+    idx = np.arange(M)
+    for i in range(0, M, stride):
+        diff = np.linalg.norm(u - u[:, i][:, None], axis=0)
+        sep = (idx - i) % M
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(sep > 0, diff / dist[sep] ** gamma, 0.0)
+        best = max(best, float(ratio.max()))
+    return best
+
+
+def grr_norm_estimate(grid: GridField, alpha: float, p: float) -> float:
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    u = grid.values
+    M = grid.M
+    dx = 2.0 * np.pi / M
+    dist = _pair_distances(M)
+    total = 0.0
+    for s in range(1, M):
+        diff = np.linalg.norm(np.roll(u, -s, axis=1) - u, axis=0)
+        total += float((diff ** p).sum()) / dist[s] ** (alpha * p + 2.0)
+    return (total * dx * dx) ** (1.0 / p)
+
+
+def remainder_diagnostic(psi: GridField, theta_now, X_now: GridField,
+                         gamma: float, stride: int = 1) -> float:
+    if gamma <= 0:
+        raise ValueError("gamma must be > 0")
+    P = psi.values
+    X = X_now.values
+    theta = np.asarray(theta_now.values if hasattr(theta_now, "values") else theta_now)
+    if theta.ndim == 2:
+        theta = theta[None, :, :]
+    M = psi.M
+    dist = 2.0 * np.pi * np.arange(M) / M
+    dist = np.minimum(dist, 2.0 * np.pi - dist)
+    idx = np.arange(M)
+    best = 0.0
+    for i in range(0, M, stride):
+        dP = P - P[:, i][:, None]
+        dX = X - X[:, i][:, None]
+        R = dP - np.einsum("ij,jm->im", theta[:, :, i], dX)
+        sep = (idx - i) % M
+        mag = np.linalg.norm(R, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(sep > 0, mag / dist[sep] ** (2.0 * gamma), 0.0)
+        best = max(best, float(ratio.max()))
+    return best

@@ -261,7 +261,7 @@ def test_criterion_9_exact_linear_integration():
                        model=make_model(1), record_times=(T,), initial=u0)
     traj = simulate(cfg, increments=np.zeros((cfg.steps, N + 1, 1), complex))
     exact = semigroup_apply(u0, scheme, 0.1, T)
-    gap = float(np.abs(traj.coeffs[-1] - exact.coeffs).max())
+    gap = float(np.abs(traj.spectral(-1).coeffs - exact.coeffs).max())
     assert _report(9, gap <= 1e-13, f"gap {gap:.3e} after {cfg.steps} steps")
 
 

@@ -20,6 +20,7 @@ from schemelab.solver import (
 from schemelab.spectral import (
     GridField,
     SpectralField,
+    full_spectrum,
     semigroup_apply,
     to_physical,
 )
@@ -70,7 +71,7 @@ class TestStep:
         acc = np.zeros(2 * N + 1)
         for _ in range(S):
             traj = simulate(cfg, rng=rng)
-            acc += np.abs(traj.coeffs[-1][0]) ** 2
+            acc += np.abs(traj.spectral(-1).coeffs[0]) ** 2
         acc /= S
         from schemelab.spectral import SQRT_2PI
 
@@ -111,7 +112,7 @@ class TestSimulate:
         steps = cfg.steps
         traj = simulate(cfg, increments=np.zeros((steps, N + 1, 1), complex))
         exact = semigroup_apply(u0, forward, 0.1, T)
-        assert np.abs(traj.coeffs[-1] - exact.coeffs).max() <= 1e-13
+        assert np.abs(traj.spectral(-1).coeffs - exact.coeffs).max() <= 1e-13
 
     def test_bitwise_determinism(self, forward):
         model = make_model(1, G="state", theta="bounded_sqrt")
@@ -209,7 +210,7 @@ class TestStochasticConvolution:
                            T=steps * dt, model=zero_model(),
                            record_times=(steps * dt,))
         traj = simulate(cfg, increments=inc, record_reference=True)
-        ref = to_physical(SpectralField(traj.X_coeffs[-1]), M)
+        ref = to_physical(SpectralField(full_spectrum(traj.X_coeffs[-1])), M)
         np.testing.assert_allclose(psi.values, ref.values, atol=1e-12)
 
     def test_deterministic_theta_mode_variance(self, forward):
@@ -262,7 +263,7 @@ class TestRemainderDiagnostic:
                            T=steps * dt, model=zero_model(),
                            record_times=(steps * dt,))
         traj = simulate(cfg, increments=inc, record_reference=True)
-        X = to_physical(SpectralField(traj.X_coeffs[-1]), M)
+        X = to_physical(SpectralField(full_spectrum(traj.X_coeffs[-1])), M)
         return psi, X, theta[0]
 
     def test_constant_theta_remainder_vanishes(self):
@@ -287,7 +288,7 @@ class TestRemainderDiagnostic:
                            T=steps * dt, model=zero_model(),
                            record_times=(steps * dt,))
         traj = simulate(cfg, increments=inc, record_reference=True)
-        X = to_physical(SpectralField(traj.X_coeffs[-1]), M)
+        X = to_physical(SpectralField(full_spectrum(traj.X_coeffs[-1])), M)
         sup_R = 0.0
         P, Xv, th = psi.values, X.values, theta[0]
         for i in range(M):
