@@ -319,24 +319,34 @@ def _common_positive_times(a: Trajectory, b: Trajectory, T: float):
     return out
 
 
+def _differences(a: Trajectory, b: Trajectory, M: int, T: float) -> list:
+    """(t, grid values of a - b) at each recorded time the runs share inside
+    their common survival window."""
+    return [(t, a.grid(ia, M).values - b.grid(jb, M).values)
+            for ia, jb, t in _common_positive_times(a, b, T)]
+
+
+def _gap(diffs: list, holder_gamma: float | None = None, stride: int = 4):
+    """sup over ``_differences`` of the spatial sup norm, with an optional
+    secondary Hoelder seminorm column, and the last shared time."""
+    if not diffs:
+        return math.nan, math.nan, math.nan
+    sup_err = 0.0
+    holder_err = 0.0
+    for _t, diff in diffs:
+        sup_err = max(sup_err, float(np.abs(diff).max()))
+        if holder_gamma is not None:
+            holder_err = max(holder_err, holder_seminorm_estimate(
+                GridField(diff), holder_gamma, stride))
+    return sup_err, (holder_err if holder_gamma is not None else math.nan), diffs[-1][0]
+
+
 def _trajectory_gap(a: Trajectory, b: Trajectory, M: int, T: float,
                     holder_gamma: float | None = None,
                     stride: int = 4):
     """sup over common recorded times of the spatial sup norm of a - b,
     with an optional secondary Hoelder seminorm column."""
-    shared = _common_positive_times(a, b, T)
-    if not shared:
-        return math.nan, math.nan, math.nan
-    sup_err = 0.0
-    holder_err = 0.0
-    for ia, jb, _t in shared:
-        diff = a.grid(ia, M).values - b.grid(jb, M).values
-        sup_err = max(sup_err, float(np.abs(diff).max()))
-        if holder_gamma is not None:
-            holder_err = max(holder_err, holder_seminorm_estimate(
-                GridField(diff), holder_gamma, stride))
-    last = shared[-1][2]
-    return sup_err, (holder_err if holder_gamma is not None else math.nan), last
+    return _gap(_differences(a, b, M, T), holder_gamma, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +416,10 @@ def _correction_chunk(args):
     cfg, configs, samples = args
     rows = []
     for s, (run1, run2, run2c) in zip(samples, _coupled_samples(cfg, configs, samples)):
-        gap_a, _, _ = _trajectory_gap(run1, run2, cfg.M, cfg.T)
+        diffs = _differences(run1, run2, cfg.M, cfg.T)
+        gap_a, _, _ = _gap(diffs)
         gap_b, _, _ = _trajectory_gap(run1, run2c, cfg.M, cfg.T)
-        shared = _common_positive_times(run1, run2, cfg.T)
-        signed = math.nan
-        if shared:
-            ia, jb, _t = shared[-1]
-            signed = float((run1.grid(ia, cfg.M).values
-                            - run2.grid(jb, cfg.M).values).mean())
+        signed = float(diffs[-1][1].mean()) if diffs else math.nan
         rows.append({"eps": configs[0].eps, "sample": s, "gap_uncorrected": gap_a,
                      "gap_corrected": gap_b, "signed_mean_gap": signed})
     return rows

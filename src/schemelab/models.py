@@ -4,7 +4,9 @@ All callables act pointwise on state arrays of shape (n, ...) and return
 arrays with the same trailing axes: F -> (n, ...), G and theta -> (n, n, ...),
 DG -> (n, n, n, ...) with DG[d, i, j] the derivative of G^i_j in state
 direction d.  When a potential is supplied its Jacobian must reproduce G;
-``validate_gradient`` checks that with central differences.
+``validate_gradient`` checks that with central differences.  A model whose
+theta does not depend on u may declare it as the constant (n, n) matrix
+``theta_constant``; the solver then adds the noise in spectral space.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+# tolerance, relative to the largest entry, of a declared constant theta
+# against theta at the probe points
+THETA_CONSTANT_RTOL = 1e-12
+
+
+@dataclass(eq=False)
 class ModelFunctions:
     n: int
     F: callable
@@ -23,6 +30,33 @@ class ModelFunctions:
     theta: callable
     potential: callable | None = None
     label: str = "custom"
+    theta_constant: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.theta_constant is None:
+            return
+        const = np.array(self.theta_constant, dtype=float)
+        if const.shape != (self.n, self.n):
+            raise ValueError(f"theta_constant must have shape {(self.n, self.n)}, "
+                             f"not {const.shape}")
+        probe = np.linspace(-2.0, 3.0, 3 * self.n).reshape(self.n, 3)
+        gap = np.abs(np.asarray(self.theta(probe)) - const[..., None]).max()
+        if not gap <= THETA_CONSTANT_RTOL * max(np.abs(const).max(), 1e-300):
+            raise ValueError(f"theta_constant differs from theta by {gap:.2e} "
+                             "at a probe point")
+        const.flags.writeable = False
+        self.theta_constant = const
+
+    def __eq__(self, other):
+        # field by field, the constant by value: == on two arrays is not a bool
+        if not isinstance(other, ModelFunctions):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def _key(self) -> tuple:
+        const = self.theta_constant
+        return (self.n, self.F, self.G, self.DG, self.theta, self.potential,
+                self.label, None if const is None else const.tobytes())
 
     def describe(self) -> dict:
         return {"n": self.n, "label": self.label}
@@ -126,4 +160,5 @@ def make_model(n: int = 1, F: str = "zero", G: str = "zero",
     return ModelFunctions(
         n=1, F=_F_REGISTRY[F], G=g, DG=dg, theta=_THETA_REGISTRY[theta],
         potential=pot, label=f"n1:F={F}:G={G}:theta={theta}",
+        theta_constant=np.ones((1, 1)) if theta == "one" else None,
     )

@@ -30,20 +30,30 @@ Noise groups: ``simulate_coupled`` takes one noise source (stream or
 array) for all its runs or one per run; the runs given the same source
 object form a group.  The stepping loop replays each group's block once,
 then, per sub-block of NOISE_BLOCK / 2^k steps (the longest with at most
-NOISE_ROWS grid rows, n B per step), scales the group's draws by each of
-its runs' multipliers and moves every run's noise to the grid with one
-irfft call; runs of one group with equal multipliers share that work.  So
-the noise grid holds at most NOISE_ROWS rows of M values whatever the
-batch width B, unless one step alone holds more.
+NOISE_ROWS noise rows, n B per step), scales the group's draws by each of
+its runs' multipliers; runs of one group with equal multipliers share that
+work.  How the noise w then enters a step depends on the model.  When its
+theta is a declared constant matrix Theta (``ModelFunctions.theta_constant``,
+set by ``make_model(theta="one")``), Theta w is added to each run's half
+spectrum: the noise never reaches the grid, and theta is never called.
+Otherwise the loop moves every run's w to the grid with one irfft call per
+sub-block, and the step multiplies it by theta(u) there.  So the noise
+working set holds at most NOISE_ROWS rows whatever the batch width B,
+unless one step alone holds more.  The co-evolved reference X is driven by
+w itself (theta = 1) on either path.
 
 Batches: ``simulate_coupled`` steps its runs together.  The state of B
 runs has layout (n, B, N+1) and its grid (n, B, M), so the model callables,
 which act pointwise on trailing axes, see the batch as a wider grid; so
 does an extra drift, called once per step on all the runs that share it.
 Runs may share a batch when they agree on N, M, dt, T, model, record_times
-and blowup_cap; each keeps its own noise group, scheme and eps (decay,
-derivative and noise multipliers), extra drift, dealiasing and
-conservation form.  ``simulate`` is a batch of one, so there is a single
+and blowup_cap; the model fixes the noise path of the whole batch.  Each
+run keeps its own noise group, scheme and eps (decay, derivative and noise
+multipliers), extra drift, dealiasing and conservation form.  Per step the
+batch makes one inverse transform (of u and D_eps u) and one forward
+transform, of the dealiased product and of the sum of the terms that are
+not dealiased: dt times F and the extra drifts, plus the noise grid when
+theta depends on u.  ``simulate`` is a batch of one, so there is a single
 stepping path.  The Monte-Carlo experiments step a chunk of samples as one
 batch, in sample-major order, each sample one noise group.
 """
@@ -174,11 +184,15 @@ class _Operators:
 
     def _per_batch(self):
         """Per-step work buffers (the coefficients of u and D_eps u, and the
-        grids of the product, the noise term and the other drift) and the
-        runs of each distinct extra drift and of each distinct noise."""
+        grids of the product, the other drift and the noise term), the
+        conservation-form masks and the runs of each distinct extra drift
+        and of each distinct noise."""
         shape = (self.model.n, len(self.extra_drift))
         self.coeff_buf = np.empty((2,) + shape + (self.N + 1,), dtype=complex)
         self.grid_buf = np.empty((3,) + shape + (self.M,))
+        self.any_conservation = bool(self.conservation.any())
+        self.plain = ~self.conservation
+        self.any_plain = bool(self.plain.any())
         runs = {}
         for b, d in enumerate(self.extra_drift):
             if d is not None:
@@ -201,19 +215,24 @@ class _Operators:
         return out
 
     def noise(self, draws: np.ndarray):
-        """Every run's increments of H_eps W from the draws (G, ..., N+1, n)
+        """Every run's increments w of H_eps W from the draws (G, ..., N+1, n)
         of the batch's G noise groups (one step's draws or a block of them),
-        spectral (..., n, B, N+1) and on the grid (..., n, B, M).  Each run
-        scales its group's draws; runs with equal noise share one
+        spectral (..., n, B, N+1), and the noise ``step`` takes: theta w,
+        spectral, when theta is constant, else w on the grid (..., n, B, M).
+        Each run scales its group's draws; runs with equal noise share one
         computation and one transform."""
         r = self.noise_runs
         w = np.swapaxes(draws, -1, -2) * self.sqrt_dt
         w = np.moveaxis(w[self.group[r]], 0, -2) * self.hmult[r]
         w[..., 0] = w[..., 0].real                # mode 0 is real
-        grid = self.transform.to_grid(w)
+        const = self.model.theta_constant
+        if const is None:
+            noise = self.transform.to_grid(w)
+        else:
+            noise = np.einsum("ij,...jbk->...ibk", const, w)
         if len(r) < len(self.group):
-            return w[..., self.noise_row, :], grid[..., self.noise_row, :]
-        return w, grid
+            return w[..., self.noise_row, :], noise[..., self.noise_row, :]
+        return w, noise
 
 
 def _positions(runs: list):
@@ -226,15 +245,19 @@ def _positions(runs: list):
     return np.array(runs)
 
 
-def step(u_hat: np.ndarray, ops: _Operators, w_grid: np.ndarray):
+def step(u_hat: np.ndarray, ops: _Operators, noise: np.ndarray):
     """One exponential-Euler step of every run of a batch.
 
-    ``u_hat`` holds modes 0..N in layout (n, B, N+1); ``w_grid`` holds the
-    grid values (n, B, M) of every run's H_eps W increment over the step.
+    ``u_hat`` holds modes 0..N in layout (n, B, N+1); ``noise`` is the step's
+    slice of what ``ops.noise`` gives: theta H_eps W, spectral (n, B, N+1),
+    when the model's theta is constant, else the grid values (n, B, M) of
+    every run's H_eps W increment, which are multiplied by theta(u) there.
     Returns the next state and the grid values (n, B, M) of ``u_hat``,
     which the caller reuses for the blow-up check.  The inverse transforms
-    of u and D_eps u go through one irfft call, the forward transforms of
-    the product, the noise and the other drift through one rfft call.  The
+    of u and D_eps u go through one irfft call.  The forward transforms go
+    through one rfft call: of the product, which alone is dealiased, and of
+    the sum of the noise grid and dt times the other drift, which is left
+    out when that sum is zero (constant theta and no other drift).  The
     runs that share an extra drift callable are evaluated in one call of it.
     """
     model = ops.model
@@ -242,32 +265,44 @@ def step(u_hat: np.ndarray, ops: _Operators, w_grid: np.ndarray):
     coeffs[0] = u_hat
     np.multiply(u_hat, ops.dmult, out=coeffs[1])
     u_grid, de_u = ops.transform.to_grid(coeffs)
-    prod, noise_grid, other = grids
+    prod, rest, noise_grid = grids
 
-    cons = ops.conservation
-    if cons.any():
+    cons, plain = ops.conservation, ops.plain
+    if ops.any_conservation:
         # chain-rule-respecting discretisation D_eps(potential(u))
         prod[:, cons] = model.potential(u_grid[:, cons])
-        plain = ~cons
-        if plain.any():
+        if ops.any_plain:
             prod[:, plain] = np.einsum("ij...,j...->i...", model.G(u_grid[:, plain]),
                                        de_u[:, plain])
     else:
         np.einsum("ij...,j...->i...", model.G(u_grid), de_u, out=prod)
 
-    other[...] = model.F(u_grid)
+    # rest: dt (F + extra drift), plus theta(u) H_eps W when theta depends on u
+    rest[...] = model.F(u_grid)
     for d, runs in ops.drifts:
-        other[:, runs] += d(u_grid[:, runs])
-    np.einsum("ij...,j...->i...", model.theta(u_grid), w_grid, out=noise_grid)
+        rest[:, runs] += d(u_grid[:, runs])
+    rest *= ops.dt
+    const = model.theta_constant
+    if const is None:
+        np.einsum("ij...,j...->i...", model.theta(u_grid), noise, out=noise_grid)
+        rest += noise_grid
+        with_rest = True
+    else:
+        with_rest = bool(np.any(rest))
 
-    with_other = bool(np.any(other))
-    hats = ops.transform.to_coeffs(grids if with_other else grids[:2])
-    prod_hat = hats[0]
-    if cons.any():
-        prod_hat[:, cons] *= ops.dmult[cons]
-    prod_hat = prod_hat * ops.dealias_mask
-    nonlin_hat = prod_hat + hats[2] if with_other else prod_hat
-    return ops.decay * (u_hat + ops.dt * nonlin_hat + hats[1]), u_grid
+    hats = ops.transform.to_coeffs(grids[:2] if with_rest else grids[:1])
+    u_next = hats[0]                   # the product's modes, then the next state
+    if ops.any_conservation:
+        u_next[:, cons] *= ops.dmult[cons]
+    u_next *= ops.dealias_mask
+    u_next *= ops.dt
+    u_next += u_hat
+    if with_rest:
+        u_next += hats[1]
+    if const is not None:
+        u_next += noise
+    u_next *= ops.decay
+    return u_next, u_grid
 
 
 @dataclass
@@ -360,8 +395,8 @@ def simulate_coupled(configs, increments, seed: int | None = None,
         record_steps[j] = t
 
     ops = _Operators(configs, group)
-    # steps per noise transform: the longest NOISE_BLOCK / 2^k whose noise
-    # grid holds at most NOISE_ROWS rows
+    # steps per noise sub-block: the longest NOISE_BLOCK / 2^k whose noise
+    # holds at most NOISE_ROWS rows
     sub = NOISE_BLOCK
     while sub > 1 and sub * n * len(configs) > NOISE_ROWS:
         sub //= 2
@@ -385,9 +420,9 @@ def simulate_coupled(configs, increments, seed: int | None = None,
 
     def survivors(j, u_grid):
         """Mask of the runs whose state at step j stays in the batch."""
-        sup = np.abs(u_grid).max(axis=-1).max(axis=0)
-        if np.all(sup <= cap):
+        if np.abs(u_grid).max() <= cap:     # false for a nan too
             return None
+        sup = np.abs(u_grid).max(axis=-1).max(axis=0)
         keep = np.ones(len(live), dtype=bool)
         for pos in np.flatnonzero(~(sup <= cap)):
             if not np.all(np.isfinite(u_hat[:, pos])):
@@ -408,9 +443,10 @@ def simulate_coupled(configs, increments, seed: int | None = None,
                 # every group's draws of the block (G, L, N+1, n)
                 draws = np.stack([_noise_block(src, j // NOISE_BLOCK) for src in sources])
             if i % sub == 0:
-                # every run's noise of the sub-block, spectral (l, n, B, N+1) and grid
-                w_hat, w_grid = ops.noise(draws[:, i:i + sub])
-            u_next, u_grid = step(u_hat, ops, w_grid[i % sub])
+                # every run's noise of the sub-block, spectral (l, n, B, N+1),
+                # and what step takes of it
+                w_hat, noise = ops.noise(draws[:, i:i + sub])
+            u_next, u_grid = step(u_hat, ops, noise[i % sub])
         else:
             u_grid = ops.transform.to_grid(u_hat)
         if j > 0:
@@ -420,7 +456,7 @@ def simulate_coupled(configs, increments, seed: int | None = None,
                 u_hat, x_hat = u_hat[:, keep], x_hat[:, keep]
                 if j < steps:
                     u_next = u_next[:, keep]
-                    w_hat, w_grid = w_hat[:, :, keep], w_grid[:, :, keep]
+                    w_hat, noise = w_hat[:, :, keep], noise[:, :, keep]
                 if live.size == 0 or (failed and live[0] > min(failed)):
                     break
             maybe_record(j)
@@ -562,20 +598,24 @@ def remainder_diagnostic(psi: GridField, theta_now, X_now: GridField,
     return pair_reduce(psi.M, stride, remainder, 2.0 * gamma, np.max)
 
 
-def _correction_drift(model: ModelFunctions, Lambda: float, u_grid: np.ndarray):
+def _correction_drift(model: ModelFunctions, Lambda: float, tt, u_grid: np.ndarray):
     DG = model.DG(u_grid)                      # (n, n, n, ...)
-    th = model.theta(u_grid)                   # (n, n, ...)
-    tt = np.einsum("jk...,lk...->jl...", th, th)
+    if tt is None:                             # theta theta^T on the grid
+        th = model.theta(u_grid)               # (n, n, ...)
+        tt = np.einsum("jk...,lk...->jl...", th, th)
     return -Lambda * np.einsum("jil...,jl...->i...", DG, tt)
 
 
 def make_correction_drift(model: ModelFunctions, Lambda: float):
     """Grid drift u -> -Lambda theta^j_k dG^i_l/du_j theta^l_k, or None if
-    Lambda vanishes.  It pickles with the model, so one drift can be built
-    per experiment and shipped to worker processes."""
+    Lambda vanishes.  A constant theta is contracted with itself here, once.
+    The drift pickles with the model, so one drift can be built per
+    experiment and shipped to worker processes."""
     if Lambda == 0.0:
         return None
-    return functools.partial(_correction_drift, model, Lambda)
+    const = model.theta_constant
+    tt = None if const is None else const @ const.T
+    return functools.partial(_correction_drift, model, Lambda, tt)
 
 
 def reference_config(config: SolverConfig, eps_ref: float,

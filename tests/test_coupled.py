@@ -5,6 +5,7 @@ package used before; every check here runs the same increments through
 both and compares run by run.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from schemelab.experiments import (
     upsilon_diagnostic,
     xi_diagnostic,
 )
-from schemelab.models import make_model
+from schemelab.models import ModelFunctions, make_model
 from schemelab.schemes import make_function, make_scheme
 from schemelab.solver import (
     NumericalAbort,
@@ -114,11 +115,11 @@ def test_batch_matches_oracle_run_by_run(batch, with_reference):
                                              record_reference=with_reference))
 
 
-def growth_batch(cap=2.0):
+def growth_batch(cap=2.0, model=None):
     """Three runs; the middle one carries a strong growth drift and a larger
     start, so it alone crosses ``cap`` partway through."""
     forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
-    model = make_model(1, G="state", theta="one")
+    model = model or make_model(1, G="state", theta="one")
     rng = np.random.default_rng(11)
 
     def cfg(scheme, scale, **kw):
@@ -206,6 +207,98 @@ def test_diagnostics_match_oracle(theta):
     for new, old in ((upsilon_diagnostic, oracle.upsilon_diagnostic),
                      (xi_diagnostic, oracle.xi_diagnostic)):
         assert rel_gap(new(traj, cfg).values, old(traj, cfg).values) <= RTOL
+
+
+# -- constant theta: noise added to the spectrum against the grid path ------
+
+def assert_paths_agree(build, model, inc, **kwargs):
+    """The runs ``build(model)`` with theta's constant declared, whose noise
+    is added to the spectrum and whose theta is never called, equal those
+    with the constant undeclared, whose noise is multiplied by theta on the
+    grid.  Returns the runs of the declared model."""
+    calls = []
+
+    def counted(u):
+        calls.append(u.shape)
+        return model.theta(u)
+
+    declared = dataclasses.replace(model, theta=counted)
+    calls.clear()                                   # the constant's probe
+    spectral = simulate_coupled(build(declared), inc, **kwargs)
+    assert calls == []
+    grid = simulate_coupled(build(dataclasses.replace(model, theta_constant=None)),
+                            inc, **kwargs)
+    assert len(spectral) == len(grid)
+    for a, b in zip(spectral, grid):
+        assert_same_run(a, b)
+    return spectral
+
+
+def correction_runs(N=12, M=40, steps=150):
+    """The correction experiment's three runs (forward difference, central
+    difference, central difference with a correction drift) as a function
+    of the model, over a full noise block and a partial one."""
+    dt = 1e-3
+    initial = band_limited(np.random.default_rng(9), N, 4, 0.4)
+
+    def build(model):
+        def cfg(scheme, drift=None):
+            return SolverConfig(
+                scheme=make_scheme(scheme), eps=0.125, N=N, M=M, dt=dt,
+                T=steps * dt, model=model, extra_drift=drift,
+                extra_drift_label="none" if drift is None else "correction:0.25",
+                record_times=(0.05, 0.1, 0.15),
+                initial=SpectralField(np.repeat(initial.coeffs, model.n, axis=0)))
+        return [cfg("forward_difference"), cfg("central_difference"),
+                cfg("central_difference", make_correction_drift(model, 0.25))]
+    return build
+
+
+@pytest.mark.parametrize("with_reference", [False, True])
+def test_constant_theta_correction_runs_match_grid_path(with_reference):
+    inc = draw_noise(np.random.default_rng(31), 150, 12, 1)
+    runs = assert_paths_agree(correction_runs(), make_model(1, G="state", theta="one"),
+                              inc, record_reference=with_reference)
+    assert all(run.truncation_time is None for run in runs)
+
+
+def test_constant_theta_truncated_run_matches_grid_path():
+    inc = growth_batch()[1]
+    runs = assert_paths_agree(lambda model: growth_batch(model=model)[0],
+                              make_model(1, G="state", theta="one"), inc)
+    assert runs[1].truncation_time is not None
+    assert runs[0].truncation_time is None and runs[2].truncation_time is None
+
+
+# not normal: Theta Theta^T != Theta^T Theta
+THETA2 = np.array([[1.0, 0.3], [-0.2, 0.8]])
+DG2 = np.array([[[1.0, 0.0], [0.0, 1.0]],
+                [[0.0, 0.5], [-0.3, 1.0]]])       # DG[d, i, j] = dG^i_j / du_d
+
+
+def _g2(u):
+    return np.array([[u[0], 0.5 * u[1]], [-0.3 * u[1], u[0] + u[1]]])
+
+
+def _constant(matrix):
+    """The callable u -> ``matrix`` at every point of u."""
+    return lambda u: np.multiply.outer(matrix, np.ones(u.shape[1:]))
+
+
+def vector_model():
+    return ModelFunctions(n=2, F=lambda u: np.zeros_like(u), G=_g2, DG=_constant(DG2),
+                          theta=_constant(THETA2), label="n2:constant",
+                          theta_constant=THETA2)
+
+
+def test_constant_theta_vector_model_matches_grid_path():
+    """n = 2 with a non-identity constant Theta: the noise is Theta w, the
+    correction drift contracts Theta Theta^T, and the reference X is driven
+    by w itself."""
+    inc = draw_noise(np.random.default_rng(32), 150, 12, 2)
+    runs = assert_paths_agree(correction_runs(), vector_model(), inc,
+                              record_reference=True)
+    assert all(run.truncation_time is None for run in runs)
 
 
 # -- per-sample experiment rows -----------------------------------------------

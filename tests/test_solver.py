@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from schemelab.lift import mode_amplitudes
-from schemelab.models import make_model, validate_gradient
+from schemelab.models import ModelFunctions, make_model, validate_gradient
 from schemelab.schemes import make_scheme
 from schemelab.solver import (
     NumericalAbort,
@@ -14,6 +16,7 @@ from schemelab.solver import (
     make_correction_drift,
     remainder_diagnostic,
     simulate,
+    simulate_coupled,
     step,
     stochastic_convolution,
 )
@@ -49,6 +52,49 @@ class TestModels:
         th = model.theta(u)[0, 0]
         assert np.all(th >= 1.0) and np.all(th <= np.sqrt(2.0) + 1e-12)
 
+    def test_constant_theta_is_declared_only_for_theta_one(self):
+        assert np.array_equal(make_model(1, theta="one").theta_constant, [[1.0]])
+        for theta in ("state", "bounded_sqrt"):
+            assert make_model(1, theta=theta).theta_constant is None
+
+    def test_separately_built_models_still_batch(self, forward):
+        a, b = (make_model(1, G="state", theta="one") for _ in range(2))
+        assert a.theta_constant is not b.theta_constant and a == b
+        configs = [SolverConfig(scheme=forward, eps=0.1, N=8, M=32, dt=1e-3, T=0.01,
+                                model=m, record_times=(0.0, 0.01)) for m in (a, b)]
+        runs = simulate_coupled(configs, draw_noise(np.random.default_rng(2), 10, 8, 1))
+        assert len(runs) == 2 and all(len(r.coeffs) == 2 for r in runs)
+
+    def test_models_compare_theta_constants_by_value(self):
+        theta2 = np.array([[1.0, 0.5], [0.0, 2.0]])
+
+        def theta(u):
+            return np.broadcast_to(theta2[..., None], (2, 2) + u.shape[1:])
+
+        def model(const):
+            return ModelFunctions(n=2, F=None, G=None, DG=None, theta=theta,
+                                  label="n2", theta_constant=const)
+
+        # two (2, 2) arrays, whose == alone would not be a bool
+        assert model(theta2.copy()) == model(theta2.copy())
+        assert model(theta2) != model(None)
+        base = make_model(1, G="state", theta="one")
+        assert base != dataclasses.replace(base, theta_constant=None)
+
+    def test_theta_constant_must_fit_theta(self):
+        base = make_model(1, G="state", theta="one")
+        with pytest.raises(ValueError, match="shape"):
+            dataclasses.replace(base, theta_constant=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            dataclasses.replace(base, theta_constant=np.ones(1))
+        with pytest.raises(ValueError, match="differs"):
+            dataclasses.replace(base, theta_constant=[[2.0]])
+        state = make_model(1, G="state", theta="state")
+        with pytest.raises(ValueError, match="differs"):
+            dataclasses.replace(state, theta_constant=[[1.0]])
+        const = dataclasses.replace(base, theta_constant=[[1.0]]).theta_constant
+        assert const.shape == (1, 1) and not const.flags.writeable
+
 
 class TestStep:
     def test_pure_decay_single_mode(self, forward):
@@ -57,7 +103,8 @@ class TestStep:
                            T=0.1, model=zero_model())
         u = np.zeros((1, 1, N + 1), dtype=complex)      # (n, B, N+1)
         u[0, 0, 3] = 1.0
-        out, _ = step(u, _Operators([cfg]), np.zeros((1, 1, 32)))    # noise grid
+        # theta = 1 is constant, so step takes the noise as modes 0..N
+        out, _ = step(u, _Operators([cfg]), np.zeros((1, 1, N + 1), dtype=complex))
         assert out[0, 0, 3] == pytest.approx(np.exp(-9 * 1e-2))
 
     def test_additive_noise_mode_variance(self, forward):
