@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from schemelab.experiments import ExperimentConfig
+from schemelab.experiments import ExperimentConfig, require_unit_nu
 from schemelab.models import make_model
 from schemelab.schemes import AtomicSignedMeasure, CutoffScheme, make_function, make_scheme
 from schemelab.spectral import NormConfig
@@ -121,6 +121,8 @@ def parse_config(raw: dict, kind: str | None = None,
             initial_amplitude=float(initial.get("amplitude", 0.0)),
             initial_mode=int(initial.get("mode", 1)),
         )
+        if kind in ("converge", "correction"):
+            require_unit_nu(cfg)
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc
     except ValueError as exc:

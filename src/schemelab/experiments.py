@@ -45,7 +45,7 @@ from schemelab.solver import (
     simulate,  # unused here; perfbench's self-test checks this binding is traced
     simulate_coupled,
 )
-from schemelab.spectral import GridField, NormConfig, holder_seminorm_estimate
+from schemelab.spectral import GridField, NormConfig, Transform, holder_seminorm_estimate
 
 
 class ExperimentFailure(RuntimeError):
@@ -307,59 +307,58 @@ def _coupled_samples(cfg: ExperimentConfig, configs: list, samples) -> list:
 # error metrics
 # ---------------------------------------------------------------------------
 
-def _common_positive_times(a: Trajectory, b: Trajectory, T: float):
-    """Recorded times shared by both runs inside the common survival window."""
-    horizon = min(a.truncation_time or T, b.truncation_time or T)
-    ta = {round(t, 12): i for i, t in enumerate(a.times)}
-    out = []
-    for jb, t in enumerate(b.times):
-        key = round(t, 12)
-        if key in ta and 0.0 < t <= horizon + 1e-12:
-            out.append((ta[key], jb, t))
-    return out
+def _positive_grids(traj: Trajectory, cfg: ExperimentConfig):
+    """The recorded times t > 0 of ``traj`` and the grid values of its
+    snapshots there, (len(times), n, M), moved in one batched transform."""
+    keep = [i for i, t in enumerate(traj.times) if t > 0.0]
+    half = np.array([traj.coeffs[i] for i in keep], dtype=complex)
+    half = half.reshape(len(keep), cfg.model.n, cfg.N + 1)
+    return [traj.times[i] for i in keep], Transform(cfg.N, cfg.M).to_grid(half)
 
 
-def _differences(a: Trajectory, b: Trajectory, M: int, T: float) -> list:
-    """(t, grid values of a - b) at each recorded time the runs share inside
-    their common survival window."""
-    return [(t, a.grid(ia, M).values - b.grid(jb, M).values)
-            for ia, jb, t in _common_positive_times(a, b, T)]
+def _differences(a, b):
+    """The times two runs of one batch share, the common prefix of their
+    recorded times (they share record_times), and the grid values of a - b
+    there, (len(times), n, M), from their ``_positive_grids``."""
+    (times, a_grid), (_, b_grid) = a, b
+    k = min(len(a_grid), len(b_grid))
+    return times[:k], a_grid[:k] - b_grid[:k]
 
 
-def _gap(diffs: list, holder_gamma: float | None = None, stride: int = 4):
+def _gap(times, diffs, holder_gamma: float | None = None, stride: int = 4):
     """sup over ``_differences`` of the spatial sup norm, with an optional
     secondary Hoelder seminorm column, and the last shared time."""
-    if not diffs:
+    if not times:
         return math.nan, math.nan, math.nan
     sup_err = 0.0
     holder_err = 0.0
-    for _t, diff in diffs:
+    for diff in diffs:
         sup_err = max(sup_err, float(np.abs(diff).max()))
         if holder_gamma is not None:
             holder_err = max(holder_err, holder_seminorm_estimate(
                 GridField(diff), holder_gamma, stride))
-    return sup_err, (holder_err if holder_gamma is not None else math.nan), diffs[-1][0]
-
-
-def _trajectory_gap(a: Trajectory, b: Trajectory, M: int, T: float,
-                    holder_gamma: float | None = None,
-                    stride: int = 4):
-    """sup over common recorded times of the spatial sup norm of a - b,
-    with an optional secondary Hoelder seminorm column."""
-    return _gap(_differences(a, b, M, T), holder_gamma, stride)
+    return sup_err, (holder_err if holder_gamma is not None else math.nan), times[-1]
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
+def require_unit_nu(cfg: ExperimentConfig) -> None:
+    """Reject nu != 1 in an experiment that steps the solver, which has no nu:
+    its runs solve the nu = 1 equation, whatever Lambda(nu) drift they carry."""
+    if cfg.nu != 1.0:
+        raise ValueError(f"{cfg.kind} experiments need nu = 1, not {cfg.nu!r}")
+
+
 def _converge_chunk(args):
     cfg, configs, samples = args
     rows = []
     for s, (ref, *runs) in zip(samples, _coupled_samples(cfg, configs, samples)):
+        ref_grids = _positive_grids(ref, cfg)
         for eps, traj in zip(cfg.eps_ladder, runs):
-            sup_err, holder_err, last = _trajectory_gap(
-                traj, ref, cfg.M, cfg.T,
+            sup_err, holder_err, last = _gap(
+                *_differences(_positive_grids(traj, cfg), ref_grids),
                 holder_gamma=cfg.norms.alpha_tilde, stride=cfg.norms.stride)
             rows.append({
                 "eps": eps, "sample": s, "sup_error": sup_err,
@@ -372,6 +371,7 @@ def _converge_chunk(args):
 
 def converge_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Coupled-noise strong-error ladder against the corrected reference."""
+    require_unit_nu(cfg)
     t0 = time.perf_counter()
     Lambda = lambda_exact(cfg.scheme, nu=cfg.nu).value
     ladder = [cfg.solver_config(eps) for eps in cfg.eps_ladder]
@@ -415,11 +415,12 @@ def _correction_configs(cfg: ExperimentConfig, Lambda1: float) -> list:
 def _correction_chunk(args):
     cfg, configs, samples = args
     rows = []
-    for s, (run1, run2, run2c) in zip(samples, _coupled_samples(cfg, configs, samples)):
-        diffs = _differences(run1, run2, cfg.M, cfg.T)
-        gap_a, _, _ = _gap(diffs)
-        gap_b, _, _ = _trajectory_gap(run1, run2c, cfg.M, cfg.T)
-        signed = float(diffs[-1][1].mean()) if diffs else math.nan
+    for s, runs in zip(samples, _coupled_samples(cfg, configs, samples)):
+        run1, run2, run2c = (_positive_grids(r, cfg) for r in runs)
+        times, diffs = _differences(run1, run2)
+        gap_a, _, _ = _gap(times, diffs)
+        gap_b, _, _ = _gap(*_differences(run1, run2c))
+        signed = float(diffs[-1].mean()) if times else math.nan
         rows.append({"eps": configs[0].eps, "sample": s, "gap_uncorrected": gap_a,
                      "gap_corrected": gap_b, "signed_mean_gap": signed})
     return rows
@@ -434,6 +435,7 @@ def correction_experiment(cfg: ExperimentConfig) -> RunRecord:
     """
     if cfg.scheme2 is None:
         raise ValueError("correction experiment needs two schemes")
+    require_unit_nu(cfg)
     t0 = time.perf_counter()
     Lambda1 = lambda_exact(cfg.scheme, nu=cfg.nu).value
     configs = _correction_configs(cfg, Lambda1)
@@ -585,16 +587,20 @@ def _left_rule(traj: Trajectory, config: SolverConfig, integrand) -> GridField:
     return GridField(ops.transform.to_grid(acc))
 
 
-def upsilon_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
+def upsilon_diagnostic(traj: Trajectory, config: SolverConfig,
+                       reference: Trajectory) -> GridField:
     """Extra second-order term accumulated along a frozen trajectory.
 
     Left-rule time integral over the recorded times of
     S_eps(t_final - s) [ DG(u) u' (D_eps XX) u' ](s) with u' = theta(u),
-    using the co-evolved reference modes stored on the trajectory.
+    with X read from ``reference.coeffs``.  ``reference`` is the run, on the
+    noise that drove ``traj``, of ``config`` with ``model`` replaced by the
+    linear model (F = G = 0, theta = Id declared as ``theta_constant``; for
+    n = 1 ``make_model(1, G="zero", theta="one")``), no extra drift, zero
+    initial data and no conservation form; its times begin with traj's.
     """
-    if traj.X_coeffs is None:
-        raise ValueError("trajectory lacks reference modes; rerun simulate "
-                         "with record_reference=True")
+    if reference.times[:len(traj.times)] != traj.times:
+        raise ValueError("reference times do not begin with the trajectory's")
     model = config.model
     eps = config.eps
     offsets = lift_offsets(config.scheme, eps, config.M)
@@ -603,7 +609,7 @@ def upsilon_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
         u_grid = ops.transform.to_grid(traj.coeffs[i])
         theta = model.theta(u_grid)
         DG = model.DG(u_grid)
-        state = state_from_coeffs(traj.X_coeffs[i], config.scheme, eps, traj.times[i])
+        state = state_from_coeffs(reference.coeffs[i], config.scheme, eps, traj.times[i])
         lift = lift_XX(state, config.M, offsets)
         D = d_eps_xx(lift, config.scheme, eps).values       # (M, n, n)
         return np.einsum("dijm,dlm,mlk,jkm->im", DG, theta, D, theta)
@@ -611,11 +617,13 @@ def upsilon_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
     return _left_rule(traj, config, integrand)
 
 
-def xi_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
+def xi_diagnostic(traj: Trajectory, config: SolverConfig,
+                  reference: Trajectory) -> GridField:
     """Corrected nonlinear term along a frozen trajectory: the left-rule
     accumulation of S_eps(t_final - s)[G(u) D_eps u](s) plus the
-    second-order extra term."""
+    second-order extra term ``upsilon_diagnostic`` (X from ``reference``)."""
     model = config.model
+    extra = upsilon_diagnostic(traj, config, reference)
 
     def integrand(ops, i):
         u_hat = traj.coeffs[i]
@@ -623,5 +631,4 @@ def xi_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
         return np.einsum("ij...,j...->i...", model.G(u_grid), de_u)
 
     first = _left_rule(traj, config, integrand)
-    extra = upsilon_diagnostic(traj, config)
     return GridField(first.values + extra.values)

@@ -59,7 +59,9 @@ class ModelFunctions:
                 self.label, None if const is None else const.tobytes())
 
     def describe(self) -> dict:
-        return {"n": self.n, "label": self.label}
+        const = self.theta_constant
+        return {"n": self.n, "label": self.label,
+                "theta_constant": None if const is None else const.tolist()}
 
 
 def validate_gradient(model: ModelFunctions, probe_points: np.ndarray,

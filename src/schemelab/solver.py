@@ -39,8 +39,10 @@ spectrum: the noise never reaches the grid, and theta is never called.
 Otherwise the loop moves every run's w to the grid with one irfft call per
 sub-block, and the step multiplies it by theta(u) there.  So the noise
 working set holds at most NOISE_ROWS rows whatever the batch width B,
-unless one step alone holds more.  The co-evolved reference X is driven by
-w itself (theta = 1) on either path.
+unless one step alone holds more.  The loop carries one state: the Gaussian
+reference field X is a run of its own, of the linear model (F = G = 0,
+theta = Id declared constant) on the same noise, with no extra drift, zero
+initial data and no conservation form (see ``upsilon_diagnostic``).
 
 Batches: ``simulate_coupled`` steps its runs together.  The state of B
 runs has layout (n, B, N+1) and its grid (n, B, M), so the model callables,
@@ -214,13 +216,12 @@ class _Operators:
         out._per_batch()
         return out
 
-    def noise(self, draws: np.ndarray):
-        """Every run's increments w of H_eps W from the draws (G, ..., N+1, n)
-        of the batch's G noise groups (one step's draws or a block of them),
-        spectral (..., n, B, N+1), and the noise ``step`` takes: theta w,
-        spectral, when theta is constant, else w on the grid (..., n, B, M).
-        Each run scales its group's draws; runs with equal noise share one
-        computation and one transform."""
+    def noise(self, draws: np.ndarray) -> np.ndarray:
+        """What ``step`` takes of every run's increments w of H_eps W, from
+        the draws (G, ..., N+1, n) of the batch's G noise groups: theta w,
+        spectral (..., n, B, N+1), when theta is constant, else w on the grid
+        (..., n, B, M).  Each run scales its group's draws; runs with equal
+        noise share one computation and one transform."""
         r = self.noise_runs
         w = np.swapaxes(draws, -1, -2) * self.sqrt_dt
         w = np.moveaxis(w[self.group[r]], 0, -2) * self.hmult[r]
@@ -230,9 +231,7 @@ class _Operators:
             noise = self.transform.to_grid(w)
         else:
             noise = np.einsum("ij,...jbk->...ibk", const, w)
-        if len(r) < len(self.group):
-            return w[..., self.noise_row, :], noise[..., self.noise_row, :]
-        return w, noise
+        return noise if len(r) == len(self.group) else noise[..., self.noise_row, :]
 
 
 def _positions(runs: list):
@@ -314,7 +313,6 @@ class Trajectory:
     config_hash: str
     seed: int | None = None
     truncation_time: float | None = None
-    X_coeffs: list | None = None      # same layout: co-evolved theta=1 reference
 
     def spectral(self, i: int) -> SpectralField:
         """Snapshot i with its coefficients -N..N."""
@@ -326,8 +324,7 @@ class Trajectory:
 
 
 def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
-             increments: np.ndarray | None = None, seed: int | None = None,
-             record_reference: bool = False) -> Trajectory:
+             increments: np.ndarray | None = None, seed: int | None = None) -> Trajectory:
     """Iterate the exponential-Euler step from 0 to T, recording snapshots.
 
     Noise comes either from pre-drawn ``increments`` of shape
@@ -339,16 +336,14 @@ def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
         if rng is None:
             rng = np.random.default_rng(seed)
         increments = NoiseStream(rng, config.steps, config.N, config.model.n)
-    return simulate_coupled([config], increments, seed=seed,
-                            record_reference=record_reference)[0]
+    return simulate_coupled([config], increments, seed=seed)[0]
 
 
 # settings every run of a batch must share
 _SHARED = ("N", "M", "dt", "T", "model", "record_times", "blowup_cap")
 
 
-def simulate_coupled(configs, increments, seed: int | None = None,
-                     record_reference: bool = False) -> list:
+def simulate_coupled(configs, increments, seed: int | None = None) -> list:
     """Step runs together, one Trajectory each.
 
     ``increments`` is one noise source for every run or a list with one
@@ -362,9 +357,9 @@ def simulate_coupled(configs, increments, seed: int | None = None,
     ``blowup_cap``: its truncation time is recorded, later snapshots are
     dropped, and it leaves the batch.  A non-finite state raises
     NumericalAbort at the time running the configs one after another would
-    report, that of the first run in list order that goes non-finite.  With
-    ``record_reference`` each run co-evolves and records the theta = 1,
-    F = G = 0 field driven by the same noise.
+    report, that of the first run in list order that goes non-finite.  A
+    run's reference field X is a run of the linear model on the same source
+    (see the module docstring).
     """
     configs = list(configs)
     if not configs:
@@ -402,11 +397,9 @@ def simulate_coupled(configs, increments, seed: int | None = None,
         sub //= 2
     u_hat = np.stack([np.zeros((n, N + 1), dtype=complex) if c.initial is None
                       else half_spectrum(c.initial.coeffs) for c in configs], axis=1)
-    x_hat = np.zeros_like(u_hat)
     live = np.arange(len(configs))           # list positions of the batch's runs
     times = [[] for _ in configs]
     snaps = [[] for _ in configs]
-    xsnaps = [[] for _ in configs]
     truncation = [None] * len(configs)
     failed = {}                              # list position -> non-finite time
 
@@ -415,8 +408,6 @@ def simulate_coupled(configs, increments, seed: int | None = None,
             for pos, b in enumerate(live):
                 times[b].append(record_steps[j])
                 snaps[b].append(u_hat[:, pos].copy())
-                if record_reference:
-                    xsnaps[b].append(x_hat[:, pos].copy())
 
     def survivors(j, u_grid):
         """Mask of the runs whose state at step j stays in the batch."""
@@ -443,9 +434,8 @@ def simulate_coupled(configs, increments, seed: int | None = None,
                 # every group's draws of the block (G, L, N+1, n)
                 draws = np.stack([_noise_block(src, j // NOISE_BLOCK) for src in sources])
             if i % sub == 0:
-                # every run's noise of the sub-block, spectral (l, n, B, N+1),
-                # and what step takes of it
-                w_hat, noise = ops.noise(draws[:, i:i + sub])
+                # what step takes of every run's noise of the sub-block
+                noise = ops.noise(draws[:, i:i + sub])
             u_next, u_grid = step(u_hat, ops, noise[i % sub])
         else:
             u_grid = ops.transform.to_grid(u_hat)
@@ -453,17 +443,14 @@ def simulate_coupled(configs, increments, seed: int | None = None,
             keep = survivors(j, u_grid)
             if keep is not None:
                 live, ops = live[keep], ops.take(keep)
-                u_hat, x_hat = u_hat[:, keep], x_hat[:, keep]
+                u_hat = u_hat[:, keep]
                 if j < steps:
-                    u_next = u_next[:, keep]
-                    w_hat, noise = w_hat[:, :, keep], noise[:, :, keep]
+                    u_next, noise = u_next[:, keep], noise[:, :, keep]
                 if live.size == 0 or (failed and live[0] > min(failed)):
                     break
             maybe_record(j)
         if j == steps:
             break
-        if record_reference:
-            x_hat = ops.decay * (x_hat + w_hat[i % sub])
         u_hat = u_next
     if failed:
         t = failed[min(failed)]
@@ -475,7 +462,6 @@ def simulate_coupled(configs, increments, seed: int | None = None,
         config_hash=config_hash(c),
         seed=seed,
         truncation_time=truncation[b],
-        X_coeffs=xsnaps[b] if record_reference else None,
     ) for b, c in enumerate(configs)]
 
 
@@ -570,7 +556,7 @@ def stochastic_convolution(theta_path, scheme: CutoffScheme, eps: float,
     for j in range(steps):
         theta_j = theta_path(j) if callable(theta_path) else theta_path[j]
         noise_grid = np.einsum("ij...,j...->i...", theta_j,
-                               ops.noise(increments[None, j])[1][:, 0])
+                               ops.noise(increments[None, j])[:, 0])
         psi_hat = ops.decay[0] * (psi_hat + ops.transform.to_coeffs(noise_grid))
     return GridField(ops.transform.to_grid(psi_hat))
 

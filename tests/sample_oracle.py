@@ -3,25 +3,75 @@
 Before chunking, ``converge_experiment`` and ``correction_experiment``
 mapped one sample at a time over the worker pool: each sample streamed its
 own noise and stepped its 5 or 3 coupled runs in a batch of their own,
-building its reference and correction drifts afresh.  Tests compare the
-chunked experiments' rows with these, bit for bit.
+building its reference and correction drifts afresh.  It keeps its own
+copy of the gap metrics as they were before each run's snapshots went to
+the grid in one batched transform: snapshots matched by rounded time inside
+the common survival window, and moved to the grid once per pair of runs.
+Tests compare the chunked experiments' rows with these, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
-from schemelab.experiments import (
-    _common_positive_times,
-    _trajectory_gap,
-    sample_rng,
-)
+import numpy as np
+
+from schemelab.experiments import sample_rng
 from schemelab.solver import (
     NoiseStream,
+    Trajectory,
     make_correction_drift,
     reference_config,
     simulate_coupled,
 )
+from schemelab.spectral import GridField, holder_seminorm_estimate
+
+
+# -- the gap metrics ------------------------------------------------------------
+
+def _common_positive_times(a: Trajectory, b: Trajectory, T: float):
+    """Recorded times shared by both runs inside the common survival window."""
+    horizon = min(a.truncation_time or T, b.truncation_time or T)
+    ta = {round(t, 12): i for i, t in enumerate(a.times)}
+    out = []
+    for jb, t in enumerate(b.times):
+        key = round(t, 12)
+        if key in ta and 0.0 < t <= horizon + 1e-12:
+            out.append((ta[key], jb, t))
+    return out
+
+
+def _differences(a: Trajectory, b: Trajectory, M: int, T: float) -> list:
+    """(t, grid values of a - b) at each recorded time the runs share inside
+    their common survival window."""
+    return [(t, a.grid(ia, M).values - b.grid(jb, M).values)
+            for ia, jb, t in _common_positive_times(a, b, T)]
+
+
+def _gap(diffs: list, holder_gamma: float | None = None, stride: int = 4):
+    """sup over ``_differences`` of the spatial sup norm, with an optional
+    secondary Hoelder seminorm column, and the last shared time."""
+    if not diffs:
+        return math.nan, math.nan, math.nan
+    sup_err = 0.0
+    holder_err = 0.0
+    for _t, diff in diffs:
+        sup_err = max(sup_err, float(np.abs(diff).max()))
+        if holder_gamma is not None:
+            holder_err = max(holder_err, holder_seminorm_estimate(
+                GridField(diff), holder_gamma, stride))
+    return sup_err, (holder_err if holder_gamma is not None else math.nan), diffs[-1][0]
+
+
+def _trajectory_gap(a: Trajectory, b: Trajectory, M: int, T: float,
+                    holder_gamma: float | None = None,
+                    stride: int = 4):
+    """sup over common recorded times of the spatial sup norm of a - b,
+    with an optional secondary Hoelder seminorm column."""
+    return _gap(_differences(a, b, M, T), holder_gamma, stride)
+
+
+# -- one batch per sample ------------------------------------------------------
 
 
 def converge_rows(cfg, Lambda, s):

@@ -4,11 +4,16 @@ This is the stepping code the package used before it moved to a batched
 real-FFT half spectrum: one run at a time, the state holding every mode
 -N..N, complex FFTs of length M, and a separate inverse transform per step
 for the blow-up check.  It is deliberately slow and simple.  Tests compare
-``schemelab.solver.simulate_coupled`` with it run by run.  Its diagnostics
-lift with the reference lift of ``lift_oracle``.
+``schemelab.solver.simulate_coupled`` with it run by run.  With
+``record_reference`` it co-evolves the theta = 1, F = G = 0 reference field
+X beside the run, as the package once did; the package's X, a run of the
+linear model, is checked against that.  Its diagnostics read X from the
+trajectory and lift with the reference lift of ``lift_oracle``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +25,16 @@ from schemelab.schemes import (
     laplacian_multiplier,
     noise_multiplier,
 )
-from schemelab.solver import (
-    NumericalAbort,
-    SolverConfig,
-    Trajectory,
-    config_hash,
-    draw_noise,
-)
+from schemelab import solver
+from schemelab.solver import NumericalAbort, SolverConfig, config_hash, draw_noise
 from schemelab.spectral import SQRT_2PI, GridField, full_spectrum, half_spectrum
+
+
+@dataclass
+class Trajectory(solver.Trajectory):
+    """The package's trajectory plus the co-evolved reference field's modes."""
+
+    X_coeffs: list | None = None      # modes 0..N, one per recorded time
 
 
 class Operators:

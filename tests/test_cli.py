@@ -52,6 +52,23 @@ class TestExitCodes:
         assert main(["lambda", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("command", ["converge", "correction"])
+    def test_solver_command_with_nu_two_exits_2(self, tmp_path, capsys, command):
+        payload = json.loads(json.dumps(BASE))
+        payload["scheme2"] = {"name": "central_difference"}
+        payload["experiment"]["nu"] = 2.0
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "nu = 1" in capsys.readouterr().err
+
+    def test_lambda_with_nu_two_runs(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(BASE))
+        payload["experiment"]["nu"] = 2.0
+        cfg = write_config(tmp_path, payload)
+        assert main(["lambda", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        value = float(capsys.readouterr().out.split("lambda = ")[1].split()[0])
+        assert value == pytest.approx(0.125, abs=1e-6)
+
     def test_numerical_abort_exits_3(self, tmp_path):
         bad = json.loads(json.dumps(BASE))
         bad["solver"]["blowup_cap"] = 1e-12

@@ -2,7 +2,9 @@
 
 ``solver_oracle`` is the one-run-at-a-time, full-spectrum integrator the
 package used before; every check here runs the same increments through
-both and compares run by run.
+both and compares run by run.  The reference field X of a run is the run
+of its linear-model config (``linear_configs``); it is checked against the
+X the oracle co-evolves with the run.
 """
 
 import dataclasses
@@ -13,12 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import solver_oracle as oracle
+from sample_oracle import _common_positive_times, _trajectory_gap
 from strategies import schemes
 from schemelab.correction import lambda_exact
 from schemelab.experiments import (
     ExperimentConfig,
-    _common_positive_times,
-    _trajectory_gap,
     converge_experiment,
     correction_experiment,
     sample_rng,
@@ -28,6 +29,7 @@ from schemelab.experiments import (
 from schemelab.models import ModelFunctions, make_model
 from schemelab.schemes import make_function, make_scheme
 from schemelab.solver import (
+    NOISE_BLOCK,
     NumericalAbort,
     SolverConfig,
     draw_noise,
@@ -53,9 +55,36 @@ def assert_same_run(new, old):
     assert len(new.coeffs) == len(old.coeffs)
     for a, b in zip(new.coeffs, old.coeffs):
         assert rel_gap(a, b) <= RTOL
-    assert (new.X_coeffs is None) == (old.X_coeffs is None)
-    for a, b in zip(new.X_coeffs or [], old.X_coeffs or []):
-        assert rel_gap(a, b) <= RTOL
+
+
+def linear_configs(configs):
+    """The runs of the reference field X of ``configs``: each config with the
+    linear model (F = G = 0, theta = Id declared constant), no extra drift,
+    zero initial data and no conservation form."""
+    n = configs[0].model.n
+    model = make_model(1, G="zero", theta="one") if n == 1 else ModelFunctions(
+        n=n, F=lambda u: np.zeros_like(u), G=_constant(np.zeros((n, n))),
+        DG=_constant(np.zeros((n, n, n))), theta=_constant(np.eye(n)),
+        label=f"n{n}:linear", theta_constant=np.eye(n))
+    return [dataclasses.replace(c, model=model, extra_drift=None, extra_drift_label="none",
+                                initial=None, conservation_form=False) for c in configs]
+
+
+def assert_reference_matches_oracle(configs, inc, source=None):
+    """The runs of ``linear_configs(configs)`` on ``source`` (default
+    ``inc``) against the X the oracle co-evolves with each config's run on
+    ``inc``, at the times both record: the oracle's X stops where the
+    config's run is truncated, a linear run where X crosses the cap.
+    Returns the linear runs."""
+    runs = simulate_coupled(linear_configs(configs), inc if source is None else source)
+    for config, run in zip(configs, runs):
+        old = oracle.simulate(config, increments=inc, record_reference=True)
+        k = min(len(run.times), len(old.times))
+        assert k > 0 and run.times[:k] == old.times[:k]
+        assert len(old.X_coeffs) == len(old.times)
+        for a, b in zip(run.coeffs[:k], old.X_coeffs):
+            assert rel_gap(a, b) <= RTOL
+    return runs
 
 
 # -- strategies ---------------------------------------------------------------
@@ -108,11 +137,12 @@ def batches(draw):
 @given(batches(), st.booleans())
 def test_batch_matches_oracle_run_by_run(batch, with_reference):
     configs, inc = batch
-    runs = simulate_coupled(configs, inc, record_reference=with_reference)
+    runs = simulate_coupled(configs, inc)
     assert len(runs) == len(configs)
     for config, run in zip(configs, runs):
-        assert_same_run(run, oracle.simulate(config, increments=inc,
-                                             record_reference=with_reference))
+        assert_same_run(run, oracle.simulate(config, increments=inc))
+    if with_reference:
+        assert_reference_matches_oracle(configs, inc)
 
 
 def growth_batch(cap=2.0, model=None):
@@ -148,6 +178,19 @@ def test_blowup_leaves_batch_others_equal_solo_runs():
         assert runs[i].times == solo.times
         for a, b in zip(runs[i].coeffs, solo.coeffs):
             assert np.array_equal(a, b)
+
+
+def test_reference_of_a_truncated_run_matches_oracle():
+    """The middle run of the growth batch is truncated inside a noise block;
+    its reference field, a run of the linear model, goes on to T and agrees
+    with the oracle's X up to the truncation."""
+    configs, inc = growth_batch()
+    cut = simulate_coupled(configs, inc)[1].truncation_time
+    assert cut is not None and round(cut / 1e-3) % NOISE_BLOCK != 0
+    refs = assert_reference_matches_oracle(configs, inc)
+    assert all(ref.truncation_time is None for ref in refs)
+    assert all(ref.times == configs[0].record_times for ref in refs)
+    assert max(refs[1].times) > cut
 
 
 def poisoned(threshold):
@@ -203,19 +246,24 @@ def test_diagnostics_match_oracle(theta):
                        model=make_model(1, G="state", theta=theta),
                        record_times=(0.01, 0.02, 0.03, 0.04, 0.05),
                        initial=band_limited(np.random.default_rng(4), 16, 4, 0.5))
-    traj = simulate(cfg, seed=5, record_reference=True)
+    inc = draw_noise(np.random.default_rng(5), cfg.steps, cfg.N, 1)
+    traj = simulate(cfg, increments=inc)
+    [reference] = assert_reference_matches_oracle([cfg], inc)
+    # the oracle's diagnostics read X off the trajectory
+    with_x = oracle.Trajectory(**vars(traj), X_coeffs=reference.coeffs)
     for new, old in ((upsilon_diagnostic, oracle.upsilon_diagnostic),
                      (xi_diagnostic, oracle.xi_diagnostic)):
-        assert rel_gap(new(traj, cfg).values, old(traj, cfg).values) <= RTOL
+        assert rel_gap(new(traj, cfg, reference).values, old(with_x, cfg).values) <= RTOL
 
 
 # -- constant theta: noise added to the spectrum against the grid path ------
 
-def assert_paths_agree(build, model, inc, **kwargs):
+def assert_paths_agree(build, model, inc):
     """The runs ``build(model)`` with theta's constant declared, whose noise
     is added to the spectrum and whose theta is never called, equal those
     with the constant undeclared, whose noise is multiplied by theta on the
-    grid.  Returns the runs of the declared model."""
+    grid; the declaration is part of their config hash.  Returns the runs of
+    the declared model."""
     calls = []
 
     def counted(u):
@@ -224,13 +272,14 @@ def assert_paths_agree(build, model, inc, **kwargs):
 
     declared = dataclasses.replace(model, theta=counted)
     calls.clear()                                   # the constant's probe
-    spectral = simulate_coupled(build(declared), inc, **kwargs)
+    spectral = simulate_coupled(build(declared), inc)
     assert calls == []
-    grid = simulate_coupled(build(dataclasses.replace(model, theta_constant=None)),
-                            inc, **kwargs)
+    undeclared = dataclasses.replace(model, theta_constant=None)
+    grid = simulate_coupled(build(undeclared), inc)
     assert len(spectral) == len(grid)
     for a, b in zip(spectral, grid):
-        assert_same_run(a, b)
+        assert a.config_hash != b.config_hash
+        assert_same_run(a, dataclasses.replace(b, config_hash=a.config_hash))
     return spectral
 
 
@@ -257,9 +306,12 @@ def correction_runs(N=12, M=40, steps=150):
 @pytest.mark.parametrize("with_reference", [False, True])
 def test_constant_theta_correction_runs_match_grid_path(with_reference):
     inc = draw_noise(np.random.default_rng(31), 150, 12, 1)
-    runs = assert_paths_agree(correction_runs(), make_model(1, G="state", theta="one"),
-                              inc, record_reference=with_reference)
+    build = correction_runs()
+    model = make_model(1, G="state", theta="one")
+    runs = assert_paths_agree(build, model, inc)
     assert all(run.truncation_time is None for run in runs)
+    if with_reference:
+        assert_reference_matches_oracle(build(model), inc)
 
 
 def test_constant_theta_truncated_run_matches_grid_path():
@@ -293,12 +345,13 @@ def vector_model():
 
 def test_constant_theta_vector_model_matches_grid_path():
     """n = 2 with a non-identity constant Theta: the noise is Theta w, the
-    correction drift contracts Theta Theta^T, and the reference X is driven
-    by w itself."""
+    correction drift contracts Theta Theta^T, and the reference X, a run of
+    the n = 2 linear model, is driven by w itself."""
     inc = draw_noise(np.random.default_rng(32), 150, 12, 2)
-    runs = assert_paths_agree(correction_runs(), vector_model(), inc,
-                              record_reference=True)
+    build = correction_runs()
+    runs = assert_paths_agree(build, vector_model(), inc)
     assert all(run.truncation_time is None for run in runs)
+    assert_reference_matches_oracle(build(vector_model()), inc)
 
 
 # -- per-sample experiment rows -----------------------------------------------

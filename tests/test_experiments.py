@@ -230,30 +230,39 @@ class TestLiftExperiment:
 
 
 class TestDiagnostics:
-    def _run(self, model, with_reference=True):
+    LINEAR = make_model(1, G="zero", theta="one")
+
+    def _run(self, model, record_times=(0.01, 0.02, 0.03, 0.04, 0.05)):
+        """A run of ``model`` and its reference field X: the run of the
+        linear model on the same noise."""
         scheme = make_scheme("forward_difference")
         cfg = SolverConfig(scheme=scheme, eps=0.125, N=16, M=64, dt=1e-3,
-                           T=0.05, model=model,
-                           record_times=(0.01, 0.02, 0.03, 0.04, 0.05))
-        traj = simulate(cfg, seed=5, record_reference=with_reference)
-        return traj, cfg
+                           T=0.05, model=model, record_times=record_times)
+        reference = simulate(dataclasses.replace(cfg, model=self.LINEAR), seed=5)
+        return simulate(cfg, seed=5), cfg, reference
 
     def test_upsilon_zero_when_dg_zero(self):
-        traj, cfg = self._run(make_model(1, G="zero", theta="one"))
-        out = upsilon_diagnostic(traj, cfg)
+        out = upsilon_diagnostic(*self._run(make_model(1, G="zero", theta="one")))
         assert np.abs(out.values).max() == 0.0
 
     def test_upsilon_requires_reference(self):
-        traj, cfg = self._run(make_model(1, G="state", theta="one"),
-                              with_reference=False)
-        with pytest.raises(ValueError):
-            upsilon_diagnostic(traj, cfg)
+        """A reference whose recorded times do not begin with the run's."""
+        traj, cfg, _ = self._run(make_model(1, G="state", theta="one"))
+        for times in ((0.01, 0.03, 0.05), (0.01, 0.02)):
+            _, _, reference = self._run(self.LINEAR, record_times=times)
+            for diagnostic in (upsilon_diagnostic, xi_diagnostic):
+                with pytest.raises(ValueError, match="reference times"):
+                    diagnostic(traj, cfg, reference)
+        # a reference recorded at more times than the run is fine
+        traj, cfg, _ = self._run(make_model(1, G="state", theta="one"), (0.01, 0.02))
+        _, _, reference = self._run(self.LINEAR)
+        assert np.abs(upsilon_diagnostic(traj, cfg, reference).values).max() > 0
 
     def test_xi_reduces_to_first_term_plus_upsilon(self):
         model = make_model(1, G="state", theta="one")
-        traj, cfg = self._run(model)
-        xi = xi_diagnostic(traj, cfg)
-        ups = upsilon_diagnostic(traj, cfg)
+        run = self._run(model)
+        xi = xi_diagnostic(*run)
+        ups = upsilon_diagnostic(*run)
         assert np.abs(xi.values).max() > 0
         assert np.abs(ups.values).max() > 0
 
@@ -270,7 +279,7 @@ def test_config_hash_follows_the_resolved_seed():
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "correction.json")
     plain = load_config(path).config_hash()
     # the file's own seed (1111); pinned so a change of the digest shows
-    assert plain == "5e66ae9c4a8c41e9"
+    assert plain == "0af0e699c7d2366f"
     assert load_config(path, seed=1111).config_hash() == plain
     hashes = {load_config(path, seed=s).config_hash() for s in (1, 2)}
     assert len(hashes) == 2 and plain not in hashes
@@ -297,6 +306,9 @@ def test_config_hash_covers_every_resolved_field():
     assert ExperimentConfig(**base).config_hash() == plain
     for name, value in variants.items():
         assert ExperimentConfig(**dict(base, **{name: value})).config_hash() != plain, name
+    # the same model with its constant theta left undeclared
+    undeclared = dataclasses.replace(base["model"], theta_constant=None)
+    assert ExperimentConfig(**dict(base, model=undeclared)).config_hash() != plain
     sine = dict(base, initial_kind="sine", initial_amplitude=0.5)
     hashes = {ExperimentConfig(**dict(sine, **change)).config_hash()
               for change in ({}, {"initial_amplitude": 0.6}, {"initial_mode": 2})}
@@ -327,6 +339,24 @@ def test_file_config_hash_covers_kind_and_filled_in_defaults():
     cfg = parse_config(raw)
     assert ExperimentConfig(**{f.name: getattr(cfg, f.name) for f in
                                dataclasses.fields(cfg)}).config_hash() == plain
+
+
+@pytest.mark.parametrize("kind", ["converge", "correction"])
+def test_solver_experiments_reject_nu_other_than_one(kind):
+    """The solver steps the nu = 1 equation, so converge and correction
+    reject another nu, from a file (ConfigError) and in code (ValueError);
+    the lambda table still takes it."""
+    from schemelab.config import ConfigError, parse_config
+
+    raw = {"version": 1, "kind": kind, "scheme": {"name": "forward_difference"},
+           "scheme2": {"name": "central_difference"}, "experiment": {"nu": 2.0}}
+    with pytest.raises(ConfigError, match="nu = 1"):
+        parse_config(raw)
+    assert parse_config(raw, kind="lambda-table").nu == 2.0
+    assert parse_config(dict(raw, experiment={"nu": 1.0})).nu == 1.0
+    runner = {"converge": converge_experiment, "correction": correction_experiment}[kind]
+    with pytest.raises(ValueError, match="nu = 1"):
+        runner(small_cfg(kind, nu=2.0))
 
 
 def test_sample_rng_streams_are_stable():

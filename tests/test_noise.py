@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import solver_oracle as oracle
-from test_coupled import assert_same_run
+from test_coupled import assert_reference_matches_oracle, assert_same_run, linear_configs
 from schemelab.correction import lambda_exact
 from schemelab.experiments import (
     ExperimentConfig,
@@ -80,7 +80,8 @@ def test_lift_increments_are_one_step_of_the_solver_draw(seed, N, n):
 
 def test_stream_and_array_drive_identical_runs():
     """Two runs truncate mid-block (at different blocks), one survives, and
-    every run co-evolves its reference field; the runs also match the
+    the runs of their reference fields, the linear model, all cross the cap
+    mid-block; the runs and the reference fields also match the
     step-by-step oracle across the block boundaries."""
     forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
     model = make_model(1, G="state", theta="one")
@@ -93,27 +94,30 @@ def test_stream_and_array_drive_identical_runs():
 
     configs = [cfg(forward), cfg(central, extra_drift=lambda u: 12.0 * u,
                                  extra_drift_label="growth"), cfg(central)]
-    from_stream = simulate_coupled(configs, NoiseStream(np.random.default_rng(11), steps, 8, 1),
-                                   record_reference=True)
+    from_stream = simulate_coupled(configs, NoiseStream(np.random.default_rng(11), steps, 8, 1))
     inc = draw_noise(np.random.default_rng(11), steps, 8, 1)
-    from_array = simulate_coupled(configs, inc, record_reference=True)
+    from_array = simulate_coupled(configs, inc)
     cut = [r.truncation_time for r in from_stream]
     assert cut[0] is None
     cut_steps = {round(t / 1e-3) // NOISE_BLOCK: round(t / 1e-3) % NOISE_BLOCK
                  for t in cut[1:]}
     assert len(cut_steps) == 2 and 0 not in cut_steps.values()
-    for a, b in zip(from_stream, from_array):
+    ref_stream = assert_reference_matches_oracle(
+        configs, inc, NoiseStream(np.random.default_rng(11), steps, 8, 1))
+    ref_array = simulate_coupled(linear_configs(configs), inc)
+    assert all(round(r.truncation_time / 1e-3) % NOISE_BLOCK for r in ref_array)
+    for a, b in zip(from_stream + ref_stream, from_array + ref_array):
         assert a.times == b.times and a.truncation_time == b.truncation_time
-        assert len(a.coeffs) == len(b.coeffs) == len(a.X_coeffs) == len(b.X_coeffs)
-        for x, y in zip(a.coeffs + a.X_coeffs, b.coeffs + b.X_coeffs):
+        assert len(a.coeffs) == len(b.coeffs)
+        for x, y in zip(a.coeffs, b.coeffs):
             assert np.array_equal(x, y)
     for config, run in zip(configs, from_array):
-        assert_same_run(run, oracle.simulate(config, increments=inc,
-                                             record_reference=True))
+        assert_same_run(run, oracle.simulate(config, increments=inc))
     # simulate(rng=...) streams the same noise
-    solo = simulate(configs[0], rng=np.random.default_rng(11), record_reference=True)
-    for x, y in zip(solo.coeffs + solo.X_coeffs, from_array[0].coeffs + from_array[0].X_coeffs):
-        assert np.array_equal(x, y)
+    for config, run in ((configs[0], from_array[0]), (linear_configs(configs)[0], ref_array[0])):
+        solo = simulate(config, rng=np.random.default_rng(11))
+        for x, y in zip(solo.coeffs, run.coeffs):
+            assert np.array_equal(x, y)
 
 
 def test_noise_groups_match_their_solo_batches():
@@ -121,7 +125,8 @@ def test_noise_groups_match_their_solo_batches():
     arrays and a stream given once per run.  The 15-run batch transforms
     its noise in sub-blocks shorter than a block, once per group for the
     runs of equal multipliers; every run, its reference field and its
-    truncation equal those of its group's own batch."""
+    truncation equal those of its group's own batch, and so do the runs of
+    its reference field, the linear model."""
     forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
     model = make_model(1, G="state", theta="one")
     steps, N = 2 * NOISE_BLOCK + 44, 8
@@ -148,16 +153,18 @@ def test_noise_groups_match_their_solo_batches():
     ops = _Operators(trio * 5, groups)
     assert list(ops.noise_row) == groups
     assert list(ops.take(np.arange(15) % 3 == 1).noise_row) == [0, 1, 2, 3, 4]
-    runs = simulate_coupled(trio * 5, per_run, record_reference=True)
+    runs = simulate_coupled(trio * 5, per_run)
+    refs = simulate_coupled(linear_configs(trio * 5), per_run)
     truncated = [r.truncation_time is not None for r in runs]
     assert any(truncated) and not all(truncated)
     for g, seed in enumerate(seeds):
-        solo = simulate_coupled(trio, draw_noise(np.random.default_rng(seed), steps, N, 1),
-                                record_reference=True)
-        for a, b in zip(runs[3 * g:3 * g + 3], solo):
-            assert a.times == b.times and a.truncation_time == b.truncation_time
-            for x, y in zip(a.coeffs + a.X_coeffs, b.coeffs + b.X_coeffs):
-                assert np.array_equal(x, y)
+        inc = draw_noise(np.random.default_rng(seed), steps, N, 1)
+        for batch, solo in ((runs, simulate_coupled(trio, inc)),
+                            (refs, simulate_coupled(linear_configs(trio), inc))):
+            for a, b in zip(batch[3 * g:3 * g + 3], solo):
+                assert a.times == b.times and a.truncation_time == b.truncation_time
+                for x, y in zip(a.coeffs, b.coeffs):
+                    assert np.array_equal(x, y)
     with pytest.raises(ValueError, match="one noise source per run"):
         simulate_coupled(trio, per_run[:2])
 

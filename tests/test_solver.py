@@ -23,7 +23,6 @@ from schemelab.solver import (
 from schemelab.spectral import (
     GridField,
     SpectralField,
-    full_spectrum,
     semigroup_apply,
     to_physical,
 )
@@ -256,8 +255,8 @@ class TestStochasticConvolution:
         cfg = SolverConfig(scheme=forward, eps=0.1, N=N, M=M, dt=dt,
                            T=steps * dt, model=zero_model(),
                            record_times=(steps * dt,))
-        traj = simulate(cfg, increments=inc, record_reference=True)
-        ref = to_physical(SpectralField(full_spectrum(traj.X_coeffs[-1])), M)
+        # the linear model's run is the reference field X
+        ref = to_physical(simulate(cfg, increments=inc).spectral(-1), M)
         np.testing.assert_allclose(psi.values, ref.values, atol=1e-12)
 
     def test_deterministic_theta_mode_variance(self, forward):
@@ -309,8 +308,7 @@ class TestRemainderDiagnostic:
         cfg = SolverConfig(scheme=forward, eps=0.1, N=N, M=M, dt=dt,
                            T=steps * dt, model=zero_model(),
                            record_times=(steps * dt,))
-        traj = simulate(cfg, increments=inc, record_reference=True)
-        X = to_physical(SpectralField(full_spectrum(traj.X_coeffs[-1])), M)
+        X = to_physical(simulate(cfg, increments=inc).spectral(-1), M)
         return psi, X, theta[0]
 
     def test_constant_theta_remainder_vanishes(self):
@@ -334,8 +332,7 @@ class TestRemainderDiagnostic:
         cfg = SolverConfig(scheme=forward, eps=0.1, N=N, M=M, dt=dt,
                            T=steps * dt, model=zero_model(),
                            record_times=(steps * dt,))
-        traj = simulate(cfg, increments=inc, record_reference=True)
-        X = to_physical(SpectralField(full_spectrum(traj.X_coeffs[-1])), M)
+        X = to_physical(simulate(cfg, increments=inc).spectral(-1), M)
         sup_R = 0.0
         P, Xv, th = psi.values, X.values, theta[0]
         for i in range(M):
