@@ -121,7 +121,7 @@ def parse_config(raw: dict, kind: str | None = None,
             initial_amplitude=float(initial.get("amplitude", 0.0)),
             initial_mode=int(initial.get("mode", 1)),
         )
-        if kind in ("converge", "correction"):
+        if kind in ("simulate", "converge", "correction"):
             require_unit_nu(cfg)
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc

@@ -28,17 +28,23 @@ so a run holds O(NOISE_BLOCK) noise instead of O(steps).
 
 Noise groups: ``simulate_coupled`` takes one noise source (stream or
 array) for all its runs or one per run; the runs given the same source
-object form a group.  The stepping loop replays each group's block once,
-then, per sub-block of NOISE_BLOCK / 2^k steps (the longest with at most
-NOISE_ROWS noise rows, n B per step), scales the group's draws by each of
-its runs' multipliers; runs of one group with equal multipliers share that
+object form a group.  Each group's block is replayed once, then, per
+sub-block of NOISE_BLOCK / 2^k steps (the longest with at most NOISE_ROWS
+noise rows, n B per step), the group's draws are scaled by each of its
+runs' multipliers; runs of one group with equal multipliers share that
 work.  How the noise w then enters a step depends on the model.  When its
 theta is a declared constant matrix Theta (``ModelFunctions.theta_constant``,
 set by ``make_model(theta="one")``), Theta w is added to each run's half
 spectrum: the noise never reaches the grid, and theta is never called.
-Otherwise the loop moves every run's w to the grid with one irfft call per
-sub-block, and the step multiplies it by theta(u) there.  So the noise
-working set holds at most NOISE_ROWS rows whatever the batch width B,
+Otherwise every run's w goes to the grid with one irfft call per
+sub-block, and the step multiplies it by theta(u) there.  That noise is
+made on a second thread, one sub-block ahead of the stepping loop (numpy
+releases the GIL in its normal draws and FFTs), with the operators of the
+full batch; after a truncation the loop keeps the live runs' rows, so
+every value is the one a serial loop computes.  The thread is joined on
+every exit from the call, a raised error included, so a stream is never
+replayed by two threads at once.  So the noise working set holds two
+sub-blocks of at most NOISE_ROWS rows each whatever the batch width B,
 unless one step alone holds more.  The loop carries one state: the Gaussian
 reference field X is a run of its own, of the linear model (F = G = 0,
 theta = Id declared constant) on the same noise, with no extra drift, zero
@@ -66,6 +72,7 @@ import copy
 import functools
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,7 +357,11 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
     source per run; a source is a NoiseStream or a pre-drawn (steps, N+1, n)
     array, read one block of NOISE_BLOCK steps at a time.  The runs that
     share a source object form a noise group: its block is replayed once
-    and scaled by each run's own multipliers.
+    and scaled by each run's own multipliers.  A producer thread makes that
+    noise one sub-block ahead of the stepping, for every run of the batch
+    (a truncated run's rows are dropped on arrival); the thread is shut
+    down before the call returns or raises, and an error raised in it
+    reaches the caller with its own type.
     The runs must share N, M, dt, T, model, record_times and blowup_cap;
     each keeps its own scheme, eps, extra drift, dealiasing and conservation
     form.  A run is truncated at the first time its sup norm exceeds
@@ -395,6 +406,18 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
     sub = NOISE_BLOCK
     while sub > 1 and sub * n * len(configs) > NOISE_ROWS:
         sub //= 2
+
+    def noise_sub_blocks(full):
+        """What step takes of every run's noise, one sub-block per item, made
+        with the operators of the full batch: each block of every group's
+        draws (G, L, N+1, n) is replayed once, then scaled sub-block by
+        sub-block."""
+        for j in range(0, steps, sub):
+            k, i = divmod(j, NOISE_BLOCK)
+            if i == 0:
+                draws = np.stack([_noise_block(src, k) for src in sources])
+            yield full.noise(draws[:, i:i + sub])
+
     u_hat = np.stack([np.zeros((n, N + 1), dtype=complex) if c.initial is None
                       else half_spectrum(c.initial.coeffs) for c in configs], axis=1)
     live = np.arange(len(configs))           # list positions of the batch's runs
@@ -425,33 +448,41 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
         return keep
 
     # the blow-up check of the state at step j reuses the grid that the step
-    # advancing it computes anyway; only the final state needs its own transform
-    maybe_record(0)
-    for j in range(steps + 1):
-        i = j % NOISE_BLOCK
-        if j < steps:
-            if i == 0:
-                # every group's draws of the block (G, L, N+1, n)
-                draws = np.stack([_noise_block(src, j // NOISE_BLOCK) for src in sources])
-            if i % sub == 0:
-                # what step takes of every run's noise of the sub-block
-                noise = ops.noise(draws[:, i:i + sub])
-            u_next, u_grid = step(u_hat, ops, noise[i % sub])
-        else:
-            u_grid = ops.transform.to_grid(u_hat)
-        if j > 0:
-            keep = survivors(j, u_grid)
-            if keep is not None:
-                live, ops = live[keep], ops.take(keep)
-                u_hat = u_hat[:, keep]
-                if j < steps:
-                    u_next, noise = u_next[:, keep], noise[:, :, keep]
-                if live.size == 0 or (failed and live[0] > min(failed)):
-                    break
-            maybe_record(j)
-        if j == steps:
-            break
-        u_hat = u_next
+    # advancing it computes anyway; only the final state needs its own
+    # transform.  The producer makes sub-block k + 1 while the loop steps
+    # through sub-block k; leaving the pool's block, by any exit, waits for
+    # the producer, so no thread outlives the call.  After an early exit the
+    # result of a sub-block the loop never reaches, an error included, is
+    # dropped: a serial loop would not have made it.
+    made = noise_sub_blocks(ops)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(next, made)
+        maybe_record(0)
+        for j in range(steps + 1):
+            i = j % sub
+            if j < steps:
+                if i == 0:
+                    noise = pending.result()
+                    if j + sub < steps:
+                        pending = pool.submit(next, made)
+                    if live.size < len(configs):
+                        noise = noise[:, :, live]
+                u_next, u_grid = step(u_hat, ops, noise[i])
+            else:
+                u_grid = ops.transform.to_grid(u_hat)
+            if j > 0:
+                keep = survivors(j, u_grid)
+                if keep is not None:
+                    live, ops = live[keep], ops.take(keep)
+                    u_hat = u_hat[:, keep]
+                    if j < steps:
+                        u_next, noise = u_next[:, keep], noise[:, :, keep]
+                    if live.size == 0 or (failed and live[0] > min(failed)):
+                        break
+                maybe_record(j)
+            if j == steps:
+                break
+            u_hat = u_next
     if failed:
         t = failed[min(failed)]
         raise NumericalAbort(f"non-finite state at t = {t:.6g}", time=t)

@@ -52,7 +52,7 @@ class TestExitCodes:
         assert main(["lambda", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
 
-    @pytest.mark.parametrize("command", ["converge", "correction"])
+    @pytest.mark.parametrize("command", ["simulate", "converge", "correction"])
     def test_solver_command_with_nu_two_exits_2(self, tmp_path, capsys, command):
         payload = json.loads(json.dumps(BASE))
         payload["scheme2"] = {"name": "central_difference"}

@@ -2,12 +2,17 @@
 
 ``draw_noise`` holds a run's whole noise; ``NoiseStream`` replays it block
 by block from saved generator states.  A batch may read several such
-sources, one noise group each, and transforms its noise in sub-blocks.
-Every check here asks for bitwise equality or bounds traced memory: the
-stream and the sub-blocks exist to change memory, not numbers.
+sources, one noise group each, and makes its noise in sub-blocks, one
+ahead of the stepping on a second thread.  Every check here asks for
+bitwise equality, bounds traced memory or asks that the thread end with
+the call: the stream, the sub-blocks and the thread exist to change memory
+and time, not numbers.
 """
 
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,9 +31,11 @@ from schemelab.schemes import make_scheme
 from schemelab.solver import (
     NOISE_BLOCK,
     NoiseStream,
+    NumericalAbort,
     SolverConfig,
     _Operators,
     draw_noise,
+    reference_config,
     simulate,
     simulate_coupled,
 )
@@ -222,4 +229,147 @@ def test_noise_transform_stays_small_for_a_wide_batch():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < block_grid_bytes
+
+
+class NoiseFault(RuntimeError):
+    pass
+
+
+class FaultyStream(NoiseStream):
+    """A stream whose block ``bad`` raises NoiseFault."""
+
+    def __init__(self, rng, steps, N, n, bad):
+        super().__init__(rng, steps, N, n)
+        self.bad = bad
+
+    def block(self, k):
+        if k == self.bad:
+            raise NoiseFault(f"block {k}")
+        return super().block(k)
+
+
+def lifetime_configs(**kw):
+    """Two runs over three noise blocks of a small grid."""
+    model = make_model(1, G="state", theta="one")
+    steps = 3 * NOISE_BLOCK
+    return [SolverConfig(scheme=make_scheme(name), eps=0.25, N=8, M=32, dt=1e-3,
+                         T=steps * 1e-3, model=model, record_times=(steps * 1e-3,), **kw)
+            for name in ("forward_difference", "central_difference")], steps
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_a_noise_error_comes_out_with_its_type(bad):
+    """The noise of the next sub-block is made on a second thread; an error
+    there reaches the caller as itself, and the thread is gone after it."""
+    configs, steps = lifetime_configs()
+    before = threading.active_count()
+    with pytest.raises(NoiseFault, match=f"block {bad}"):
+        simulate_coupled(configs, FaultyStream(np.random.default_rng(3), steps, 8, 1, bad))
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_an_early_exit_and_the_stream_replays_the_same_bits():
+    """Every run is truncated in the first block, so the loop leaves while
+    the next sub-block is being made; the stream it read then replays the
+    bits of a fresh one, block by block and as a run's noise."""
+    configs, steps = lifetime_configs(extra_drift=lambda u: 40.0 * u,
+                                      extra_drift_label="growth", blowup_cap=0.05)
+    stream = NoiseStream(np.random.default_rng(4), steps, 8, 1)
+    before = threading.active_count()
+    runs = simulate_coupled(configs, stream)
+    assert threading.active_count() == before
+    assert all(r.truncation_time is not None and r.truncation_time < NOISE_BLOCK * 1e-3
+               for r in runs)
+    fresh = NoiseStream(np.random.default_rng(4), steps, 8, 1)
+    for k in range(3):
+        assert np.array_equal(stream.block(k), fresh.block(k))
+    plain, _ = lifetime_configs()
+    again = simulate_coupled(plain, stream)
+    for a, b in zip(again, simulate_coupled(plain, fresh)):
+        assert a.times == b.times
+        for x, y in zip(a.coeffs, b.coeffs):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_no_thread_outlives_a_numerical_abort():
+    configs, steps = lifetime_configs(extra_drift=lambda u: u * np.inf,
+                                      extra_drift_label="bad")
+    before = threading.active_count()
+    with pytest.raises(NumericalAbort):
+        simulate_coupled(configs, NoiseStream(np.random.default_rng(5), steps, 8, 1))
+    assert threading.active_count() == before
+
+
+def test_fast_thread_switching_changes_no_bit():
+    """With the interpreter switching threads every microsecond, a batch
+    whose noise goes to the grid and whose runs leave it mid-sub-block gives
+    the bits of each run stepped alone on the same stream."""
+    forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
+    model = make_model(1, G="state", theta="bounded_sqrt")
+    steps = 2 * NOISE_BLOCK + 44
+
+    def cfg(scheme, **kw):
+        return SolverConfig(scheme=scheme, eps=0.25, N=8, M=32, dt=1e-3,
+                            T=steps * 1e-3, model=model, blowup_cap=2.0,
+                            record_times=(0.1, 0.2, steps * 1e-3), **kw)
+
+    configs = [cfg(forward), cfg(central, extra_drift=lambda u: 12.0 * u,
+                                 extra_drift_label="growth"),
+               cfg(central, extra_drift=lambda u: 30.0 * u, extra_drift_label="fast")]
+
+    def stream():
+        return NoiseStream(np.random.default_rng(21), steps, 8, 1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        batch = simulate_coupled(configs, stream())
+        solo = [simulate_coupled([c], stream())[0] for c in configs]
+    finally:
+        sys.setswitchinterval(interval)
+    cut = [r.truncation_time for r in batch]
+    assert cut[0] is None and None not in cut[1:] and cut[1] != cut[2]
+    for a, b in zip(batch, solo):
+        assert a.times == b.times and a.truncation_time == b.truncation_time
+        for x, y in zip(a.coeffs, b.coeffs):
+            assert np.array_equal(x, y)
+
+
+def test_noise_in_flight_is_two_sub_blocks(monkeypatch):
+    """Two samples of the converge shape (B = 10, theta bounded_sqrt, so the
+    noise goes to the grid) over two blocks: while the next sub-block's noise
+    is made, only the sub-block being stepped is alive, and the peak traced
+    memory stays below one block's noise grid for the batch."""
+    N, M, dt, steps = 256, 768, 1e-4, 2 * NOISE_BLOCK
+    cfg = ExperimentConfig(
+        kind="converge", scheme=make_scheme("forward_difference"),
+        model=make_model(1, G="state", theta="bounded_sqrt"),
+        eps_ladder=(0.25, 0.125, 0.0625, 0.03125), samples=2, master_seed=1,
+        N=N, M=M, dt=dt, T=steps * dt, record_times=(steps * dt,), eps_ref=1 / 512)
+    ladder = [cfg.solver_config(eps) for eps in cfg.eps_ladder]
+    configs = [reference_config(ladder[0], cfg.eps_ref,
+                                lambda_exact(cfg.scheme).value)] + ladder
+    streams = [NoiseStream(np.random.default_rng(s), steps, N, 1) for s in range(2)]
+    made, alive_at_call = [], []
+    noise = _Operators.noise
+
+    def tracked(self, draws):
+        alive_at_call.append(sum(ref() is not None for ref in made))
+        out = noise(self, draws)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(_Operators, "noise", tracked)
+    block_grid_bytes = NOISE_BLOCK * len(configs) * len(streams) * M * 8
+    tracemalloc.start()
+    try:
+        runs = simulate_coupled(configs * 2, [s for s in streams for _ in configs])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.truncation_time is None for r in runs)
+    assert len(made) > 2 * steps // NOISE_BLOCK       # sub-blocks shorter than a block
+    assert max(alive_at_call) == 1
     assert peak < block_grid_bytes
