@@ -3,7 +3,8 @@
 All callables act pointwise on state arrays of shape (n, ...) and return
 arrays with the same trailing axes: F -> (n, ...), G and theta -> (n, n, ...),
 DG -> (n, n, n, ...) with DG[d, i, j] the derivative of G^i_j in state
-direction d.  When a potential is supplied its Jacobian must reproduce G;
+direction d.  F may be None, a declared zero (``make_model(F="zero")``
+gives one).  When a potential is supplied its Jacobian must reproduce G;
 ``validate_gradient`` checks that with central differences.  A model whose
 theta does not depend on u may declare it as the constant (n, n) matrix
 ``theta_constant``; the solver then adds the noise in spectral space.
@@ -23,8 +24,12 @@ THETA_CONSTANT_RTOL = 1e-12
 
 @dataclass(eq=False)
 class ModelFunctions:
+    """The model's grid callables (see the module docstring).  F = None
+    declares F = 0: the solver neither calls nor transforms it, and
+    ``describe()`` is that of the same model with a zero callable."""
+
     n: int
-    F: callable
+    F: callable | None
     G: callable
     DG: callable
     theta: callable
@@ -89,10 +94,6 @@ def validate_gradient(model: ModelFunctions, probe_points: np.ndarray,
 
 # -- scalar (n = 1) building blocks -----------------------------------------
 
-def _zero_vec(u):
-    return np.zeros_like(u)
-
-
 def _zero_mat(u):
     return np.zeros((1, 1) + u.shape[1:])
 
@@ -131,7 +132,7 @@ def _theta_bounded_sqrt(u):
     return out
 
 
-_F_REGISTRY = {"zero": _zero_vec}
+_F_REGISTRY = {"zero": None}                 # a declared zero
 _G_REGISTRY = {
     "zero": (_zero_mat, _zero_dmat, None),
     "state": (_g_state, _dg_state, _potential_half_square),

@@ -36,7 +36,7 @@ work.  How the noise w then enters a step depends on the model.  When its
 theta is a declared constant matrix Theta (``ModelFunctions.theta_constant``,
 set by ``make_model(theta="one")``), Theta w is added to each run's half
 spectrum: the noise never reaches the grid, and theta is never called.
-Otherwise every run's w goes to the grid with one irfft call per
+Otherwise every run's w / dt goes to the grid with one irfft call per
 sub-block, and the step multiplies it by theta(u) there.  That noise is
 made on a second thread, one sub-block ahead of the stepping loop (numpy
 releases the GIL in its normal draws and FFTs), with the operators of the
@@ -58,12 +58,19 @@ Runs may share a batch when they agree on N, M, dt, T, model, record_times
 and blowup_cap; the model fixes the noise path of the whole batch.  Each
 run keeps its own noise group, scheme and eps (decay, derivative and noise
 multipliers), extra drift, dealiasing and conservation form.  Per step the
-batch makes one inverse transform (of u and D_eps u) and one forward
-transform, of the dealiased product and of the sum of the terms that are
-not dealiased: dt times F and the extra drifts, plus the noise grid when
-theta depends on u.  ``simulate`` is a batch of one, so there is a single
-stepping path.  The Monte-Carlo experiments step a chunk of samples as one
-batch, in sample-major order, each sample one noise group.
+batch makes one inverse transform, of u and D_eps u, and one forward
+transform of B + R rows: the B products, which alone are dealiased, and the
+rests of the R runs whose rest can be nonzero.  A run's rest is F plus its
+extra drift, plus theta(u) times the noise grid when theta depends on u; so
+R = B unless theta is a declared constant and F a declared zero (None),
+and then R counts the runs with an extra drift.  Both transforms are
+unscaled: the grid phase (-1)^k, the 1/sqrt(2 pi) scales, dt, the
+dealiasing mask and the conservation form's D_eps live in per-run input and
+output multipliers.  ``_Operators._per_batch`` makes them, the rest rows and
+the buffers once per batch, as the step plan, and again when a truncated
+run leaves the batch.  ``simulate`` is a batch of one, so there is a single
+stepping path, ``step``.  The Monte-Carlo experiments step a chunk of
+samples as one batch, in sample-major order, each sample one noise group.
 """
 
 from __future__ import annotations
@@ -85,8 +92,8 @@ from schemelab.schemes import (
     make_scheme,
     noise_multiplier,
 )
-from schemelab.spectral import (GridField, SpectralField, Transform, full_spectrum,
-                                half_spectrum, pair_reduce)
+from schemelab.spectral import (SQRT_2PI, GridField, SpectralField, Transform,
+                                full_spectrum, half_spectrum, pair_reduce)
 
 
 class NumericalAbort(RuntimeError):
@@ -161,7 +168,8 @@ def config_hash(config: SolverConfig) -> str:
 
 
 class _Operators:
-    """Half-spectrum multipliers and transforms of the runs of one batch.
+    """Half-spectrum multipliers and transforms of the runs of one batch,
+    and the step plan that ``_per_batch`` makes from them.
 
     Per-run arrays carry the run on their first axis: the multipliers are
     (B, N+1), and they broadcast against states of layout (n, B, N+1).
@@ -174,7 +182,6 @@ class _Operators:
         self.N, self.M, self.ks = N, M, ks
         self.model = first.model
         self.dt = first.dt
-        self.sqrt_dt = np.sqrt(first.dt)
         self.transform = Transform(N, M)
         self.decay = np.array([
             np.exp(laplacian_multiplier(c.scheme, ks, c.eps) * c.dt) for c in configs])
@@ -192,21 +199,74 @@ class _Operators:
         self._per_batch()
 
     def _per_batch(self):
-        """Per-step work buffers (the coefficients of u and D_eps u, and the
-        grids of the product, the other drift and the noise term), the
-        conservation-form masks and the runs of each distinct extra drift
-        and of each distinct noise."""
-        shape = (self.model.n, len(self.extra_drift))
-        self.coeff_buf = np.empty((2,) + shape + (self.N + 1,), dtype=complex)
-        self.grid_buf = np.empty((3,) + shape + (self.M,))
-        self.any_conservation = bool(self.conservation.any())
-        self.plain = ~self.conservation
-        self.any_plain = bool(self.plain.any())
+        """The step plan: what every step of the batch decides alike.
+
+        The rest of a run is F plus its extra drift, plus theta(u) times the
+        noise grid when theta depends on u.  It can be nonzero for every run
+        when F is not a declared zero (None) or theta depends on u, else only
+        for the runs with an extra drift: those R runs get a rest row.  The
+        plan holds the work buffers (u and D_eps u, and the grid rows of the
+        B products and the R rests), the terms that fill the rest rows (each
+        callable with the runs it reads and the rows it writes, assigned when
+        it is the first term there, else added), and the multipliers into
+        which the transform scales are folded:
+
+        - ``in_mult`` (2, 1, B, N+1): sign / sqrt(2 pi) and dmult times that,
+          which put u and D_eps u on the grid by one unscaled irfft;
+        - ``out_mult`` (B + R, N+1): coeff_scale dt times the dealiasing
+          mask (and dmult in conservation form) for each product row, and
+          coeff_scale dt for each rest row;
+        - ``noise_mult`` (B, N+1): sqrt(dt) hmult, the increment of H_eps W,
+          when theta is constant; else hmult sign / (sqrt(2 pi) sqrt(dt)),
+          which puts that increment over dt on the grid by one unscaled
+          irfft, so that the noise term shares the rest rows' dt.
+
+        Also the conservation-form masks and the runs of each distinct noise.
+        """
+        model, transform = self.model, self.transform
+        n, B, N = model.n, len(self.extra_drift), self.N
+        const = model.theta_constant
         runs = {}
         for b, d in enumerate(self.extra_drift):
             if d is not None:
                 runs.setdefault(d, []).append(b)
-        self.drifts = [(d, _positions(r)) for d, r in runs.items()]
+        whole = const is None or model.F is not None
+        rest_runs = (list(range(B)) if whole
+                     else sorted(b for r in runs.values() for b in r))
+        row = {b: i for i, b in enumerate(rest_runs)}
+        everything = slice(None)
+        terms = [] if model.F is None else [(model.F, everything, everything)]
+        terms += [(d, _positions(r), _positions([row[b] for b in r]))
+                  for d, r in runs.items()]
+        # the noise term (theta depends on u) and F write every rest row,
+        # the extra drifts disjoint rows: a term adds to what an earlier one
+        # wrote, else assigns
+        filled = const is None
+        self.rest_terms = []
+        for f, r, w in terms:
+            self.rest_terms.append((f, r, w, filled))
+            filled = filled or w is everything
+        self.rest_runs = _positions(rest_runs) if rest_runs else None
+        R = len(rest_runs)
+
+        grid_scale = transform.sign / SQRT_2PI
+        self.in_mult = np.stack([np.broadcast_to(grid_scale, self.dmult.shape),
+                                 self.dmult * grid_scale])[:, None]
+        out = transform.coeff_scale * self.dealias_mask * self.dt
+        if self.conservation.any():                   # complex then
+            out = np.where(self.conservation[:, None], out * self.dmult, out)
+        self.out_mult = np.concatenate(
+            [out, np.broadcast_to(transform.coeff_scale * self.dt, (R, N + 1))])
+        sqrt_dt = np.sqrt(self.dt)
+        self.noise_mult = (self.hmult * sqrt_dt if const is not None
+                           else self.hmult * (transform.sign / (SQRT_2PI * sqrt_dt)))
+        self.coeff_buf = transform.mode_buffer((2, n, B))
+        self.coeff_modes = self.coeff_buf[..., :N + 1]
+        self.grid_buf = np.empty((n, B + R, self.M))
+
+        self.any_conservation = bool(self.conservation.any())
+        self.plain = ~self.conservation
+        self.any_plain = bool(self.plain.any())
         # runs of one noise group with equal multipliers have equal noise
         keys = [(g, h.tobytes()) for g, h in zip(self.group, self.hmult)]
         distinct = list(dict.fromkeys(keys))
@@ -225,19 +285,23 @@ class _Operators:
 
     def noise(self, draws: np.ndarray) -> np.ndarray:
         """What ``step`` takes of every run's increments w of H_eps W, from
-        the draws (G, ..., N+1, n) of the batch's G noise groups: theta w,
-        spectral (..., n, B, N+1), when theta is constant, else w on the grid
-        (..., n, B, M).  Each run scales its group's draws; runs with equal
-        noise share one computation and one transform."""
+        the draws (G, ..., N+1, n) of the batch's G noise groups: Theta w,
+        spectral (..., n, B, N+1), when theta is a constant Theta, else w / dt
+        on the grid (..., n, B, M).  Each run scales its group's draws by
+        ``noise_mult``; runs with equal noise share one computation and one
+        transform."""
         r = self.noise_runs
-        w = np.swapaxes(draws, -1, -2) * self.sqrt_dt
-        w = np.moveaxis(w[self.group[r]], 0, -2) * self.hmult[r]
-        w[..., 0] = w[..., 0].real                # mode 0 is real
+        draws = np.moveaxis(np.swapaxes(draws, -1, -2)[self.group[r]], 0, -2)
         const = self.model.theta_constant
-        if const is None:
-            noise = self.transform.to_grid(w)
+        if const is None:                         # the irfft reads a mode_buffer
+            modes = self.transform.mode_buffer(draws.shape[:-1])
+            w = np.multiply(draws, self.noise_mult[r], out=modes[..., :self.N + 1])
         else:
-            noise = np.einsum("ij,...jbk->...ibk", const, w)
+            w = draws * self.noise_mult[r]
+        del draws                                 # before the result is made
+        w[..., 0] = w[..., 0].real                # mode 0 is real
+        noise = (self.transform.mode_sums(modes) if const is None
+                 else np.einsum("ij,...jbk->...ibk", const, w))
         return noise if len(r) == len(self.group) else noise[..., self.noise_row, :]
 
 
@@ -251,60 +315,67 @@ def _positions(runs: list):
     return np.array(runs)
 
 
+def _apply(matrix: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """The pointwise product sum_j matrix[i, j] v[j] of a matrix field
+    (n, n, ...) and a vector field (n, ...); for n = 1 one multiplication,
+    which costs a quarter of the einsum call."""
+    if len(v) == 1:
+        return np.multiply(matrix[0], v, out=out)
+    return np.einsum("ij...,j...->i...", matrix, v, out=out)
+
+
 def step(u_hat: np.ndarray, ops: _Operators, noise: np.ndarray):
-    """One exponential-Euler step of every run of a batch.
+    """One exponential-Euler step of every run of a batch, as ``ops`` plans it.
 
     ``u_hat`` holds modes 0..N in layout (n, B, N+1); ``noise`` is the step's
-    slice of what ``ops.noise`` gives: theta H_eps W, spectral (n, B, N+1),
-    when the model's theta is constant, else the grid values (n, B, M) of
-    every run's H_eps W increment, which are multiplied by theta(u) there.
-    Returns the next state and the grid values (n, B, M) of ``u_hat``,
-    which the caller reuses for the blow-up check.  The inverse transforms
-    of u and D_eps u go through one irfft call.  The forward transforms go
-    through one rfft call: of the product, which alone is dealiased, and of
-    the sum of the noise grid and dt times the other drift, which is left
-    out when that sum is zero (constant theta and no other drift).  The
-    runs that share an extra drift callable are evaluated in one call of it.
+    slice of what ``ops.noise`` gives: Theta H_eps W, spectral (n, B, N+1),
+    when the model's theta is a constant Theta, else the grid values
+    (n, B, M) of every run's H_eps W increment over dt, which are multiplied
+    by theta(u) there.  Returns the next state and the grid values (n, B, M)
+    of ``u_hat``, which the caller reuses for the blow-up check.
+
+    The inverse transforms of u and D_eps u go through one unscaled irfft
+    call, the grid phase and 1/sqrt(2 pi) being folded into ``in_mult``.
+    The forward transforms go through one unscaled rfft call of B + R rows:
+    the B products, which alone are dealiased, and the rests of the R runs
+    whose rest can be nonzero (F, the extra drift and theta(u) times the
+    noise grid; all runs unless theta is constant and F a declared zero,
+    then the runs with an extra drift).  One multiplication by ``out_mult``
+    applies the scale, dt, the dealiasing mask and, in conservation form,
+    D_eps; the rest modes are then added to their runs.  The runs that
+    share an extra drift callable are evaluated in one call of it.
     """
     model = ops.model
-    coeffs, grids = ops.coeff_buf, ops.grid_buf
-    coeffs[0] = u_hat
-    np.multiply(u_hat, ops.dmult, out=coeffs[1])
-    u_grid, de_u = ops.transform.to_grid(coeffs)
-    prod, rest, noise_grid = grids
+    B = u_hat.shape[1]
+    grids = ops.grid_buf
+    np.multiply(u_hat, ops.in_mult, out=ops.coeff_modes)
+    u_grid, de_u = ops.transform.mode_sums(ops.coeff_buf)
+    prod, rest = grids[:, :B], grids[:, B:]
 
     cons, plain = ops.conservation, ops.plain
     if ops.any_conservation:
         # chain-rule-respecting discretisation D_eps(potential(u))
         prod[:, cons] = model.potential(u_grid[:, cons])
         if ops.any_plain:
-            prod[:, plain] = np.einsum("ij...,j...->i...", model.G(u_grid[:, plain]),
-                                       de_u[:, plain])
+            prod[:, plain] = _apply(model.G(u_grid[:, plain]), de_u[:, plain])
     else:
-        np.einsum("ij...,j...->i...", model.G(u_grid), de_u, out=prod)
+        _apply(model.G(u_grid), de_u, out=prod)
 
-    # rest: dt (F + extra drift), plus theta(u) H_eps W when theta depends on u
-    rest[...] = model.F(u_grid)
-    for d, runs in ops.drifts:
-        rest[:, runs] += d(u_grid[:, runs])
-    rest *= ops.dt
     const = model.theta_constant
     if const is None:
-        np.einsum("ij...,j...->i...", model.theta(u_grid), noise, out=noise_grid)
-        rest += noise_grid
-        with_rest = True
-    else:
-        with_rest = bool(np.any(rest))
+        _apply(model.theta(u_grid), noise, out=rest)
+    for f, runs, rows, add in ops.rest_terms:
+        if add:
+            rest[:, rows] += f(u_grid[:, runs])
+        else:
+            rest[:, rows] = f(u_grid[:, runs])
 
-    hats = ops.transform.to_coeffs(grids[:2] if with_rest else grids[:1])
-    u_next = hats[0]                   # the product's modes, then the next state
-    if ops.any_conservation:
-        u_next[:, cons] *= ops.dmult[cons]
-    u_next *= ops.dealias_mask
-    u_next *= ops.dt
+    hats = ops.transform.grid_sums(grids)
+    hats *= ops.out_mult
+    u_next = hats[:, :B]             # the products' modes, then the next state
+    if ops.rest_runs is not None:
+        u_next[:, ops.rest_runs] += hats[:, B:]
     u_next += u_hat
-    if with_rest:
-        u_next += hats[1]
     if const is not None:
         u_next += noise
     u_next *= ops.decay
@@ -415,6 +486,7 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
         for j in range(0, steps, sub):
             k, i = divmod(j, NOISE_BLOCK)
             if i == 0:
+                draws = None                 # the last block goes before the next
                 draws = np.stack([_noise_block(src, k) for src in sources])
             yield full.noise(draws[:, i:i + sub])
 
@@ -574,21 +646,21 @@ def stochastic_convolution(theta_path, scheme: CutoffScheme, eps: float,
     increments = np.asarray(increments, dtype=complex)
     steps = increments.shape[0]
     n = increments.shape[2]
-    dummy_model = ModelFunctions(
-        n=n, F=lambda u: np.zeros_like(u), G=None, DG=None, theta=None,
-        label="convolution",
-    )
+    dummy_model = ModelFunctions(n=n, F=None, G=None, DG=None, theta=None,
+                                 label="convolution")
     config = SolverConfig(
         scheme=scheme, eps=eps, N=N, M=M, dt=dt, T=steps * dt,
         model=dummy_model, dealias=False,
     )
     ops = _Operators([config])
+    rest_mult = ops.transform.coeff_scale * ops.dt    # the noise grid holds w / dt
     psi_hat = np.zeros((n, N + 1), dtype=complex)
     for j in range(steps):
         theta_j = theta_path(j) if callable(theta_path) else theta_path[j]
         noise_grid = np.einsum("ij...,j...->i...", theta_j,
                                ops.noise(increments[None, j])[:, 0])
-        psi_hat = ops.decay[0] * (psi_hat + ops.transform.to_coeffs(noise_grid))
+        psi_hat = ops.decay[0] * (psi_hat
+                                  + ops.transform.grid_sums(noise_grid) * rest_mult)
     return GridField(ops.transform.to_grid(psi_hat))
 
 
@@ -619,7 +691,9 @@ def _correction_drift(model: ModelFunctions, Lambda: float, tt, u_grid: np.ndarr
     DG = model.DG(u_grid)                      # (n, n, n, ...)
     if tt is None:                             # theta theta^T on the grid
         th = model.theta(u_grid)               # (n, n, ...)
-        tt = np.einsum("jk...,lk...->jl...", th, th)
+        tt = th * th if len(th) == 1 else np.einsum("jk...,lk...->jl...", th, th)
+    if len(DG) == 1:                           # n = 1: one product, as in _apply
+        return -Lambda * (DG[0, :, 0] * tt[0, 0])
     return -Lambda * np.einsum("jil...,jl...->i...", DG, tt)
 
 

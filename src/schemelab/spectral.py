@@ -89,7 +89,13 @@ def grid_points(M: int) -> np.ndarray:
 class Transform:
     """Real fields given by modes 0..N, uhat(-k) = conj uhat(k), to and from
     the M-point grid by one irfft or rfft; the grid phase (-1)^k and the scale
-    1/sqrt(2 pi) are precomputed as one scalar and one mode array."""
+    1/sqrt(2 pi) are precomputed as one scalar and one mode array.
+
+    ``mode_sums`` and ``grid_sums`` are the bare transforms, for callers that
+    fold those scales into multipliers of their own: ``to_grid(half)`` is
+    ``mode_sums(half * sign / sqrt(2 pi))`` and ``to_coeffs(values)`` is
+    ``grid_sums(values) * coeff_scale``, up to rounding.
+    """
 
     def __init__(self, N: int, M: int):
         if M < 2 * N + 1:
@@ -107,6 +113,25 @@ class Transform:
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Modes 0..N (..., N+1) of real grid values (..., M)."""
         return np.fft.rfft(values, axis=-1)[..., :self.N + 1] * self.coeff_scale
+
+    def mode_buffer(self, lead: tuple) -> np.ndarray:
+        """Zero modes 0..M//2, shape lead + (M // 2 + 1,), for modes 0..N
+        written to ``[..., :N + 1]``.  ``mode_sums`` of a buffer equals that
+        of modes 0..N bit for bit in about 30% less time, np.fft's irfft
+        being slow to zero-pad short rows (M = 768, 3 to 24 rows, numpy 2.4
+        on a 2-vCPU x86 VM)."""
+        return np.zeros(lead + (self.M // 2 + 1,), dtype=complex)
+
+    def mode_sums(self, modes: np.ndarray) -> np.ndarray:
+        """The sums sum_k c_k e^{2 pi i k m / M}, c_{-k} = conj c_k, at
+        m = 0..M-1 (..., M), of modes 0..N (..., N+1) or of a
+        ``mode_buffer`` holding them: unscaled."""
+        return np.fft.irfft(modes, n=self.M, axis=-1, norm="forward")
+
+    def grid_sums(self, values: np.ndarray) -> np.ndarray:
+        """The sums sum_m v_m e^{-2 pi i k m / M} for k = 0..N (..., N+1) of
+        grid values (..., M): unscaled."""
+        return np.fft.rfft(values, axis=-1)[..., :self.N + 1]
 
 
 def half_spectrum(coeffs: np.ndarray) -> np.ndarray:

@@ -97,7 +97,7 @@ def step(u_hat: np.ndarray, config: SolverConfig, increments: np.ndarray,
         prod_hat = prod_hat * ops.dealias_mask
     nonlin_hat = prod_hat
 
-    other = model.F(u_grid)
+    other = np.zeros_like(u_grid) if model.F is None else model.F(u_grid)   # None: F = 0
     if config.extra_drift is not None:
         other = other + config.extra_drift(u_grid)
     if np.any(other):

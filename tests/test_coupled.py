@@ -38,7 +38,7 @@ from schemelab.solver import (
     simulate_coupled,
     stochastic_convolution,
 )
-from schemelab.spectral import NormConfig, SpectralField, grid_points
+from schemelab.spectral import NormConfig, SpectralField, Transform, grid_points
 
 RTOL = 1e-12
 
@@ -63,7 +63,7 @@ def linear_configs(configs):
     zero initial data and no conservation form."""
     n = configs[0].model.n
     model = make_model(1, G="zero", theta="one") if n == 1 else ModelFunctions(
-        n=n, F=lambda u: np.zeros_like(u), G=_constant(np.zeros((n, n))),
+        n=n, F=None, G=_constant(np.zeros((n, n))),
         DG=_constant(np.zeros((n, n, n))), theta=_constant(np.eye(n)),
         label=f"n{n}:linear", theta_constant=np.eye(n))
     return [dataclasses.replace(c, model=model, extra_drift=None, extra_drift_label="none",
@@ -352,6 +352,137 @@ def test_constant_theta_vector_model_matches_grid_path():
     runs = assert_paths_agree(build, vector_model(), inc)
     assert all(run.truncation_time is None for run in runs)
     assert_reference_matches_oracle(build(vector_model()), inc)
+
+
+# -- the step plan: rest rows, a declared-zero F, folded scales ---------------
+
+def forward_rows(monkeypatch):
+    """The rows (second axis) of every forward transform made from now on:
+    the B products and the R rest rows of each step."""
+    rows = []
+    grid_sums = Transform.grid_sums
+
+    def spy(self, values):
+        rows.append(values.shape[-2])
+        return grid_sums(self, values)
+
+    monkeypatch.setattr(Transform, "grid_sums", spy)
+    return rows
+
+
+def assert_oracle_run_by_run(configs, inc):
+    runs = simulate_coupled(configs, inc)
+    for config, run in zip(configs, runs):
+        assert_same_run(run, oracle.simulate(config, increments=inc))
+    return runs
+
+
+def test_declared_zero_F_is_never_called_and_rest_rows_are_drift_runs(monkeypatch):
+    """make_model declares F = 0 as None: with constant theta only the run
+    with the correction drift has a rest row (3 + 1 forward rows per step).
+    The same model with a zero F callable calls it once per step on the
+    whole batch and transforms a rest row for every run (3 + 3)."""
+    model = make_model(1, G="state", theta="one")
+    assert model.F is None
+    inc = draw_noise(np.random.default_rng(33), 150, 12, 1)
+    build = correction_runs()
+    rows = forward_rows(monkeypatch)
+    declared = simulate_coupled(build(model), inc)
+    assert rows == [4] * 150
+    calls = []
+
+    def zero(u):
+        calls.append(u.shape)
+        return np.zeros_like(u)
+
+    rows.clear()
+    called = simulate_coupled(build(dataclasses.replace(model, F=zero)), inc)
+    assert calls == [(1, 3, 40)] * 150
+    assert rows == [6] * 150
+    for a, b in zip(declared, called):
+        assert_same_run(a, b)
+
+
+def truncated_correction_runs(truncate, N=12, M=40, steps=150):
+    """The correction experiment's three runs under a cap that run
+    ``truncate`` alone crosses mid-batch: the drift run (2), whose drift
+    -Lambda DG theta theta^T with Lambda = -10 raises its mean, or the
+    forward-difference run (0), which starts with a mean just under the cap
+    that the noise pushes over."""
+    model = make_model(1, G="state", theta="one")
+    Lambda = -10.0 if truncate == 2 else 0.25
+
+    def cfg(scheme, drift=None, mean=0.0):
+        c = np.zeros((1, 2 * N + 1), dtype=complex)
+        c[0, N] = mean * math.sqrt(2.0 * math.pi)
+        return SolverConfig(
+            scheme=make_scheme(scheme), eps=0.125, N=N, M=M, dt=1e-3, T=steps * 1e-3,
+            model=model, extra_drift=drift,
+            extra_drift_label="none" if drift is None else f"correction:{Lambda!r}",
+            record_times=(0.02, 0.05, 0.1, 0.15), blowup_cap=1.5,
+            initial=SpectralField(c))
+
+    return [cfg("forward_difference", mean=1.0 if truncate == 0 else 0.0),
+            cfg("central_difference"),
+            cfg("central_difference", make_correction_drift(model, Lambda))]
+
+
+@pytest.mark.parametrize("truncate, rows_after", [(2, 2), (0, 3)])
+def test_truncation_replans_the_rest_rows(monkeypatch, truncate, rows_after):
+    """A truncated drift run takes the last rest row with it (R goes 1 -> 0,
+    2 + 0 forward rows); a truncated run without a drift leaves R = 1
+    (2 + 1 rows).  Every run matches the oracle."""
+    configs = truncated_correction_runs(truncate)
+    inc = draw_noise(np.random.default_rng(41), configs[0].steps, 12, 1)
+    rows = forward_rows(monkeypatch)
+    runs = assert_oracle_run_by_run(configs, inc)
+    cut = [run.truncation_time for run in runs]
+    assert [t is not None for t in cut] == [b == truncate for b in range(3)]
+    k = round(cut[truncate] / 1e-3)
+    assert 0.02 < cut[truncate] < 0.15 and k % NOISE_BLOCK != 0
+    # the step from state k, whose grid shows the crossing, still has 4 rows
+    assert rows == [4] * (k + 1) + [rows_after] * (configs[0].steps - k - 1)
+
+
+@pytest.mark.parametrize("theta, rows", [("one", 3 + 1), ("bounded_sqrt", 3 + 3)])
+def test_conservation_form_run_with_a_drift_matches_oracle(monkeypatch, theta, rows):
+    """A conservation-form run carrying a correction drift, beside a plain
+    run and a conservation-form run without one: the output multipliers
+    fold D_eps into the first and third runs' product rows only."""
+    model = make_model(1, G="state", theta=theta)
+    rng = np.random.default_rng(12)
+    forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
+
+    def cfg(scheme, conservative, drift=None):
+        return SolverConfig(
+            scheme=scheme, eps=0.125, N=12, M=40, dt=1e-3, T=0.15, model=model,
+            extra_drift=drift, extra_drift_label="none" if drift is None else "correction:0.25",
+            record_times=(0.05, 0.1, 0.15), initial=band_limited(rng, 12, 4, 0.4),
+            conservation_form=conservative)
+
+    configs = [cfg(forward, True, make_correction_drift(model, 0.25)), cfg(central, False),
+               cfg(central, True)]
+    inc = draw_noise(rng, configs[0].steps, 12, 1)
+    spy = forward_rows(monkeypatch)
+    runs = assert_oracle_run_by_run(configs, inc)
+    assert all(run.truncation_time is None for run in runs)
+    assert spy == [rows] * configs[0].steps
+
+
+def _f2(u):
+    return np.array([-0.5 * u[0] + 0.2 * u[1], 0.3 * np.sin(u[0]) - 0.1 * u[1] * u[1]])
+
+
+def test_vector_model_with_F_and_constant_theta_matches_oracle(monkeypatch):
+    """n = 2 with a nonzero F and the non-normal constant Theta: every run
+    has a rest row although the noise is added to the spectrum."""
+    model = dataclasses.replace(vector_model(), F=_f2, label="n2:F")
+    configs = correction_runs()(model)
+    inc = draw_noise(np.random.default_rng(34), configs[0].steps, 12, 2)
+    rows = forward_rows(monkeypatch)
+    runs = assert_oracle_run_by_run(configs, inc)
+    assert all(run.truncation_time is None for run in runs)
+    assert rows == [3 + 3] * configs[0].steps
 
 
 # -- per-sample experiment rows -----------------------------------------------

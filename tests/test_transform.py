@@ -1,6 +1,9 @@
 """The real-FFT grid transform and the blocked pair kernel against the
 complex-FFT transforms and per-start-point loops of ``spectral_oracle``."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +80,85 @@ def test_reality_is_exact_for_any_real_grid(N, extra, seed):
     f = to_spectral(g, N)
     assert f.reality_defect() == 0.0
     assert np.array_equal(f.coeffs, full_spectrum(Transform(N, M).to_coeffs(g.values)))
+
+
+# (N, M): odd and even M, M = 2N + 1, the solvers' M = 3N, and the lift's
+# (2N, P = 2M) of (4, 9), (12, 40) and (256, 768)
+GRIDS = [(0, 1), (0, 2), (4, 9), (4, 10), (12, 25), (12, 40), (12, 41), (64, 129),
+         (64, 192), (256, 513), (256, 768), (256, 769), (8, 18), (24, 80), (512, 1536)]
+
+
+@pytest.mark.parametrize("B", [1, 3, 24])
+@pytest.mark.parametrize("N, M", GRIDS)
+def test_bare_transforms_fold_the_scales(N, M, B):
+    """The unscaled transforms, with the phase and scales folded into the
+    input and output multipliers as the solver's step does, give the grid
+    values and modes of ``to_grid`` and ``to_coeffs`` within 1e-14, for
+    n = 2 fields of a batch of B runs; and ``mode_sums`` of a zero-padded
+    ``mode_buffer`` is, bit for bit, that of modes 0..N."""
+    rng = np.random.default_rng(N + M + B)
+    half = rng.standard_normal((2, B, N + 1)) + 1j * rng.standard_normal((2, B, N + 1))
+    values = rng.standard_normal((2, B, M))
+    t = Transform(N, M)
+    sign = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
+    grid = t.mode_sums(half * sign / spectral.SQRT_2PI)
+    old_grid = t.to_grid(half)
+    assert np.abs(grid - old_grid).max() <= 1e-14 * np.abs(old_grid).max()
+    coeffs = t.grid_sums(values) * t.coeff_scale
+    old_coeffs = t.to_coeffs(values)
+    assert np.abs(coeffs - old_coeffs).max() <= 1e-14 * np.abs(old_coeffs).max()
+    modes = t.mode_buffer((2, B))
+    modes[..., :N + 1] = half
+    assert modes.shape == (2, B, M // 2 + 1)
+    assert np.array_equal(t.mode_sums(modes), t.mode_sums(half))
+
+
+FFT_NAMES = ("fft", "fftpack")
+
+
+def fft_uses(source: str) -> list:
+    """Lines of ``source`` that import numpy's or scipy's FFT module or read
+    it as an attribute of np, numpy or scipy; prose never counts."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".") for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")
+            names = [module] + [module + [a.name] for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [[node.value.id, node.attr]]
+        else:
+            continue
+        if any(len(n) > 1 and n[0] in ("np", "numpy", "scipy") and n[1] in FFT_NAMES
+               for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_fft_use_finder():
+    source = "\n".join([
+        '"""np.fft in a docstring does not count."""',
+        "import numpy as np  # nor does scipy.fft in a comment",
+        "x = np.fft.rfft(y)",
+        "import scipy.fft",
+        "from numpy import fft",
+        "from scipy.fft import irfft",
+        "import numpy.fft as nf",
+        "z = numpy.fft",
+        "w = np.linalg.norm(y)",
+    ])
+    assert fft_uses(source) == [3, 4, 5, 6, 7, 8]
+
+
+def test_fft_calls_only_in_spectral():
+    """Every grid transform of the package goes through spectral.Transform:
+    no other module of the package touches np.fft or scipy.fft."""
+    package = Path(spectral.__file__).parent
+    found = {path.name: fft_uses(path.read_text())
+             for path in sorted(package.rglob("*.py")) if path.name != "spectral.py"}
+    assert len(found) >= 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_transform_rejects_a_small_grid():
