@@ -2,9 +2,11 @@
 
 Subcommands: check-scheme, lambda, lift, fluctuation, simulate, converge,
 correction.  Each takes --config PATH, --seed U64 (overriding the config
-seed), --out DIR.  Exit codes: 0 success, 2 validation failure, 3 numerical
-abort.  SCHEMELAB_WORKERS is the only environment knob (process count for
-sample dispatch).
+seed), --out DIR.  Exit codes: 0 success, 2 validation failure (a bad
+config, the solver settings of simulate, converge and correction included,
+or a bad SCHEMELAB_WORKERS), 3 numerical abort.  SCHEMELAB_WORKERS is the
+only environment knob (process count for sample dispatch, a positive
+integer).
 """
 
 from __future__ import annotations

@@ -19,17 +19,13 @@ from __future__ import annotations
 
 import json
 
-from schemelab.experiments import ExperimentConfig, require_unit_nu
+from schemelab.experiments import ConfigError, ExperimentConfig, require_unit_nu
 from schemelab.models import make_model
 from schemelab.schemes import AtomicSignedMeasure, CutoffScheme, make_function, make_scheme
 from schemelab.spectral import NormConfig
 
 KNOWN_KINDS = ("scheme-audit", "lambda-table", "lift", "fluctuation",
                "simulate", "converge", "correction")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _function_from_block(block):
@@ -94,9 +90,9 @@ def parse_config(raw: dict, kind: str | None = None,
     solver = dict(raw.get("solver") or {})
     experiment = dict(raw.get("experiment") or {})
     initial = dict(solver.get("initial") or {"kind": "zero"})
-    master_seed = seed if seed is not None else int(raw.get("seed", 0))
 
     try:
+        master_seed = seed if seed is not None else int(raw.get("seed", 0))
         cfg = ExperimentConfig(
             kind=kind,
             scheme=build_scheme(raw["scheme"]),
@@ -123,6 +119,7 @@ def parse_config(raw: dict, kind: str | None = None,
         )
         if kind in ("simulate", "converge", "correction"):
             require_unit_nu(cfg)
+            cfg.solver_config(cfg.eps_ladder[0]).steps     # the solver's own checks
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc
     except ValueError as exc:

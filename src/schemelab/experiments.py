@@ -52,6 +52,10 @@ class ExperimentFailure(RuntimeError):
     pass
 
 
+class ConfigError(ValueError):
+    """A config, or the SCHEMELAB_WORKERS setting, that cannot be run."""
+
+
 # ---------------------------------------------------------------------------
 # rate fitting
 # ---------------------------------------------------------------------------
@@ -134,6 +138,11 @@ class ExperimentConfig:
             raise ValueError("eps ladder must be strictly decreasing")
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.master_seed}")
+        if self.initial_kind == "sine" and not 1 <= self.initial_mode <= self.N:
+            raise ValueError(f"initial mode must lie in 1..N = {self.N}, "
+                             f"not {self.initial_mode}")
         self.record_times = tuple(sorted(float(t) for t in self.record_times))
         self.times = tuple(sorted(float(t) for t in self.times))
 
@@ -269,7 +278,14 @@ def mean_and_se(values) -> tuple:
 
 
 def _workers() -> int:
-    return int(os.environ.get("SCHEMELAB_WORKERS", "1"))
+    value = os.environ.get("SCHEMELAB_WORKERS", "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"SCHEMELAB_WORKERS must be a positive integer, not {value!r}")
+    return workers
 
 
 def _pool_map(fn, args):
@@ -287,7 +303,7 @@ CHUNK_SAMPLES = 8
 def _chunks(samples: int) -> list:
     """Consecutive ranges of sample indices, CHUNK_SAMPLES long or shorter
     so that every worker gets at least one."""
-    size = min(CHUNK_SAMPLES, -(-samples // max(1, _workers())))
+    size = min(CHUNK_SAMPLES, -(-samples // _workers()))
     return [range(s, min(s + size, samples)) for s in range(0, samples, size)]
 
 

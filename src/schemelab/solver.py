@@ -21,34 +21,34 @@ spectrum.  Runs that share the draws differ only through their
 multipliers, which is what makes strong-error ladders across eps possible.
 A run's generator is consumed in one canonical order: every real part of
 every step, then every imaginary part.  ``draw_noise`` returns that stream
-as one (steps, N+1, n) array; ``NoiseStream`` gives the same increments,
-bit for bit, one block of NOISE_BLOCK steps at a time, by saving the
-generator state at each block start and replaying the block on request,
-so a run holds O(NOISE_BLOCK) noise instead of O(steps).
+as one (steps, N+1, n) array; ``NoiseStream`` keeps only the generator
+states at the start of the real and of the imaginary parts and reads the
+same increments, bit for bit, in order, a few steps at a time, so a run
+holds O(NOISE_ROWS) noise instead of O(steps).
 
 Noise groups: ``simulate_coupled`` takes one noise source (stream or
 array) for all its runs or one per run; the runs given the same source
-object form a group.  Each group's block is replayed once, then, per
-sub-block of NOISE_BLOCK / 2^k steps (the longest with at most NOISE_ROWS
-noise rows, n B per step), the group's draws are scaled by each of its
-runs' multipliers; runs of one group with equal multipliers share that
-work.  How the noise w then enters a step depends on the model.  When its
-theta is a declared constant matrix Theta (``ModelFunctions.theta_constant``,
-set by ``make_model(theta="one")``), Theta w is added to each run's half
-spectrum: the noise never reaches the grid, and theta is never called.
-Otherwise every run's w / dt goes to the grid with one irfft call per
-sub-block, and the step multiplies it by theta(u) there.  That noise is
-made on a second thread, one sub-block ahead of the stepping loop (numpy
-releases the GIL in its normal draws and FFTs), with the operators of the
-full batch; after a truncation the loop keeps the live runs' rows, so
-every value is the one a serial loop computes.  The thread is joined on
-every exit from the call, a raised error included, so a stream is never
-replayed by two threads at once.  So the noise working set holds two
-sub-blocks of at most NOISE_ROWS rows each whatever the batch width B,
-unless one step alone holds more.  The loop carries one state: the Gaussian
-reference field X is a run of its own, of the linear model (F = G = 0,
-theta = Id declared constant) on the same noise, with no extra drift, zero
-initial data and no conservation form (see ``upsilon_diagnostic``).
+object form a group.  The loop reads every group's source in sub-blocks of
+NOISE_ROWS // (n B) steps (at least one), so the noise of a sub-block holds
+at most NOISE_ROWS rows of the batch, n B per step; each group's draws are
+scaled by each of its runs' multipliers, and runs of one group with equal
+multipliers share that work.  How the noise w then enters a step depends on
+the model.  When its theta is a declared constant matrix Theta
+(``ModelFunctions.theta_constant``, set by ``make_model(theta="one")``),
+Theta w is added to each run's half spectrum: the noise never reaches the
+grid, and theta is never called.  Otherwise every run's w / dt goes to the
+grid with one irfft call per sub-block, and the step multiplies it by
+theta(u) there.  That noise is made on a second thread, one sub-block ahead
+of the stepping loop (numpy releases the GIL in its normal draws and FFTs),
+with the operators of the full batch; after a truncation the loop keeps the
+live runs' rows, so every value is the one a serial loop computes.  The
+thread is joined on every exit from the call, a raised error included.  So
+the noise working set holds two sub-blocks of at most NOISE_ROWS rows each
+whatever the batch width B, unless one step alone holds more.  The loop
+carries one state: the Gaussian reference field X is a run of its own, of
+the linear model (F = G = 0, theta = Id declared constant) on the same
+noise, with no extra drift, zero initial data and no conservation form (see
+``upsilon_diagnostic``).
 
 Batches: ``simulate_coupled`` steps its runs together.  The state of B
 runs has layout (n, B, N+1) and its grid (n, B, M), so the model callables,
@@ -426,13 +426,13 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
 
     ``increments`` is one noise source for every run or a list with one
     source per run; a source is a NoiseStream or a pre-drawn (steps, N+1, n)
-    array, read one block of NOISE_BLOCK steps at a time.  The runs that
-    share a source object form a noise group: its block is replayed once
-    and scaled by each run's own multipliers.  A producer thread makes that
-    noise one sub-block ahead of the stepping, for every run of the batch
-    (a truncated run's rows are dropped on arrival); the thread is shut
-    down before the call returns or raises, and an error raised in it
-    reaches the caller with its own type.
+    array, read in order, one sub-block of NOISE_ROWS // (n B) steps at a
+    time.  The runs that share a source object form a noise group: its
+    draws are read once and scaled by each run's own multipliers.  A
+    producer thread makes that noise one sub-block ahead of the stepping,
+    for every run of the batch (a truncated run's rows are dropped on
+    arrival); the thread is shut down before the call returns or raises,
+    and an error raised in it reaches the caller with its own type.
     The runs must share N, M, dt, T, model, record_times and blowup_cap;
     each keeps its own scheme, eps, extra drift, dealiasing and conservation
     form.  A run is truncated at the first time its sup norm exceeds
@@ -472,23 +472,16 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
         record_steps[j] = t
 
     ops = _Operators(configs, group)
-    # steps per noise sub-block: the longest NOISE_BLOCK / 2^k whose noise
-    # holds at most NOISE_ROWS rows
-    sub = NOISE_BLOCK
-    while sub > 1 and sub * n * len(configs) > NOISE_ROWS:
-        sub //= 2
+    # steps per noise sub-block: the most whose noise holds NOISE_ROWS rows
+    sub = max(1, NOISE_ROWS // (n * len(configs)))
+    readers = [_read(src, sub) for src in sources]
 
     def noise_sub_blocks(full):
         """What step takes of every run's noise, one sub-block per item, made
-        with the operators of the full batch: each block of every group's
-        draws (G, L, N+1, n) is replayed once, then scaled sub-block by
-        sub-block."""
-        for j in range(0, steps, sub):
-            k, i = divmod(j, NOISE_BLOCK)
-            if i == 0:
-                draws = None                 # the last block goes before the next
-                draws = np.stack([_noise_block(src, k) for src in sources])
-            yield full.noise(draws[:, i:i + sub])
+        with the operators of the full batch from every group's next draws
+        (G, sub, N+1, n)."""
+        for draws in zip(*readers):
+            yield full.noise(np.stack(draws))
 
     u_hat = np.stack([np.zeros((n, N + 1), dtype=complex) if c.initial is None
                       else half_spectrum(c.initial.coeffs) for c in configs], axis=1)
@@ -583,54 +576,50 @@ def draw_noise(rng: np.random.Generator, steps: int, N: int, n: int) -> np.ndarr
     return _increments(re, im)
 
 
-# steps per block of a NoiseStream, and per noise replay of the stepping loop
-NOISE_BLOCK = 128
 # most grid rows (M values each) of one noise transform of the stepping loop
 NOISE_ROWS = 256
 
 
 class NoiseStream:
-    """The increments ``draw_noise(rng, steps, N, n)`` would return, replayed
-    one block of NOISE_BLOCK steps at a time instead of held whole.
+    """The increments ``draw_noise(rng, steps, N, n)`` would return, read in
+    order, a few steps at a time, instead of held whole.
 
     Construction walks ``rng`` once through the canonical order (every real
-    part, then every imaginary part), saving the generator state at the
-    start of each block of real and of imaginary parts and discarding the
-    values; ``rng`` ends where ``draw_noise`` would leave it.  ``block(k)``
-    replays block k from its two saved states and equals
-    ``draw_noise(...)[k * NOISE_BLOCK:(k + 1) * NOISE_BLOCK]`` bit for bit.
+    part, then every imaginary part) in a scratch of at most NOISE_ROWS rows
+    of N+1 normals, saving the generator state at the start of the real and
+    of the imaginary parts and discarding the values; ``rng`` ends where
+    ``draw_noise`` would leave it.  ``read`` draws both parts on again from
+    those two states.  A stream holds no read state, so any number of reads,
+    on any threads, each give the same bits.
     """
 
     def __init__(self, rng: np.random.Generator, steps: int, N: int, n: int):
         self.shape = (steps, N + 1, n)
-        self._gen = np.random.Generator(type(rng.bit_generator)(0))
-        scratch = np.empty((NOISE_BLOCK, N + 1, n))
-        self._states = []                 # real, then imaginary: one state per block
+        self._bit_generator = type(rng.bit_generator)
+        length = max(1, NOISE_ROWS // n)
+        scratch = np.empty((length, N + 1, n))
+        self._states = []                 # at the real, then the imaginary parts
         for _ in range(2):
-            states = []
-            for start in range(0, steps, NOISE_BLOCK):
-                states.append(rng.bit_generator.state)
-                rng.standard_normal(out=scratch[:min(NOISE_BLOCK, steps - start)])
-            self._states.append(states)
+            self._states.append(rng.bit_generator.state)
+            for start in range(0, steps, length):
+                rng.standard_normal(out=scratch[:min(length, steps - start)])
 
-    def block(self, k: int) -> np.ndarray:
-        """Increments of steps k * NOISE_BLOCK up to the next block or the end."""
+    def read(self, length: int):
+        """The increments in order, ``length`` steps per item (the last item
+        may be shorter); together they equal ``draw_noise(...)`` bit for bit."""
         steps, N1, n = self.shape
-        if not 0 <= k * NOISE_BLOCK < steps:
-            raise IndexError(f"block {k} out of range")
-        length = min(NOISE_BLOCK, steps - k * NOISE_BLOCK)
-        parts = []
-        for states in self._states:
-            self._gen.bit_generator.state = states[k]
-            parts.append(self._gen.standard_normal((length, N1, n)))
-        return _increments(*parts)
+        re, im = (np.random.Generator(self._bit_generator(0)) for _ in self._states)
+        re.bit_generator.state, im.bit_generator.state = self._states
+        for start in range(0, steps, length):
+            size = (min(length, steps - start), N1, n)
+            yield _increments(re.standard_normal(size), im.standard_normal(size))
 
 
-def _noise_block(increments, k: int) -> np.ndarray:
-    """Block k (NOISE_BLOCK steps) of a NoiseStream or a pre-drawn array."""
-    if isinstance(increments, NoiseStream):
-        return increments.block(k)
-    return increments[k * NOISE_BLOCK:(k + 1) * NOISE_BLOCK]
+def _read(src, length: int):
+    """The items of ``length`` steps of a NoiseStream or a pre-drawn array."""
+    if isinstance(src, NoiseStream):
+        return src.read(length)
+    return (src[j:j + length] for j in range(0, len(src), length))
 
 
 def stochastic_convolution(theta_path, scheme: CutoffScheme, eps: float,

@@ -22,7 +22,6 @@ from schemelab.experiments import (
 from schemelab.models import make_model
 from schemelab.schemes import make_function, make_scheme
 from schemelab.solver import (
-    NOISE_BLOCK,
     NumericalAbort,
     SolverConfig,
     draw_noise,
@@ -62,10 +61,10 @@ def assert_rows_identical(new, old):
 @pytest.mark.parametrize("chunk", [1, 3, 8])
 @pytest.mark.parametrize("kind", ["converge", "correction"])
 def test_rows_equal_the_per_sample_path(monkeypatch, kind, chunk):
-    """Nine samples over two full noise blocks and a partial one, in
-    noise sub-blocks of 4 to 64 steps."""
+    """Nine samples over 300 steps, read in noise sub-blocks of 8 to 85
+    steps (3 to 32 runs per chunk), most of them ending in a partial one."""
     scheme = make_scheme("forward_difference", h=make_function("indicator", cutoff=1.0))
-    cfg = small_cfg(kind, scheme=scheme, samples=9, T=(2 * NOISE_BLOCK + 44) * 1e-3,
+    cfg = small_cfg(kind, scheme=scheme, samples=9, T=0.3,
                     record_times=(0.1, 0.2, 0.3),
                     model=make_model(1, G="state", theta="bounded_sqrt"))
     monkeypatch.setattr(experiments, "CHUNK_SAMPLES", chunk)

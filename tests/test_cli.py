@@ -61,6 +61,37 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "nu = 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "converge", "correction"])
+    @pytest.mark.parametrize("solver, message", [
+        ({"N": 12, "M": 24}, "M >= 2N+1"),
+        ({"T": 0.0205}, "multiple of dt"),
+        ({"initial": {"kind": "bogus"}}, "unknown initial kind"),
+        ({"initial": {"kind": "sine", "amplitude": 1.0, "mode": 13}}, "initial mode"),
+        ({"initial": {"kind": "sine", "amplitude": 1.0, "mode": 0}}, "initial mode"),
+    ])
+    def test_bad_solver_setting_exits_2(self, tmp_path, capsys, command, solver, message):
+        payload = json.loads(json.dumps(BASE))
+        payload["scheme2"] = {"name": "central_difference"}
+        payload["solver"].update(solver)
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["simulate", "converge", "lambda"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, BASE)
+        assert main([command, "--config", cfg, "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["two", "0", "-3", ""])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setenv("SCHEMELAB_WORKERS", workers)
+        cfg = write_config(tmp_path, BASE)
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "SCHEMELAB_WORKERS must be a positive integer" in capsys.readouterr().err
+
     def test_lambda_with_nu_two_runs(self, tmp_path, capsys):
         payload = json.loads(json.dumps(BASE))
         payload["experiment"]["nu"] = 2.0

@@ -29,7 +29,7 @@ from schemelab.experiments import (
 from schemelab.models import ModelFunctions, make_model
 from schemelab.schemes import make_function, make_scheme
 from schemelab.solver import (
-    NOISE_BLOCK,
+    NOISE_ROWS,
     NumericalAbort,
     SolverConfig,
     draw_noise,
@@ -55,6 +55,11 @@ def assert_same_run(new, old):
     assert len(new.coeffs) == len(old.coeffs)
     for a, b in zip(new.coeffs, old.coeffs):
         assert rel_gap(a, b) <= RTOL
+
+
+def sub_block(configs):
+    """Steps per noise sub-block of a batch of ``configs``."""
+    return max(1, NOISE_ROWS // (configs[0].model.n * len(configs)))
 
 
 def linear_configs(configs):
@@ -181,12 +186,12 @@ def test_blowup_leaves_batch_others_equal_solo_runs():
 
 
 def test_reference_of_a_truncated_run_matches_oracle():
-    """The middle run of the growth batch is truncated inside a noise block;
-    its reference field, a run of the linear model, goes on to T and agrees
-    with the oracle's X up to the truncation."""
+    """The middle run of the growth batch is truncated inside a noise
+    sub-block; its reference field, a run of the linear model, goes on to T
+    and agrees with the oracle's X up to the truncation."""
     configs, inc = growth_batch()
     cut = simulate_coupled(configs, inc)[1].truncation_time
-    assert cut is not None and round(cut / 1e-3) % NOISE_BLOCK != 0
+    assert cut is not None and round(cut / 1e-3) % sub_block(configs) != 0
     refs = assert_reference_matches_oracle(configs, inc)
     assert all(ref.truncation_time is None for ref in refs)
     assert all(ref.times == configs[0].record_times for ref in refs)
@@ -439,7 +444,7 @@ def test_truncation_replans_the_rest_rows(monkeypatch, truncate, rows_after):
     cut = [run.truncation_time for run in runs]
     assert [t is not None for t in cut] == [b == truncate for b in range(3)]
     k = round(cut[truncate] / 1e-3)
-    assert 0.02 < cut[truncate] < 0.15 and k % NOISE_BLOCK != 0
+    assert 0.02 < cut[truncate] < 0.15 and k % sub_block(configs) != 0
     # the step from state k, whose grid shows the crossing, still has 4 rows
     assert rows == [4] * (k + 1) + [rows_after] * (configs[0].steps - k - 1)
 

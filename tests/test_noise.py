@@ -1,12 +1,12 @@
-"""The replayable noise stream against the array draw it replaces.
+"""The noise stream against the array draw it replaces.
 
-``draw_noise`` holds a run's whole noise; ``NoiseStream`` replays it block
-by block from saved generator states.  A batch may read several such
-sources, one noise group each, and makes its noise in sub-blocks, one
-ahead of the stepping on a second thread.  Every check here asks for
-bitwise equality, bounds traced memory or asks that the thread end with
-the call: the stream, the sub-blocks and the thread exist to change memory
-and time, not numbers.
+``draw_noise`` holds a run's whole noise; ``NoiseStream`` keeps two
+generator states and reads the same noise in order from them, a few steps
+at a time.  A batch may read several such sources, one noise group each,
+and makes its noise in sub-blocks, one ahead of the stepping on a second
+thread.  Every check here asks for bitwise equality, bounds traced memory
+or asks that the thread end with the call: the stream, the sub-blocks and
+the thread exist to change memory and time, not numbers.
 """
 
 import sys
@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import solver_oracle as oracle
-from test_coupled import assert_reference_matches_oracle, assert_same_run, linear_configs
+from test_coupled import (assert_reference_matches_oracle, assert_same_run, linear_configs,
+                          sub_block)
 from schemelab.correction import lambda_exact
 from schemelab.experiments import (
     ExperimentConfig,
@@ -29,7 +30,7 @@ from schemelab.lift import draw_increments
 from schemelab.models import make_model
 from schemelab.schemes import make_scheme
 from schemelab.solver import (
-    NOISE_BLOCK,
+    NOISE_ROWS,
     NoiseStream,
     NumericalAbort,
     SolverConfig,
@@ -41,34 +42,69 @@ from schemelab.solver import (
 )
 
 
-def assert_blocks_equal(stream, drawn, order):
-    for k in order:
-        assert np.array_equal(stream.block(k),
-                              drawn[k * NOISE_BLOCK:(k + 1) * NOISE_BLOCK])
+def assert_items_equal(items, drawn, length):
+    """``items`` are ``drawn`` in order, ``length`` steps each but the last."""
+    assert [len(item) for item in items[:-1]] == [length] * (len(items) - 1)
+    assert 0 < len(items[-1]) <= length
+    assert np.array_equal(np.concatenate(items), drawn)
 
 
-@pytest.mark.parametrize("steps", [2 * NOISE_BLOCK, 2 * NOISE_BLOCK + 44,
-                                   NOISE_BLOCK // 3])
+@pytest.mark.parametrize("steps", [256, 300, 42, 1])
 @pytest.mark.parametrize("n", [1, 2])
 def test_blocks_equal_the_array_draw(steps, n):
+    """The blocks that reads of 1, 7, 85, all and more than all steps yield
+    join up to the array draw."""
     N = 9
     stream_rng, array_rng = np.random.default_rng(17), np.random.default_rng(17)
     stream = NoiseStream(stream_rng, steps, N, n)
     drawn = draw_noise(array_rng, steps, N, n)
     assert stream.shape == drawn.shape
-    blocks = -(-steps // NOISE_BLOCK)
-    assert_blocks_equal(stream, drawn, range(blocks))
     # the generator is left where the array draw leaves it
     assert stream_rng.bit_generator.state == array_rng.bit_generator.state
-    with pytest.raises(IndexError):
-        stream.block(blocks)
+    for length in (1, 7, 85, steps, steps + 5):
+        assert_items_equal(list(stream.read(length)), drawn, length)
 
 
-def test_blocks_replay_out_of_order():
-    steps, N, n = 3 * NOISE_BLOCK + 5, 4, 2
+def test_interleaved_reads_give_equal_items():
+    """Two reads of one stream, advanced in turn and on two threads, give
+    the same items: a stream holds no read state."""
+    steps, N, n = 3 * 85 + 5, 4, 2
     stream = NoiseStream(np.random.default_rng(5), steps, N, n)
     drawn = draw_noise(np.random.default_rng(5), steps, N, n)
-    assert_blocks_equal(stream, drawn, [3, 0, 2, 2, 1, 0, 3])
+    first, second = stream.read(7), stream.read(7)
+    items = [[], []]
+    for k in range(-(-steps // 7)):
+        order = ((0, first), (1, second)) if k % 2 else ((1, second), (0, first))
+        for i, reader in order:
+            items[i].append(next(reader))
+    for reader in (first, second):
+        assert next(reader, None) is None
+    for got in items:
+        assert_items_equal(got, drawn, 7)
+    threaded = [None, None]
+
+    def read_all(i):
+        threaded[i] = list(stream.read(3))
+
+    workers = [threading.Thread(target=read_all, args=(i,)) for i in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=30)
+        assert not w.is_alive()
+    for got in threaded:
+        assert_items_equal(got, drawn, 3)
+
+
+def test_a_read_after_an_abandoned_one_gives_the_bits_of_a_fresh_stream():
+    steps, N, n = 50, 6, 1
+    stream = NoiseStream(np.random.default_rng(9), steps, N, n)
+    abandoned = stream.read(7)
+    next(abandoned), next(abandoned)
+    del abandoned
+    fresh = NoiseStream(np.random.default_rng(9), steps, N, n)
+    for a, b in zip(stream.read(7), fresh.read(7), strict=True):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99, 2024])
@@ -86,33 +122,34 @@ def test_lift_increments_are_one_step_of_the_solver_draw(seed, N, n):
 
 
 def test_stream_and_array_drive_identical_runs():
-    """Two runs truncate mid-block (at different blocks), one survives, and
-    the runs of their reference fields, the linear model, all cross the cap
-    mid-block; the runs and the reference fields also match the
-    step-by-step oracle across the block boundaries."""
+    """Two runs truncate inside a noise sub-block (in different
+    sub-blocks), one survives, and the runs of their reference fields, the
+    linear model, all cross the cap inside a sub-block; the runs and the
+    reference fields also match the step-by-step oracle across the
+    sub-block boundaries."""
     forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
     model = make_model(1, G="state", theta="one")
-    steps = 2 * NOISE_BLOCK + 44
+    steps = 300
 
     def cfg(scheme, **kw):
         return SolverConfig(scheme=scheme, eps=0.25, N=8, M=32, dt=1e-3,
                             T=steps * 1e-3, model=model, blowup_cap=1.0,
-                            record_times=(0.1, 0.2, steps * 1e-3), **kw)
+                            record_times=(0.05, 0.1, 0.2, steps * 1e-3), **kw)
 
-    configs = [cfg(forward), cfg(central, extra_drift=lambda u: 12.0 * u,
+    configs = [cfg(forward), cfg(central, extra_drift=lambda u: 20.0 * u,
                                  extra_drift_label="growth"), cfg(central)]
     from_stream = simulate_coupled(configs, NoiseStream(np.random.default_rng(11), steps, 8, 1))
     inc = draw_noise(np.random.default_rng(11), steps, 8, 1)
     from_array = simulate_coupled(configs, inc)
     cut = [r.truncation_time for r in from_stream]
     assert cut[0] is None
-    cut_steps = {round(t / 1e-3) // NOISE_BLOCK: round(t / 1e-3) % NOISE_BLOCK
-                 for t in cut[1:]}
+    sub = sub_block(configs)
+    cut_steps = {round(t / 1e-3) // sub: round(t / 1e-3) % sub for t in cut[1:]}
     assert len(cut_steps) == 2 and 0 not in cut_steps.values()
     ref_stream = assert_reference_matches_oracle(
         configs, inc, NoiseStream(np.random.default_rng(11), steps, 8, 1))
     ref_array = simulate_coupled(linear_configs(configs), inc)
-    assert all(round(r.truncation_time / 1e-3) % NOISE_BLOCK for r in ref_array)
+    assert all(round(r.truncation_time / 1e-3) % sub for r in ref_array)
     for a, b in zip(from_stream + ref_stream, from_array + ref_array):
         assert a.times == b.times and a.truncation_time == b.truncation_time
         assert len(a.coeffs) == len(b.coeffs)
@@ -129,14 +166,14 @@ def test_stream_and_array_drive_identical_runs():
 
 def test_noise_groups_match_their_solo_batches():
     """Five noise sources, three runs each: a stream used by several runs,
-    arrays and a stream given once per run.  The 15-run batch transforms
-    its noise in sub-blocks shorter than a block, once per group for the
+    arrays and a stream given once per run.  The 15-run batch reads and
+    transforms its noise in sub-blocks of 17 steps, once per group for the
     runs of equal multipliers; every run, its reference field and its
     truncation equal those of its group's own batch, and so do the runs of
     its reference field, the linear model."""
     forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
     model = make_model(1, G="state", theta="one")
-    steps, N = 2 * NOISE_BLOCK + 44, 8
+    steps, N = 300, 8
 
     def cfg(scheme, **kw):
         return SolverConfig(scheme=scheme, eps=0.25, N=N, M=32, dt=1e-3,
@@ -212,12 +249,12 @@ def test_correction_chunk_holds_a_fraction_of_its_noise_per_sample():
 
 
 def test_noise_transform_stays_small_for_a_wide_batch():
-    """Eight samples of three runs at N = 256, M = 768 over one block: the
-    loop's peak traced memory stays below what one block's noise grid for
-    all 24 runs would take, because the noise is transformed in sub-blocks
-    of at most NOISE_ROWS grid rows."""
+    """Eight samples of three runs at N = 256, M = 768 over 128 steps: the
+    loop's peak traced memory stays below what the noise grid of those
+    steps for all 24 runs would take, because the noise is transformed in
+    sub-blocks of at most NOISE_ROWS grid rows."""
     model = make_model(1, G="state", theta="one")
-    N, M, steps, samples = 256, 768, NOISE_BLOCK, 8
+    N, M, steps, samples = 256, 768, 128, 8
     trio = [SolverConfig(scheme=make_scheme(name), eps=1 / 32, N=N, M=M, dt=2e-5,
                          T=steps * 2e-5, model=model)
             for name in ("forward_difference", "central_difference", "central_difference")]
@@ -237,22 +274,33 @@ class NoiseFault(RuntimeError):
 
 
 class FaultyStream(NoiseStream):
-    """A stream whose block ``bad`` raises NoiseFault."""
+    """A stream whose reads raise NoiseFault at item ``bad``."""
 
     def __init__(self, rng, steps, N, n, bad):
         super().__init__(rng, steps, N, n)
         self.bad = bad
 
-    def block(self, k):
-        if k == self.bad:
-            raise NoiseFault(f"block {k}")
-        return super().block(k)
+    def read(self, length):
+        for k, item in enumerate(super().read(length)):
+            if k == self.bad:
+                raise NoiseFault(f"item {k}")
+            yield item
+
+
+def test_a_faulty_stream_raises_at_its_item():
+    stream = FaultyStream(np.random.default_rng(3), 20, 8, 1, bad=2)
+    drawn = draw_noise(np.random.default_rng(3), 20, 8, 1)
+    reader = stream.read(6)
+    for k in range(2):
+        assert np.array_equal(next(reader), drawn[6 * k:6 * (k + 1)])
+    with pytest.raises(NoiseFault, match="item 2"):
+        next(reader)
 
 
 def lifetime_configs(**kw):
-    """Two runs over three noise blocks of a small grid."""
+    """Two runs over three noise sub-blocks of a small grid."""
     model = make_model(1, G="state", theta="one")
-    steps = 3 * NOISE_BLOCK
+    steps = 3 * (NOISE_ROWS // 2)
     return [SolverConfig(scheme=make_scheme(name), eps=0.25, N=8, M=32, dt=1e-3,
                          T=steps * 1e-3, model=model, record_times=(steps * 1e-3,), **kw)
             for name in ("forward_difference", "central_difference")], steps
@@ -264,26 +312,26 @@ def test_a_noise_error_comes_out_with_its_type(bad):
     there reaches the caller as itself, and the thread is gone after it."""
     configs, steps = lifetime_configs()
     before = threading.active_count()
-    with pytest.raises(NoiseFault, match=f"block {bad}"):
+    with pytest.raises(NoiseFault, match=f"item {bad}"):
         simulate_coupled(configs, FaultyStream(np.random.default_rng(3), steps, 8, 1, bad))
     assert threading.active_count() == before
 
 
 def test_no_thread_outlives_an_early_exit_and_the_stream_replays_the_same_bits():
-    """Every run is truncated in the first block, so the loop leaves while
-    the next sub-block is being made; the stream it read then replays the
-    bits of a fresh one, block by block and as a run's noise."""
+    """Every run is truncated in the first sub-block, so the loop leaves
+    while the next sub-block is being made; the stream it read then gives
+    the bits of a fresh one, read by itself and as a run's noise."""
     configs, steps = lifetime_configs(extra_drift=lambda u: 40.0 * u,
                                       extra_drift_label="growth", blowup_cap=0.05)
     stream = NoiseStream(np.random.default_rng(4), steps, 8, 1)
     before = threading.active_count()
     runs = simulate_coupled(configs, stream)
     assert threading.active_count() == before
-    assert all(r.truncation_time is not None and r.truncation_time < NOISE_BLOCK * 1e-3
-               for r in runs)
+    assert all(r.truncation_time is not None
+               and r.truncation_time < sub_block(configs) * 1e-3 for r in runs)
     fresh = NoiseStream(np.random.default_rng(4), steps, 8, 1)
-    for k in range(3):
-        assert np.array_equal(stream.block(k), fresh.block(k))
+    for a, b in zip(stream.read(100), fresh.read(100), strict=True):
+        assert np.array_equal(a, b)
     plain, _ = lifetime_configs()
     again = simulate_coupled(plain, stream)
     for a, b in zip(again, simulate_coupled(plain, fresh)):
@@ -308,7 +356,7 @@ def test_fast_thread_switching_changes_no_bit():
     the bits of each run stepped alone on the same stream."""
     forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
     model = make_model(1, G="state", theta="bounded_sqrt")
-    steps = 2 * NOISE_BLOCK + 44
+    steps = 300
 
     def cfg(scheme, **kw):
         return SolverConfig(scheme=scheme, eps=0.25, N=8, M=32, dt=1e-3,
@@ -339,10 +387,10 @@ def test_fast_thread_switching_changes_no_bit():
 
 def test_noise_in_flight_is_two_sub_blocks(monkeypatch):
     """Two samples of the converge shape (B = 10, theta bounded_sqrt, so the
-    noise goes to the grid) over two blocks: while the next sub-block's noise
+    noise goes to the grid) over 256 steps: while the next sub-block's noise
     is made, only the sub-block being stepped is alive, and the peak traced
-    memory stays below one block's noise grid for the batch."""
-    N, M, dt, steps = 256, 768, 1e-4, 2 * NOISE_BLOCK
+    memory stays below the noise grid of 128 steps for the batch."""
+    N, M, dt, steps = 256, 768, 1e-4, 256
     cfg = ExperimentConfig(
         kind="converge", scheme=make_scheme("forward_difference"),
         model=make_model(1, G="state", theta="bounded_sqrt"),
@@ -362,7 +410,7 @@ def test_noise_in_flight_is_two_sub_blocks(monkeypatch):
         return out
 
     monkeypatch.setattr(_Operators, "noise", tracked)
-    block_grid_bytes = NOISE_BLOCK * len(configs) * len(streams) * M * 8
+    grid_bytes = 128 * len(configs) * len(streams) * M * 8
     tracemalloc.start()
     try:
         runs = simulate_coupled(configs * 2, [s for s in streams for _ in configs])
@@ -370,6 +418,6 @@ def test_noise_in_flight_is_two_sub_blocks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert all(r.truncation_time is None for r in runs)
-    assert len(made) > 2 * steps // NOISE_BLOCK       # sub-blocks shorter than a block
+    assert len(made) == -(-steps // sub_block(configs * 2))     # 25 steps each
     assert max(alive_at_call) == 1
-    assert peak < block_grid_bytes
+    assert peak < grid_bytes
