@@ -3,8 +3,9 @@
 Subcommands: check-scheme, lambda, lift, fluctuation, simulate, converge,
 correction.  Each takes --config PATH, --seed U64 (overriding the config
 seed), --out DIR.  Exit codes: 0 success, 2 validation failure (a bad
-config, the solver settings of simulate, converge and correction included,
-or a bad SCHEMELAB_WORKERS), 3 numerical abort.  SCHEMELAB_WORKERS is the
+config, the solver settings of simulate, converge and correction, the grid
+size of lift and fluctuation and a seed that is not an integer included, or
+a bad SCHEMELAB_WORKERS), 3 numerical abort.  SCHEMELAB_WORKERS is the
 only environment knob (process count for sample dispatch, a positive
 integer).
 """

@@ -92,7 +92,7 @@ def parse_config(raw: dict, kind: str | None = None,
     initial = dict(solver.get("initial") or {"kind": "zero"})
 
     try:
-        master_seed = seed if seed is not None else int(raw.get("seed", 0))
+        master_seed = seed if seed is not None else raw.get("seed", 0)
         cfg = ExperimentConfig(
             kind=kind,
             scheme=build_scheme(raw["scheme"]),
@@ -120,6 +120,8 @@ def parse_config(raw: dict, kind: str | None = None,
         if kind in ("simulate", "converge", "correction"):
             require_unit_nu(cfg)
             cfg.solver_config(cfg.eps_ladder[0]).steps     # the solver's own checks
+        elif kind in ("lift", "fluctuation") and cfg.M < 2 * cfg.N + 1:
+            raise ValueError("need M >= 2N+1")             # the lift's grid
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc
     except ValueError as exc:

@@ -138,8 +138,8 @@ class ExperimentConfig:
             raise ValueError("eps ladder must be strictly decreasing")
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, not {self.master_seed}")
+        if type(self.master_seed) is not int or self.master_seed < 0:  # no bool, no float
+            raise ValueError(f"seed must be a non-negative integer, not {self.master_seed!r}")
         if self.initial_kind == "sine" and not 1 <= self.initial_mode <= self.N:
             raise ValueError(f"initial mode must lie in 1..N = {self.N}, "
                              f"not {self.initial_mode}")

@@ -38,17 +38,14 @@ the model.  When its theta is a declared constant matrix Theta
 Theta w is added to each run's half spectrum: the noise never reaches the
 grid, and theta is never called.  Otherwise every run's w / dt goes to the
 grid with one irfft call per sub-block, and the step multiplies it by
-theta(u) there.  That noise is made on a second thread, one sub-block ahead
-of the stepping loop (numpy releases the GIL in its normal draws and FFTs),
-with the operators of the full batch; after a truncation the loop keeps the
-live runs' rows, so every value is the one a serial loop computes.  The
-thread is joined on every exit from the call, a raised error included.  So
-the noise working set holds two sub-blocks of at most NOISE_ROWS rows each
-whatever the batch width B, unless one step alone holds more.  The loop
-carries one state: the Gaussian reference field X is a run of its own, of
-the linear model (F = G = 0, theta = Id declared constant) on the same
-noise, with no extra drift, zero initial data and no conservation form (see
-``upsilon_diagnostic``).
+theta(u) there.  The loop makes a sub-block's noise when it reaches it,
+for the runs still in the batch.  So the noise working set holds the
+sub-block being stepped, and the next one while it is made, of at most
+NOISE_ROWS rows each whatever the batch width B, unless one step alone holds
+more.  The loop carries one state: the Gaussian reference field X is a run
+of its own, of the linear model (F = G = 0, theta = Id declared constant)
+on the same noise, with no extra drift, zero initial data and no
+conservation form (see ``upsilon_diagnostic``).
 
 Batches: ``simulate_coupled`` steps its runs together.  The state of B
 runs has layout (n, B, N+1) and its grid (n, B, M), so the model callables,
@@ -79,7 +76,6 @@ import copy
 import functools
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +126,8 @@ class SolverConfig:
         for t in self.record_times:
             if not 0.0 <= t <= self.T + 1e-12:
                 raise ValueError("record times must lie in [0, T]")
+            if abs(round(t / self.dt) * self.dt - t) > 1e-9 * max(1.0, self.T):
+                raise ValueError(f"record time {t} is not on the step grid")
         if self.initial is not None and (self.initial.n != self.model.n
                                          or self.initial.N != self.N):
             raise ValueError("initial data does not match (n, N)")
@@ -428,11 +426,8 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
     source per run; a source is a NoiseStream or a pre-drawn (steps, N+1, n)
     array, read in order, one sub-block of NOISE_ROWS // (n B) steps at a
     time.  The runs that share a source object form a noise group: its
-    draws are read once and scaled by each run's own multipliers.  A
-    producer thread makes that noise one sub-block ahead of the stepping,
-    for every run of the batch (a truncated run's rows are dropped on
-    arrival); the thread is shut down before the call returns or raises,
-    and an error raised in it reaches the caller with its own type.
+    draws are read once and scaled by each run's own multipliers, when the
+    loop reaches the sub-block and only for the runs still in the batch.
     The runs must share N, M, dt, T, model, record_times and blowup_cap;
     each keeps its own scheme, eps, extra drift, dealiasing and conservation
     form.  A run is truncated at the first time its sup norm exceeds
@@ -464,24 +459,12 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
         if src.shape != (steps, N + 1, n):
             raise ValueError(f"increments must have shape {(steps, N + 1, n)}")
 
-    record_steps = {}
-    for t in first.record_times:
-        j = int(round(t / dt))
-        if abs(j * dt - t) > 1e-9 * max(1.0, first.T):
-            raise ValueError(f"record time {t} is not on the step grid")
-        record_steps[j] = t
+    record_steps = {round(t / dt): t for t in first.record_times}
 
     ops = _Operators(configs, group)
     # steps per noise sub-block: the most whose noise holds NOISE_ROWS rows
     sub = max(1, NOISE_ROWS // (n * len(configs)))
     readers = [_read(src, sub) for src in sources]
-
-    def noise_sub_blocks(full):
-        """What step takes of every run's noise, one sub-block per item, made
-        with the operators of the full batch from every group's next draws
-        (G, sub, N+1, n)."""
-        for draws in zip(*readers):
-            yield full.noise(np.stack(draws))
 
     u_hat = np.stack([np.zeros((n, N + 1), dtype=complex) if c.initial is None
                       else half_spectrum(c.initial.coeffs) for c in configs], axis=1)
@@ -514,40 +497,29 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
 
     # the blow-up check of the state at step j reuses the grid that the step
     # advancing it computes anyway; only the final state needs its own
-    # transform.  The producer makes sub-block k + 1 while the loop steps
-    # through sub-block k; leaving the pool's block, by any exit, waits for
-    # the producer, so no thread outlives the call.  After an early exit the
-    # result of a sub-block the loop never reaches, an error included, is
-    # dropped: a serial loop would not have made it.
-    made = noise_sub_blocks(ops)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(next, made)
-        maybe_record(0)
-        for j in range(steps + 1):
-            i = j % sub
-            if j < steps:
-                if i == 0:
-                    noise = pending.result()
-                    if j + sub < steps:
-                        pending = pool.submit(next, made)
-                    if live.size < len(configs):
-                        noise = noise[:, :, live]
-                u_next, u_grid = step(u_hat, ops, noise[i])
-            else:
-                u_grid = ops.transform.to_grid(u_hat)
-            if j > 0:
-                keep = survivors(j, u_grid)
-                if keep is not None:
-                    live, ops = live[keep], ops.take(keep)
-                    u_hat = u_hat[:, keep]
-                    if j < steps:
-                        u_next, noise = u_next[:, keep], noise[:, :, keep]
-                    if live.size == 0 or (failed and live[0] > min(failed)):
-                        break
-                maybe_record(j)
-            if j == steps:
-                break
-            u_hat = u_next
+    # transform
+    maybe_record(0)
+    for j in range(steps + 1):
+        i = j % sub
+        if j < steps:
+            if i == 0:
+                noise = ops.noise(np.stack([next(r) for r in readers]))
+            u_next, u_grid = step(u_hat, ops, noise[i])
+        else:
+            u_grid = ops.transform.to_grid(u_hat)
+        if j > 0:
+            keep = survivors(j, u_grid)
+            if keep is not None:
+                live, ops = live[keep], ops.take(keep)
+                u_hat = u_hat[:, keep]
+                if j < steps:
+                    u_next, noise = u_next[:, keep], noise[:, :, keep]
+                if live.size == 0 or (failed and live[0] > min(failed)):
+                    break
+            maybe_record(j)
+        if j == steps:
+            break
+        u_hat = u_next
     if failed:
         t = failed[min(failed)]
         raise NumericalAbort(f"non-finite state at t = {t:.6g}", time=t)

@@ -68,6 +68,7 @@ class TestExitCodes:
         ({"initial": {"kind": "bogus"}}, "unknown initial kind"),
         ({"initial": {"kind": "sine", "amplitude": 1.0, "mode": 13}}, "initial mode"),
         ({"initial": {"kind": "sine", "amplitude": 1.0, "mode": 0}}, "initial mode"),
+        ({"record_times": [0.0015, 0.02]}, "not on the step grid"),
     ])
     def test_bad_solver_setting_exits_2(self, tmp_path, capsys, command, solver, message):
         payload = json.loads(json.dumps(BASE))
@@ -77,6 +78,25 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["fluctuation", "lift"])
+    def test_lift_grid_too_small_exits_2(self, tmp_path, capsys, command):
+        payload = json.loads(json.dumps(BASE))
+        payload["solver"]["M"] = 2 * payload["solver"]["N"]
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "M >= 2N+1" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "fluctuation", "lambda"])
+    @pytest.mark.parametrize("seed", [7.9, 7.0, "7", True])
+    def test_non_integer_config_seed_exits_2(self, tmp_path, capsys, command, seed):
+        payload = json.loads(json.dumps(BASE))
+        payload["seed"] = seed
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "non-negative integer" in err
 
     @pytest.mark.parametrize("command", ["simulate", "converge", "lambda"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):

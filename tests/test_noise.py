@@ -3,13 +3,11 @@
 ``draw_noise`` holds a run's whole noise; ``NoiseStream`` keeps two
 generator states and reads the same noise in order from them, a few steps
 at a time.  A batch may read several such sources, one noise group each,
-and makes its noise in sub-blocks, one ahead of the stepping on a second
-thread.  Every check here asks for bitwise equality, bounds traced memory
-or asks that the thread end with the call: the stream, the sub-blocks and
-the thread exist to change memory and time, not numbers.
+and makes its noise in sub-blocks as the stepping reaches them.  Every
+check here asks for bitwise equality or bounds traced memory: the stream
+and the sub-blocks exist to change memory, not numbers.
 """
 
-import sys
 import threading
 import tracemalloc
 import weakref
@@ -28,7 +26,7 @@ from schemelab.experiments import (
 )
 from schemelab.lift import draw_increments
 from schemelab.models import make_model
-from schemelab.schemes import make_scheme
+from schemelab.schemes import make_function, make_scheme
 from schemelab.solver import (
     NOISE_ROWS,
     NoiseStream,
@@ -308,25 +306,21 @@ def lifetime_configs(**kw):
 
 @pytest.mark.parametrize("bad", [0, 1, 2])
 def test_a_noise_error_comes_out_with_its_type(bad):
-    """The noise of the next sub-block is made on a second thread; an error
-    there reaches the caller as itself, and the thread is gone after it."""
+    """An error raised while a sub-block's noise is read reaches the caller
+    as itself."""
     configs, steps = lifetime_configs()
-    before = threading.active_count()
     with pytest.raises(NoiseFault, match=f"item {bad}"):
         simulate_coupled(configs, FaultyStream(np.random.default_rng(3), steps, 8, 1, bad))
-    assert threading.active_count() == before
 
 
-def test_no_thread_outlives_an_early_exit_and_the_stream_replays_the_same_bits():
+def test_an_early_exit_leaves_the_stream_replaying_the_same_bits():
     """Every run is truncated in the first sub-block, so the loop leaves
-    while the next sub-block is being made; the stream it read then gives
-    the bits of a fresh one, read by itself and as a run's noise."""
+    with the stream's reads unfinished; the stream then gives the bits of a
+    fresh one, read by itself and as a run's noise."""
     configs, steps = lifetime_configs(extra_drift=lambda u: 40.0 * u,
                                       extra_drift_label="growth", blowup_cap=0.05)
     stream = NoiseStream(np.random.default_rng(4), steps, 8, 1)
-    before = threading.active_count()
     runs = simulate_coupled(configs, stream)
-    assert threading.active_count() == before
     assert all(r.truncation_time is not None
                and r.truncation_time < sub_block(configs) * 1e-3 for r in runs)
     fresh = NoiseStream(np.random.default_rng(4), steps, 8, 1)
@@ -341,19 +335,33 @@ def test_no_thread_outlives_an_early_exit_and_the_stream_replays_the_same_bits()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_no_thread_outlives_a_numerical_abort():
+def test_a_stream_source_run_raises_numerical_abort():
     configs, steps = lifetime_configs(extra_drift=lambda u: u * np.inf,
                                       extra_drift_label="bad")
-    before = threading.active_count()
     with pytest.raises(NumericalAbort):
         simulate_coupled(configs, NoiseStream(np.random.default_rng(5), steps, 8, 1))
-    assert threading.active_count() == before
 
 
-def test_fast_thread_switching_changes_no_bit():
-    """With the interpreter switching threads every microsecond, a batch
-    whose noise goes to the grid and whose runs leave it mid-sub-block gives
-    the bits of each run stepped alone on the same stream."""
+def batch_truncations_after_solo_check(configs, steps):
+    """Steps ``configs`` as one batch on a stream, checks that each run has
+    the bits of the run stepped alone on the same stream, and returns the
+    batch's truncation times."""
+    def stream():
+        return NoiseStream(np.random.default_rng(21), steps, 8, 1)
+
+    batch = simulate_coupled(configs, stream())
+    for a, config in zip(batch, configs):
+        b = simulate_coupled([config], stream())[0]
+        assert a.times == b.times and a.truncation_time == b.truncation_time
+        for x, y in zip(a.coeffs, b.coeffs):
+            assert np.array_equal(x, y)
+    return [r.truncation_time for r in batch]
+
+
+def test_grid_noise_batch_with_mid_sub_block_truncations_equals_solo_runs():
+    """A batch whose noise goes to the grid and whose runs leave it
+    mid-sub-block, so that later sub-blocks are made for the live runs
+    only, gives the bits of each run stepped alone on the same stream."""
     forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
     model = make_model(1, G="state", theta="bounded_sqrt")
     steps = 300
@@ -366,29 +374,37 @@ def test_fast_thread_switching_changes_no_bit():
     configs = [cfg(forward), cfg(central, extra_drift=lambda u: 12.0 * u,
                                  extra_drift_label="growth"),
                cfg(central, extra_drift=lambda u: 30.0 * u, extra_drift_label="fast")]
-
-    def stream():
-        return NoiseStream(np.random.default_rng(21), steps, 8, 1)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        batch = simulate_coupled(configs, stream())
-        solo = [simulate_coupled([c], stream())[0] for c in configs]
-    finally:
-        sys.setswitchinterval(interval)
-    cut = [r.truncation_time for r in batch]
+    cut = batch_truncations_after_solo_check(configs, steps)
     assert cut[0] is None and None not in cut[1:] and cut[1] != cut[2]
-    for a, b in zip(batch, solo):
-        assert a.times == b.times and a.truncation_time == b.truncation_time
-        for x, y in zip(a.coeffs, b.coeffs):
-            assert np.array_equal(x, y)
+
+
+def test_runs_after_a_truncated_one_keep_their_own_noise():
+    """The first run of a grid-noise batch leaves it mid-sub-block; the two
+    runs after it, whose noise multipliers differ from each other, get
+    their own rows in every later sub-block, made for the live runs only,
+    and give the bits of each run stepped alone on the same stream."""
+    model = make_model(1, G="state", theta="bounded_sqrt")
+    steps = 300
+
+    def cfg(cutoff, **kw):
+        scheme = make_scheme("forward_difference",
+                             h=make_function("indicator", cutoff=cutoff))
+        return SolverConfig(scheme=scheme, eps=0.25, N=8, M=32, dt=1e-3,
+                            T=steps * 1e-3, model=model, blowup_cap=2.0,
+                            record_times=(0.1, 0.2, steps * 1e-3), **kw)
+
+    configs = [cfg(2.0, extra_drift=lambda u: 30.0 * u, extra_drift_label="fast"),
+               cfg(1.0), cfg(0.5)]
+    assert len(_Operators(configs).noise_runs) == 3
+    cut = batch_truncations_after_solo_check(configs, steps)
+    assert cut[1:] == [None, None]
+    assert 0 < round(cut[0] / 1e-3) % sub_block(configs) and cut[0] < 0.2
 
 
 def test_noise_in_flight_is_two_sub_blocks(monkeypatch):
     """Two samples of the converge shape (B = 10, theta bounded_sqrt, so the
     noise goes to the grid) over 256 steps: while the next sub-block's noise
-    is made, only the sub-block being stepped is alive, and the peak traced
+    is made, only the sub-block just stepped is alive, and the peak traced
     memory stays below the noise grid of 128 steps for the batch."""
     N, M, dt, steps = 256, 768, 1e-4, 256
     cfg = ExperimentConfig(
