@@ -75,6 +75,13 @@ def build_norms(block) -> NormConfig:
         raise ConfigError(f"bad norms block: {exc}") from exc
 
 
+def _integer(block: dict, key: str, default: int) -> int:
+    value = block.get(key, default)
+    if type(value) is not int:                          # no bool, no float
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def parse_config(raw: dict, kind: str | None = None,
                  seed: int | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
@@ -99,10 +106,10 @@ def parse_config(raw: dict, kind: str | None = None,
             scheme2=build_scheme(raw["scheme2"]) if raw.get("scheme2") else None,
             model=build_model(raw.get("model")),
             eps_ladder=tuple(experiment.get("eps_ladder", [0.25])),
-            samples=int(experiment.get("samples", 1)),
+            samples=_integer(experiment, "samples", 1),
             master_seed=master_seed,
-            N=int(solver.get("N", 64)),
-            M=int(solver.get("M", 3 * int(solver.get("N", 64)) + 2)),
+            N=_integer(solver, "N", 64),
+            M=_integer(solver, "M", 3 * _integer(solver, "N", 64) + 2),
             dt=float(solver.get("dt", 1e-3)),
             T=float(solver.get("T", 0.1)),
             record_times=tuple(solver.get("record_times", [float(solver.get("T", 0.1))])),
@@ -115,7 +122,7 @@ def parse_config(raw: dict, kind: str | None = None,
             nu=float(experiment.get("nu", 1.0)),
             initial_kind=initial.get("kind", "zero"),
             initial_amplitude=float(initial.get("amplitude", 0.0)),
-            initial_mode=int(initial.get("mode", 1)),
+            initial_mode=_integer(initial, "mode", 1),
         )
         if kind in ("simulate", "converge", "correction"):
             require_unit_nu(cfg)

@@ -1,5 +1,5 @@
 """Correction constant of a scheme, its finite-eps approximations, and the
-corrected drift.
+corrected drift: the one home of these formulas.
 
 The constant is
 
@@ -10,21 +10,27 @@ kept as a test oracle only.  The finite-eps quantity
 
     Lambda_{z,eps}(t) = (1/eps) sum_k (q_eps^k)^2 K_k(t) (1 - cos(k eps z)),
 
-with q_eps^k = h(eps k) / (|k| sqrt(4 pi f(eps k))) and
-K_k(t) = 1 - exp(-2 k^2 f(eps k) t), is the mean of the scaled symmetric
-second-order increment of the Gaussian reference field over a shift eps z;
-integrating it against mu gives Lambda_eps(t), which converges to Lambda.
+with q_eps^k = h(eps k) / (|k| sqrt(4 pi f(eps k))) (``mode_amplitudes``, the
+amplitudes of the lift's reference field, so the fluctuation statistic is
+centred exactly) and K_k(t) = 1 - exp(-2 k^2 f(eps k) t), is the mean of the
+scaled symmetric second-order increment of the Gaussian reference field over
+a shift eps z; integrating it against mu gives Lambda_eps(t), which converges
+to Lambda.  One contraction, ``_contract``, gives the corrected drift both
+to the solver (``make_correction_drift``) and to ``corrected_drift``.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from schemelab.schemes import CutoffScheme
+from schemelab.models import ModelFunctions
+from schemelab.schemes import CutoffScheme, laplacian_multiplier
+from schemelab.spectral import SQRT_2PI
 
 
 class QuadratureError(RuntimeError):
@@ -118,14 +124,15 @@ def lambda_exact(scheme: CutoffScheme, nu: float = 1.0, tol: float = 1e-9,
                            tol=tol, limit=limit)
 
 
-def mode_kernel_weights(scheme: CutoffScheme, eps: float, N: int) -> np.ndarray:
-    """(q_eps^k)^2 for k = 0..N under the package normalisation."""
-    k = np.arange(N + 1, dtype=float)
-    q2 = np.empty(N + 1)
-    q2[0] = 1.0 / (2.0 * np.pi)
-    kk = k[1:]
-    q2[1:] = scheme.h(eps * kk) ** 2 / (kk * kk * 4.0 * np.pi * scheme.f(eps * kk))
-    return q2
+def mode_amplitudes(scheme: CutoffScheme, eps: float, N: int) -> np.ndarray:
+    """q_k for k = 0..N."""
+    q = np.empty(N + 1)
+    q[0] = 1.0 / SQRT_2PI
+    k = np.arange(1, N + 1, dtype=float)
+    f = scheme.f(eps * k) if eps > 0 else np.ones_like(k)
+    h = scheme.h(eps * k) if eps > 0 else np.ones_like(k)
+    q[1:] = h / (k * np.sqrt(4.0 * np.pi * f))
+    return q
 
 
 def lambda_z_eps(scheme: CutoffScheme, z: float, eps: float, t: float,
@@ -141,8 +148,8 @@ def lambda_z_eps(scheme: CutoffScheme, z: float, eps: float, t: float,
     if N < 1:
         raise ValueError("N must be >= 1")
     k = np.arange(1, N + 1, dtype=float)
-    q2 = mode_kernel_weights(scheme, eps, N)[1:]
-    K = 1.0 - np.exp(-2.0 * scheme.f(eps * k) * k * k * t)
+    q2 = mode_amplitudes(scheme, eps, N)[1:] ** 2
+    K = 1.0 - np.exp(2.0 * laplacian_multiplier(scheme, k, eps) * t)
     terms = q2 * K * (1.0 - np.cos(k * eps * z))
     # the k = 0 term vanishes identically; negative modes double the sum
     return float(2.0 * terms.sum() / eps)
@@ -162,9 +169,40 @@ def lambda_eps(scheme: CutoffScheme, eps: float, t: float, N: int) -> float:
                      for z, w in scheme.mu.atoms if z != 0.0 and w != 0.0))
 
 
+def _theta_theta(theta: np.ndarray) -> np.ndarray:
+    """theta theta^T pointwise, (n, n, ...) -> (n, n, ...)."""
+    return theta * theta if len(theta) == 1 else np.einsum("jk...,lk...->jl...", theta, theta)
+
+
+def _contract(Lambda: float, DG: np.ndarray, tt: np.ndarray) -> np.ndarray:
+    """-Lambda theta^j_k dG^i_l/du_j theta^l_k from DG (n, n, n, ...) and
+    tt = theta theta^T (n, n, ...), pointwise on the trailing axes."""
+    if len(DG) == 1:                           # n = 1: one product
+        return -Lambda * (DG[0, :, 0] * tt[0, 0])
+    return -Lambda * np.einsum("jil...,jl...->i...", DG, tt)
+
+
+def _correction_drift(model: ModelFunctions, Lambda: float, tt, u_grid: np.ndarray):
+    tt = _theta_theta(model.theta(u_grid)) if tt is None else tt
+    return _contract(Lambda, model.DG(u_grid), tt)
+
+
+def make_correction_drift(model: ModelFunctions, Lambda: float):
+    """Grid drift u -> -Lambda theta^j_k dG^i_l/du_j theta^l_k, or None if
+    Lambda vanishes.  A constant theta is contracted with itself here, once.
+    The drift pickles with the model, so one drift can be built per
+    experiment and shipped to worker processes."""
+    if Lambda == 0.0:
+        return None
+    const = model.theta_constant
+    tt = None if const is None else _theta_theta(const)
+    return functools.partial(_correction_drift, model, Lambda, tt)
+
+
 def corrected_drift(F_eval, G_jacobian_eval, theta_eval, Lambda: float,
                     u: np.ndarray) -> np.ndarray:
-    """Corrected drift F_bar(u) = F(u) - Lambda * theta^j_k dG^i_l/du_j theta^l_k.
+    """Corrected drift F_bar(u) = F(u) - Lambda * theta^j_k dG^i_l/du_j theta^l_k
+    at one state u (n,), by the contraction of the solver's drift.
 
     ``G_jacobian_eval(u)`` must return the array DG with DG[j, i, l] equal to
     the derivative of G^i_l in the j-th state direction; ``theta_eval(u)``
@@ -178,6 +216,4 @@ def corrected_drift(F_eval, G_jacobian_eval, theta_eval, Lambda: float,
     n = u.shape[0]
     if F.shape != (n,) or DG.shape != (n, n, n) or theta.shape != (n, n):
         raise ValueError("model callables returned arrays of the wrong shape")
-    tt = theta @ theta.T
-    corr = np.einsum("jil,jl->i", DG, tt)
-    return F - Lambda * corr
+    return F + _contract(Lambda, DG, _theta_theta(theta))

@@ -6,8 +6,11 @@ The reference field is
     q_k = h(eps k) / (|k| sqrt(4 pi f(eps k)))  for k != 0,  q_0 = 1/sqrt(2 pi),
 
 where the xi_k are complex Ornstein-Uhlenbeck modes started at zero with
-rate k^2 f(eps k) and unit stationary variance per component (mode 0 is a
-Brownian motion), subject to xi_{-k} = conj(xi_k).  The second-order data
+rate k^2 f(eps k) (minus ``schemes.laplacian_multiplier``) and unit
+stationary variance per component (mode 0 is a Brownian motion), subject to
+xi_{-k} = conj(xi_k).  The amplitudes q_k are ``correction.mode_amplitudes``,
+the ones Lambda_eps sums over, so the centring of the fluctuation statistic
+is exact for the truncated field.  The second-order data
 over a shift u is the double series
 
     XX(x, x+u) = sum_{k,l} xi_k (x) xi_l q_k q_l e^{i(k+l)x} I_{k,l}(u),
@@ -36,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from schemelab.correction import lambda_eps
-from schemelab.schemes import CutoffScheme
+from schemelab.correction import lambda_eps, mode_amplitudes
+from schemelab.schemes import CutoffScheme, laplacian_multiplier
 from schemelab.spectral import (REALITY_TOL, SQRT_2PI, GridField, SpectralField, Transform,
                                 full_spectrum, grid_points, sobolev_minus_alpha_norm)
 from schemelab.roughpath import RoughPathSample
@@ -81,14 +84,6 @@ def draw_increments(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
     return draw_noise(rng, 1, N, n)[0]
 
 
-def mode_rates(scheme: CutoffScheme, eps: float, N: int) -> np.ndarray:
-    """OU decay rates k^2 f(eps k) for k = 0..N."""
-    k = np.arange(N + 1, dtype=float)
-    rates = k * k * (scheme.f(eps * k) if eps > 0 else 1.0)
-    rates[0] = 0.0
-    return rates
-
-
 def evolve_modes(state: ModeState, dt: float, increments: np.ndarray) -> ModeState:
     """Advance every mode by its exact transition over dt.
 
@@ -101,22 +96,11 @@ def evolve_modes(state: ModeState, dt: float, increments: np.ndarray) -> ModeSta
     increments = np.asarray(increments, dtype=complex)
     if increments.shape != state.xi.shape:
         raise ValueError("increments shape must match the state")
-    rates = mode_rates(state.scheme, state.eps, state.N)
-    decay = np.exp(-rates * dt)[:, None]
+    lap = laplacian_multiplier(state.scheme, np.arange(state.N + 1), state.eps)
+    decay = np.exp(lap * dt)[:, None]
     xi = decay * state.xi + np.sqrt(np.maximum(0.0, 1.0 - decay ** 2)) * increments
     xi[0] = state.xi[0].real + np.sqrt(dt) * increments[0].real
     return ModeState(xi, state.scheme, state.eps, state.t + dt)
-
-
-def mode_amplitudes(scheme: CutoffScheme, eps: float, N: int) -> np.ndarray:
-    """q_k for k = 0..N."""
-    q = np.empty(N + 1)
-    q[0] = 1.0 / SQRT_2PI
-    k = np.arange(1, N + 1, dtype=float)
-    f = scheme.f(eps * k) if eps > 0 else np.ones_like(k)
-    h = scheme.h(eps * k) if eps > 0 else np.ones_like(k)
-    q[1:] = h / (k * np.sqrt(4.0 * np.pi * f))
-    return q
 
 
 def assemble_X(state: ModeState, M: int | None = None):

@@ -73,13 +73,13 @@ samples as one batch, in sample-major order, each sample one noise group.
 from __future__ import annotations
 
 import copy
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from schemelab.correction import lambda_exact, make_correction_drift
 from schemelab.models import ModelFunctions
 from schemelab.schemes import (
     CutoffScheme,
@@ -536,7 +536,9 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
 def _increments(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Unit complex rows 1..N and a unit real row 0 from (steps, N+1, n)
     standard normal real and imaginary parts."""
-    inc = (re + 1j * im) / np.sqrt(2.0)
+    inc = np.empty(re.shape, dtype=complex)
+    np.multiply(re, 1 / np.sqrt(2.0), out=inc.real)
+    np.multiply(im, 1 / np.sqrt(2.0), out=inc.imag)
     inc[:, 0, :] = re[:, 0, :]
     return inc
 
@@ -648,28 +650,6 @@ def remainder_diagnostic(psi: GridField, theta_now, X_now: GridField,
     return pair_reduce(psi.M, stride, remainder, 2.0 * gamma, np.max)
 
 
-def _correction_drift(model: ModelFunctions, Lambda: float, tt, u_grid: np.ndarray):
-    DG = model.DG(u_grid)                      # (n, n, n, ...)
-    if tt is None:                             # theta theta^T on the grid
-        th = model.theta(u_grid)               # (n, n, ...)
-        tt = th * th if len(th) == 1 else np.einsum("jk...,lk...->jl...", th, th)
-    if len(DG) == 1:                           # n = 1: one product, as in _apply
-        return -Lambda * (DG[0, :, 0] * tt[0, 0])
-    return -Lambda * np.einsum("jil...,jl...->i...", DG, tt)
-
-
-def make_correction_drift(model: ModelFunctions, Lambda: float):
-    """Grid drift u -> -Lambda theta^j_k dG^i_l/du_j theta^l_k, or None if
-    Lambda vanishes.  A constant theta is contracted with itself here, once.
-    The drift pickles with the model, so one drift can be built per
-    experiment and shipped to worker processes."""
-    if Lambda == 0.0:
-        return None
-    const = model.theta_constant
-    tt = None if const is None else const @ const.T
-    return functools.partial(_correction_drift, model, Lambda, tt)
-
-
 def reference_config(config: SolverConfig, eps_ref: float,
                      Lambda: float | None = None) -> SolverConfig:
     """The run realising the corrected limit equation of ``config.scheme``.
@@ -681,8 +661,6 @@ def reference_config(config: SolverConfig, eps_ref: float,
     It shares every batch setting with ``config``.
     """
     if Lambda is None:
-        from schemelab.correction import lambda_exact
-
         Lambda = lambda_exact(config.scheme).value
     return SolverConfig(
         scheme=make_scheme("central_difference"), eps=eps_ref, N=config.N,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from schemelab.schemes import CutoffScheme
+from schemelab.schemes import CutoffScheme, laplacian_multiplier
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 REALITY_TOL = 1e-10
@@ -199,8 +199,6 @@ def semigroup_apply(field: SpectralField, scheme: CutoffScheme, eps: float,
     """Apply the approximated heat semigroup: mode k scales by e^{-k^2 f(eps k) t}."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    from schemelab.schemes import laplacian_multiplier
-
     lap = laplacian_multiplier(scheme, field.modes, eps)
     return SpectralField(field.coeffs * np.exp(lap * t))
 
@@ -213,8 +211,6 @@ def heat_kernel(scheme: CutoffScheme, eps: float, t: float, N: int,
     """
     if t <= 0:
         raise ValueError("t must be > 0")
-    from schemelab.schemes import laplacian_multiplier
-
     ks = np.arange(N + 1)
     coeffs = np.exp(laplacian_multiplier(scheme, ks, eps) * t)
     return GridField(Transform(N, M).to_grid(coeffs[None, :]))

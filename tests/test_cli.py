@@ -98,6 +98,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "non-negative integer" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "fluctuation", "lambda"])
+    @pytest.mark.parametrize("key", ["N", "M", "samples", "mode"])
+    @pytest.mark.parametrize("value", [12.9, 12.0, "12", True])
+    def test_non_integer_config_count_exits_2(self, tmp_path, capsys, command, key, value):
+        payload = json.loads(json.dumps(BASE))
+        block = {"N": payload["solver"], "M": payload["solver"],
+                 "samples": payload["experiment"]}.get(key)
+        if block is None:
+            block = payload["solver"]["initial"] = {"kind": "sine", "amplitude": 0.5}
+        block[key] = value
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{key} must be an integer" in err
+
     @pytest.mark.parametrize("command", ["simulate", "converge", "lambda"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, BASE)

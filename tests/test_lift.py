@@ -11,10 +11,12 @@ from schemelab.lift import (
     draw_increments,
     evolve_modes,
     fluctuation_statistic,
+    lift_offsets,
     lift_XX,
     mode_amplitudes,
     state_from_coeffs,
 )
+from schemelab.schemes import CutoffScheme, make_function
 from schemelab.spectral import half_spectrum
 
 def random_state(rng, scheme, eps, N, n, t=0.7):
@@ -305,3 +307,21 @@ class TestFluctuationStatistic:
         centred = sobolev_minus_alpha_norm(
             SpectralField(SQRT_2PI * centred_coeffs[None, :, 0, 0]), 0.45)
         assert centred <= 0.25 * uncentred
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("eps, t, N", [(0.1, 0.5, 64), (0.25, 0.05, 40)])
+    def test_mode_zero_at_the_mean_amplitudes_is_lambda_eps(self, forward, smooth, eps, t, N):
+        # the m = 0 coefficient of D_eps XX is quadratic in |xi_k|^2, so with
+        # |xi_k|^2 at its mean K_k(t) = 1 - e^{-2 k^2 f(eps k) t} it is the
+        # statistic's mean; it equals the centring constant only when the lift
+        # and Lambda_eps use the same amplitudes q_k
+        scheme = forward if not smooth else CutoffScheme(
+            f=make_function("one_plus_sq"), h=make_function("gaussian", width=0.7),
+            mu=forward.mu, c_f=0.5)
+        k = np.arange(N + 1, dtype=float)
+        xi = np.sqrt(1.0 - np.exp(-2.0 * k * k * scheme.f(eps * k) * t))[:, None]
+        xi[0] = 0.0
+        M = 2 * N + 2
+        lift = lift_XX(ModeState(xi, scheme, eps, t), M, lift_offsets(scheme, eps, M))
+        mean = d_eps_xx(lift, scheme, eps).coeffs[2 * N, 0, 0].real
+        assert mean == pytest.approx(lambda_eps(scheme, eps, t, N), rel=1e-14, abs=0.0)

@@ -119,6 +119,18 @@ def test_lift_increments_are_one_step_of_the_solver_draw(seed, N, n):
     assert np.array_equal(draw_noise(np.random.default_rng(seed), 1, N, n)[0], old)
 
 
+@pytest.mark.parametrize("steps, N, n", [(2000, 256, 1), (300, 7, 3)])
+def test_multi_step_draw_keeps_the_bits_of_the_complex_division(steps, N, n):
+    rng = np.random.default_rng(5)
+    # the formula draw_noise used before it wrote the real and imaginary parts
+    # of one complex array
+    re = rng.standard_normal((steps, N + 1, n))
+    im = rng.standard_normal((steps, N + 1, n))
+    old = (re + 1j * im) / np.sqrt(2.0)
+    old[:, 0] = re[:, 0]
+    assert np.array_equal(draw_noise(np.random.default_rng(5), steps, N, n), old)
+
+
 def test_stream_and_array_drive_identical_runs():
     """Two runs truncate inside a noise sub-block (in different
     sub-blocks), one survives, and the runs of their reference fields, the
