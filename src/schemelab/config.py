@@ -69,8 +69,11 @@ def build_model(block):
 
 
 def build_norms(block) -> NormConfig:
+    block = block or {}
     try:
-        return NormConfig(**(block or {}))
+        if "stride" in block:
+            _integer(block, "stride", 4)        # NormConfig checks >= 1
+        return NormConfig(**block)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad norms block: {exc}") from exc
 

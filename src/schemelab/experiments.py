@@ -18,11 +18,10 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from schemelab.correction import (lambda_eps, lambda_exact, lambda_z_tail_bound,
                                   make_correction_drift)
@@ -88,10 +87,19 @@ def rate_fit(points) -> RateFit:
     y = np.log([v for _, v in points])
     if np.ptp(x) == 0.0:
         raise ValueError("degenerate fit: all eps equal")
-    res = stats.linregress(x, y)
-    tq = stats.t.ppf(0.975, len(points) - 2) if len(points) > 2 else np.inf
-    return RateFit(slope=float(res.slope), intercept=float(res.intercept),
-                   half_width=float(tq * res.stderr))
+    # the arithmetic of scipy.stats.linregress and the t quantile that
+    # scipy.stats.t.ppf calls, without the import of scipy.stats
+    df = len(points) - 2
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssym == 0.0:                                 # ssxm > 0: the eps differ
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / df)
+    return RateFit(slope=float(slope), intercept=float(intercept),
+                   half_width=float(stdtrit(df, 0.975) * stderr))
 
 
 def _fit_or_degenerate(points) -> dict:
@@ -285,6 +293,9 @@ def _pool_map(fn, args):
     workers = _workers()
     if workers <= 1:
         return [fn(a) for a in args]
+    # the serial path does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args))
 

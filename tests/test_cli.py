@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,15 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{key} must be an integer" in err
+
+    @pytest.mark.parametrize("stride", [2.5, True])
+    def test_non_integer_norms_stride_exits_2(self, tmp_path, capsys, stride):
+        payload = json.loads(json.dumps(BASE))
+        payload["norms"] = {"stride": stride}
+        cfg = write_config(tmp_path, payload)
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "stride must be an integer" in err
 
     @pytest.mark.parametrize("command", ["simulate", "converge", "lambda"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
@@ -237,3 +250,27 @@ class TestCommands:
                      "--out", str(tmp_path / "l")]) == 0
         rec = json.loads((tmp_path / "f" / "record.json").read_text())
         assert "lambda_decay" in rec["extras"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_the_process_pool():
+    # a fresh interpreter: this process has imported both long ago.  The
+    # rate fit needs only scipy.special, and the pool is imported when
+    # SCHEMELAB_WORKERS > 1 (test_worker_pool_matches_serial runs it)
+    script = """
+import sys
+import schemelab.cli
+from schemelab.config import load_config
+for path in sys.argv[1:]:
+    load_config(path)
+print(" ".join(m for m in ("scipy.stats", "concurrent.futures.process") if m in sys.modules))
+"""
+    configs = sorted(str(p) for p in (ROOT / "configs").glob("*.json"))
+    assert len(configs) >= 5
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script, *configs], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.strip() == ""

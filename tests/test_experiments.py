@@ -63,6 +63,7 @@ class TestRateFit:
     def test_constant_values(self):
         fit = rate_fit([(e, 3.0) for e in (0.5, 0.25, 0.125)])
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
+        assert math.isnan(fit.half_width)               # r is 0 / 0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -75,6 +76,41 @@ class TestRateFit:
     def test_rejects_degenerate_eps(self):
         with pytest.raises(ValueError):
             rate_fit([(0.5, 1.0), (0.5, 0.9), (0.5, 1.1)])
+
+    @staticmethod
+    def _oracle(points):
+        """The fit as scipy.stats computes it: linregress and t.ppf."""
+        from scipy import stats
+
+        x = np.log([float(e) for e, _ in points])
+        y = np.log([float(v) for _, v in points])
+        res = stats.linregress(x, y)
+        return res.slope, res.intercept, stats.t.ppf(0.975, len(points) - 2) * res.stderr
+
+    @staticmethod
+    def _bits(value):
+        return "nan" if math.isnan(value) else float(value).hex()
+
+    def test_matches_scipy_stats_bit_for_bit(self):
+        rng = np.random.default_rng(20261019)
+        eps = [0.5, 0.25, 0.125, 0.0625]
+        series = [[(e, e ** 0.5) for e in eps], [(e, 3.0) for e in eps[:3]]]
+        for _ in range(240):
+            n = int(rng.integers(3, 8))
+            e = np.exp(-rng.uniform(0.0, 7.0, n))
+            if rng.random() < 0.2:
+                e[1] = e[0]                     # a repeated eps, not all equal
+            rate = rng.uniform(-1.0, 1.5)
+            scale = rng.choice([0.0, 1e-12, 0.05, 1.0])
+            series.append(list(zip(e, e ** rate * np.exp(scale * rng.standard_normal(n)))))
+        mismatches = []
+        for points in series:
+            fit = rate_fit(points)
+            got = [self._bits(v) for v in (fit.slope, fit.intercept, fit.half_width)]
+            want = [self._bits(v) for v in self._oracle(points)]
+            if got != want:
+                mismatches.append((points, got, want))
+        assert not mismatches, mismatches[:3]
 
     def test_noisy_sixth_root_calibration(self):
         rng = np.random.default_rng(123)
