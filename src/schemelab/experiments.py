@@ -3,11 +3,12 @@
 Every experiment follows the same pattern: derive one RNG per sample from
 (master seed, sample index), stream that sample's noise, run the coupled
 simulations, and reduce per-sample rows into aggregates plus a
-least-squares rate fit.  The converge and correction experiments map
-chunks of CHUNK_SAMPLES samples over the workers and step the runs of
-every sample of a chunk as one batch.  Per-sample numbers are persisted
-next to the aggregates so every reported mean can be recomputed from the
-table.
+least-squares rate fit.  Converge, correction and fluctuation map chunks
+of CHUNK_SAMPLES samples over the workers: the first two step the runs of
+every sample of a chunk as one batch, fluctuation lifts the reference
+fields of a chunk's samples as one stacked state per time.  Per-sample
+numbers are persisted next to the aggregates so every reported mean can be
+recomputed from the table.
 """
 
 from __future__ import annotations
@@ -236,20 +237,12 @@ def _json_default(obj):
 
 
 def _write_csv(path, rows) -> None:
-    if not rows:
-        with open(path, "w") as fh:
-            fh.write("")
-        return
-    keys = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
+    keys = list(dict.fromkeys(k for row in rows for k in row))   # first-seen order
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(row.get(k)) for k in keys})
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=keys)
+            writer.writeheader()
+            writer.writerows({k: _csv_cell(row.get(k)) for k in keys} for row in rows)
 
 
 def _csv_cell(v):
@@ -300,7 +293,7 @@ def _pool_map(fn, args):
         return list(pool.map(fn, args))
 
 
-# samples whose runs one converge or correction chunk steps as one batch
+# samples a chunk steps, or lifts, as one batch
 CHUNK_SAMPLES = 8
 
 
@@ -398,7 +391,7 @@ def converge_experiment(cfg: ExperimentConfig) -> RunRecord:
     configs = [reference_config(ladder[0], cfg.eps_ref, Lambda)] + ladder
     rows = [r for chunk in _pool_map(_converge_chunk, [
         (cfg, configs, samples) for samples in _chunks(cfg.samples)]) for r in chunk]
-    aggregates, points = [], []
+    aggregates = []
     for eps in cfg.eps_ladder:
         errs = [r["sup_error"] for r in rows if r["eps"] == eps]
         mean, se, nkept = mean_and_se(errs)
@@ -409,8 +402,7 @@ def converge_experiment(cfg: ExperimentConfig) -> RunRecord:
                 "recorded time")
         aggregates.append({"eps": eps, "mean": mean, "se": se, "n": nkept,
                            "truncated_fraction": truncated / cfg.samples})
-    points = [(a["eps"], a["mean"]) for a in aggregates]
-    fit = _fit_or_degenerate(points)
+    fit = _fit_or_degenerate([(a["eps"], a["mean"]) for a in aggregates])
     return RunRecord(
         kind="converge", config_hash=cfg.config_hash(),
         master_seed=cfg.master_seed, per_sample=rows, aggregates=aggregates,
@@ -485,21 +477,26 @@ def correction_experiment(cfg: ExperimentConfig) -> RunRecord:
     )
 
 
-def _fluctuation_sample(args):
-    cfg, eps, s, centers = args
-    rng = sample_rng(cfg.master_seed, s)
-    n = cfg.model.n
-    state = ModeState.zero(cfg.scheme, eps, cfg.N, n)
-    offsets = lift_offsets(cfg.scheme, eps, cfg.M)
+def _chunk_lifts(cfg: ExperimentConfig, eps: float, samples, times):
+    """One lift of the reference fields of all ``samples`` at each of ``times``
+    in turn, each sample's increments drawn from its own generator."""
+    rngs = [sample_rng(cfg.master_seed, s) for s in samples]
+    state = ModeState(np.zeros((len(rngs), cfg.N + 1, cfg.model.n)), cfg.scheme, eps, 0.0)
     prev = 0.0
-    best = 0.0
-    for t in cfg.times:
-        state = evolve_modes(state, t - prev, draw_increments(rng, cfg.N, n))
-        prev = t
-        lift = lift_XX(state, cfg.M, offsets)
-        best = max(best, fluctuation_statistic(lift, cfg.scheme, eps, t,
-                                               cfg.alpha, centers[t]))
-    return {"eps": eps, "sample": s, "statistic": best}
+    for t in times:
+        increments = np.stack([draw_increments(rng, cfg.N, cfg.model.n) for rng in rngs])
+        state, prev = evolve_modes(state, t - prev, increments), t
+        yield lift_XX(state, cfg.M, lift_offsets(cfg.scheme, eps, cfg.M))
+
+
+def _fluctuation_chunk(args):
+    cfg, eps, samples, centers = args
+    best = [0.0] * len(samples)
+    for t, lift in zip(cfg.times, _chunk_lifts(cfg, eps, samples, cfg.times)):
+        stats = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha, centers[t])
+        best = [max(b, stat) for b, stat in zip(best, stats)]
+        del lift                                  # before the next lift is made
+    return [{"eps": eps, "sample": s, "statistic": b} for s, b in zip(samples, best)]
 
 
 def fluctuation_experiment(cfg: ExperimentConfig) -> RunRecord:
@@ -517,9 +514,9 @@ def fluctuation_experiment(cfg: ExperimentConfig) -> RunRecord:
     # the statistic's centring constant Lambda_eps(t), once per (eps, t)
     centers = {eps: {t: lambda_eps(cfg.scheme, eps, t, cfg.N) for t in cfg.times}
                for eps in cfg.eps_ladder}
-    rows = _pool_map(_fluctuation_sample,
-                     [(cfg, eps, s, centers[eps]) for eps in cfg.eps_ladder
-                      for s in range(cfg.samples)])
+    rows = [r for chunk in _pool_map(_fluctuation_chunk, [
+        (cfg, eps, samples, centers[eps]) for eps in cfg.eps_ladder
+        for samples in _chunks(cfg.samples)]) for r in chunk]
     aggregates = []
     for eps in cfg.eps_ladder:
         mean, se, nkept = mean_and_se([r["statistic"] for r in rows
@@ -559,23 +556,19 @@ def lambda_decay_table(cfg: ExperimentConfig) -> dict:
 
 
 def lift_experiment(cfg: ExperimentConfig) -> RunRecord:
-    """Per-sample lift statistics at a single (eps, t)."""
+    """Per-sample lift statistics at a single (eps, t), one lift per chunk."""
     t0 = time.perf_counter()
     eps = cfg.eps_ladder[0]
     t = cfg.times[-1]
-    n = cfg.model.n
     center = lambda_eps(cfg.scheme, eps, t, cfg.N)
     rows = []
-    for s in range(cfg.samples):
-        rng = sample_rng(cfg.master_seed, s)
-        state = ModeState.zero(cfg.scheme, eps, cfg.N, n)
-        state = evolve_modes(state, t, draw_increments(rng, cfg.N, n))
-        lift = lift_XX(state, cfg.M, lift_offsets(cfg.scheme, eps, cfg.M))
-        stat = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha, center)
+    for samples in _chunks(cfg.samples):
+        lift, = _chunk_lifts(cfg, eps, samples, (t,))
         dxx = d_eps_xx(lift, cfg.scheme, eps)
-        trace_mean = float(np.trace(dxx.values.mean(axis=0)) / n)
-        rows.append({"eps": eps, "t": t, "sample": s, "statistic": stat,
-                     "dxx_trace_mean": trace_mean})
+        stats = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha, center, dxx)
+        rows += [{"eps": eps, "t": t, "sample": s, "statistic": stat,
+                  "dxx_trace_mean": float(np.trace(values.mean(axis=0)) / cfg.model.n)}
+                 for s, stat, values in zip(samples, stats, dxx.values)]
     mean, se, nkept = mean_and_se([r["statistic"] for r in rows])
     tr_mean, tr_se, _ = mean_and_se([r["dxx_trace_mean"] for r in rows])
     aggregates = [{"eps": eps, "mean": mean, "se": se, "n": nkept,

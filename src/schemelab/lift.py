@@ -26,16 +26,19 @@ C = sum_l l a_l e^{ilx} and B_u = sum_l a_l (e^{ilu} - 1) e^{ilx}
 
 where [F]_m is the coefficient of e^{imx} in F, and the k = -l terms give
 the m = 0 block in closed form.  A, C/i and every B_u are real fields, so
-one lift puts them all on a P = 2M point grid with one batched irfft, takes
+one lift puts them all, for one state or a chunk of states stacked on a
+leading sample axis, on a P = 2M point grid with one batched irfft and takes
 the modes m = 1..2N of the products A_i (C/i)_j and A_i (B_u)_j with one
-batched rfft (P > 4N, so no product mode aliases), and evaluates every
-shift with one batched irfft on the same grid, whose even points are the
-M-point grid.  Negative modes are the complex conjugates.
+batched rfft (P > 4N, so no product mode aliases).  Negative modes are the
+complex conjugates.  The grid values (an irfft on the same grid, whose even
+points are the M-point grid), the grid-spacing shift and the rough-path
+sample are made when first read; the fluctuation statistic reads none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,28 +52,29 @@ from schemelab.solver import draw_noise
 
 @dataclass
 class ModeState:
-    """Complex Gaussian mode coordinates xi_k(t) for k = 0..N (row 0 real).
+    """Complex Gaussian mode coordinates xi_k(t) for k = 0..N (row 0 real),
+    of one sample or of a chunk of samples stacked on a leading axis.
 
     Negative modes are implied by conjugation and never stored.
     """
 
-    xi: np.ndarray          # complex, (N+1, n)
+    xi: np.ndarray          # complex, (N+1, n) or (S, N+1, n)
     scheme: CutoffScheme
     eps: float
     t: float
 
     def __post_init__(self):
         self.xi = np.asarray(self.xi, dtype=complex)
-        if self.xi.ndim != 2:
-            raise ValueError("xi must have shape (N+1, n)")
+        if self.xi.ndim not in (2, 3):
+            raise ValueError("xi must have shape (N+1, n) or (S, N+1, n)")
 
     @property
     def N(self) -> int:
-        return self.xi.shape[0] - 1
+        return self.xi.shape[-2] - 1
 
     @property
     def n(self) -> int:
-        return self.xi.shape[1]
+        return self.xi.shape[-1]
 
     @staticmethod
     def zero(scheme: CutoffScheme, eps: float, N: int, n: int) -> "ModeState":
@@ -99,7 +103,7 @@ def evolve_modes(state: ModeState, dt: float, increments: np.ndarray) -> ModeSta
     lap = laplacian_multiplier(state.scheme, np.arange(state.N + 1), state.eps)
     decay = np.exp(lap * dt)[:, None]
     xi = decay * state.xi + np.sqrt(np.maximum(0.0, 1.0 - decay ** 2)) * increments
-    xi[0] = state.xi[0].real + np.sqrt(dt) * increments[0].real
+    xi[..., 0, :] = state.xi[..., 0, :].real + np.sqrt(dt) * increments[..., 0, :].real
     return ModeState(xi, state.scheme, state.eps, state.t + dt)
 
 
@@ -109,9 +113,7 @@ def assemble_X(state: ModeState, M: int | None = None):
     q = mode_amplitudes(state.scheme, state.eps, state.N)
     half = (SQRT_2PI * q[:, None] * state.xi).T
     field = SpectralField(full_spectrum(half))
-    if M is None:
-        return field
-    return field, GridField(Transform(state.N, M).to_grid(half))
+    return field if M is None else (field, GridField(Transform(state.N, M).to_grid(half)))
 
 
 def state_from_coeffs(coeffs: np.ndarray, scheme: CutoffScheme, eps: float,
@@ -141,40 +143,95 @@ def lift_offsets(scheme: CutoffScheme, eps: float, M: int) -> list:
 
 @dataclass
 class OffsetLift:
-    """Second-order increments over one fixed shift u, for every grid point.
+    """Second-order increments over one fixed shift u, for every grid point,
+    behind the lift's sample axis, if it has one.
 
-    coeffs[m + 2N] is the coefficient of e^{i m x} in XX(x, x+u);
-    values[p] is XX(x_p, x_p + u), an (n, n) matrix per grid point.
+    coeffs[..., m + 2N, :, :] is the coefficient of e^{i m x} in XX(x, x+u);
+    values[..., p, :, :] is XX(x_p, x_p + u) on the M-point grid (the even
+    points of ``grid``), made on first read from ``spec`` = sqrt(2 pi) C_m.
     """
 
     u: float
-    coeffs: np.ndarray      # complex, (4N+1, n, n)
-    values: np.ndarray      # real, (M, n, n)
+    coeffs: np.ndarray      # complex, (..., 4N+1, n, n)
+    spec: np.ndarray        # complex, (..., n, n, 2N+1)
+    grid: Transform         # modes 0..2N on 2M points
+
+    @cached_property
+    def values(self) -> np.ndarray:         # real, (..., M, n, n)
+        return np.ascontiguousarray(np.moveaxis(self.grid.to_grid(self.spec)[..., ::2], -1, -3))
+
+
+class MissingOffsetError(KeyError):
+    pass
 
 
 @dataclass
 class LiftSample:
-    """A rough-path sample of the reference field plus an offset table."""
+    """The lift of one state, or of a chunk of states stacked on a leading
+    sample axis: an offset table over the requested shifts.  The grid-spacing
+    shift and the rough-path sample are built on first read."""
 
-    rough: RoughPathSample
-    offsets: dict
     state: ModeState
     M: int
-
-    @property
-    def N(self) -> int:
-        return self.state.N
+    offsets: dict           # shift -> OffsetLift
+    a: np.ndarray           # modes 0..2N of the field less its mode 0, (..., n, 2N+1)
 
     def offset(self, u: float) -> OffsetLift:
+        dx = 2.0 * np.pi / self.M
+        if abs(u - dx) <= 1e-12 and dx not in self.offsets:
+            self.offsets.update(self.shifts([dx]))
         for key, entry in self.offsets.items():
             if abs(key - u) <= 1e-12 * max(1.0, abs(u)):
                 return entry
-        raise KeyError(f"offset {u!r} not present in the lift")
+        raise MissingOffsetError(f"offset {u!r} not present in the lift")
+
+    @cached_property
+    def rough(self):
+        """The rough-path sample of the field, a list of them for a chunk;
+        only X carries the mode-0 amplitude, which XX does not depend on."""
+        X = (np.swapaxes(Transform(2 * self.state.N, 2 * self.M).to_grid(self.a)[..., ::2],
+                         -1, -2) + (1.0 / SQRT_2PI) * self.state.xi[..., :1, :].real)  # q_0
+        x, XX = grid_points(self.M), self.offset(2.0 * np.pi / self.M).values
+        return (RoughPathSample(x, X, XX) if X.ndim == 2
+                else [RoughPathSample(x, X_s, XX_s) for X_s, XX_s in zip(X, XX)])
+
+    def shifts(self, us: list) -> dict:
+        """The offset table over the shifts ``us``, all samples at once."""
+        if not us:
+            return {}
+        N, a = self.state.N, self.a
+        u = np.array(us)[:, None]
+        ms = np.arange(2 * N + 1)
+        phase = np.exp(1j * u * ms) - 1.0          # e^{imu} - 1, (U, 2N+1)
+        grid = Transform(2 * N, 2 * self.M)        # P = 2M >= 4N + 2 points
+        # rows: A, C/i, then B_u for every shift
+        rows = a[..., None, :, :]
+        fields = grid.to_grid(np.concatenate(
+            [rows, -1j * ms * rows, phase[:, None] * rows], axis=-3))    # (..., 2+U, n, P)
+        conv = grid.to_coeffs(fields[..., :1, :, None, :]
+                              * fields[..., 1:, None, :, :])[..., 1:]  # (..., 1+U, n, n, 2N)
+        pos = (1j * conv[..., :1, :, :, :] * (phase[:, 1:] / ms[1:])[:, None, None, :]
+               - conv[..., 1:, :, :, :])                              # modes 1..2N
+        # m = 0: the k = -l branch replaces the convolution value entirely; a
+        # product of two coefficients carries sqrt(2 pi) once too often
+        full = full_spectrum(a[..., :N + 1])[..., None, :, :]          # modes -N..N
+        w0 = 1j * np.arange(-N, N + 1) * u - full_spectrum(phase[:, :N + 1])
+        c0 = ((w0[:, None, :] * np.conj(full)) @ np.swapaxes(full, -1, -2))[..., None]
+        spec = np.concatenate([c0 * (1.0 / SQRT_2PI), pos], axis=-1)  # (..., U, n, n, 2N+1)
+        coeffs = full_spectrum(spec * (1.0 / SQRT_2PI))   # the series' own coefficients
+        # the m = 0 block and the negative half are not forced real, so
+        # evaluate the coefficients at x = 0, against each sample's largest
+        defect = np.abs(coeffs.sum(axis=-1).imag).max(axis=(-3, -2, -1))
+        if np.any(defect > REALITY_TOL * np.maximum(1.0, np.abs(coeffs).max(axis=(-4, -3, -2, -1)))):
+            raise FloatingPointError("lift lost the reality constraint")
+        coeffs = np.moveaxis(coeffs, -1, -3)
+        return {u: OffsetLift(u, coeffs[..., k, :, :, :], spec[..., k, :, :, :], grid)
+                for k, u in enumerate(us)}
 
 
 def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
-    """Iterated-integral lift over each requested shift, plus the rough-path
-    sample built from the grid-spacing shift.
+    """Iterated-integral lift of ``state``, one sample or a chunk, over each
+    requested shift but the grid spacing, which is lifted on first read.
 
     ``offsets`` must contain the grid spacing 2 pi / M; shifts are otherwise
     arbitrary reals (they need not align with the grid).
@@ -184,118 +241,68 @@ def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
         raise ValueError(f"grid size {M} too small for max mode {N}")
     dx = 2.0 * np.pi / M
     us = [float(u) for u in offsets]
-    grid_key = None
-    for u in us:
-        if abs(u - dx) <= 1e-12:
-            grid_key = u
-    if grid_key is None:
+    if all(abs(u - dx) > 1e-12 for u in us):
         raise ValueError("offsets must include the grid spacing 2*pi/M")
-
-    # modes l = 0..N of A, zero up to the products' 2N, as the package's
-    # coefficients a = sqrt(2 pi) q xi; the negative half is the complex
-    # conjugate.  XX does not depend on the mode-0 amplitude (its terms cancel
-    # exactly), so it stays out of the products, where its rounding would
-    # swamp small fields, and only rough.X gets it back
+    # modes l = 1..N of A, zero up to the products' 2N, as the package's
+    # coefficients a = sqrt(2 pi) q xi.  XX does not depend on a_0 (its terms
+    # cancel exactly), whose rounding would swamp small fields
     q = mode_amplitudes(state.scheme, state.eps, N)
-    a = np.zeros((n, 2 * N + 1), dtype=complex)
-    a[:, 1:N + 1] = (SQRT_2PI * q[1:, None] * state.xi[1:]).T
-    u = np.array(us)[:, None]
-    ms = np.arange(2 * N + 1)
-    phase = np.exp(1j * u * ms) - 1.0          # e^{imu} - 1, (U, 2N+1)
-    grid = Transform(2 * N, 2 * M)             # P = 2M >= 4N + 2 points
-    # rows: A, C/i, then B_u for every shift
-    half = np.concatenate([a[None], (-1j * ms * a)[None], phase[:, None] * a])
-    fields = grid.to_grid(half)                                       # (2+U, n, P)
-    A = fields[0]
-    conv = grid.to_coeffs(A[None, :, None] * fields[1:, None])[..., 1:]  # (1+U, n, n, 2N)
-    pos = (1j * conv[0] * (phase[:, 1:] / ms[1:])[:, None, None, :]
-           - conv[1:])                                                # modes 1..2N
-    # m = 0: the k = -l branch replaces the convolution value entirely; a
-    # product of two coefficients carries sqrt(2 pi) once too often
-    full = full_spectrum(a[:, :N + 1])                                 # modes -N..N
-    w0 = 1j * np.arange(-N, N + 1) * u - full_spectrum(phase[:, :N + 1])
-    c0 = ((w0[:, None, :] * np.conj(full)) @ full.T)[..., None] * (1.0 / SQRT_2PI)
-    spec = np.concatenate([c0, pos], axis=-1)                         # modes 0..2N
-    values = grid.to_grid(spec)[..., ::2]                             # (U, n, n, M)
-    coeffs = full_spectrum(spec * (1.0 / SQRT_2PI))   # the series' own coefficients
-    # the transforms force the values real; the m = 0 block and the negative
-    # half are not, so evaluate the stored coefficients at x = 0
-    defect = float(np.abs(coeffs.sum(axis=-1).imag).max())
-    if defect > REALITY_TOL * max(1.0, float(np.abs(values).max())):
-        raise FloatingPointError("lift lost the reality constraint")
-    coeffs = np.moveaxis(coeffs, -1, 1)
-    values = np.ascontiguousarray(np.moveaxis(values, -1, 1))
-    table = {u: OffsetLift(u=u, coeffs=coeffs[k], values=values[k])
-             for k, u in enumerate(us)}
-
-    rough = RoughPathSample(
-        x=grid_points(M),
-        X=A[:, ::2].T + q[0] * state.xi[0].real,
-        XXinc=table[grid_key].values,
-    )
-    return LiftSample(rough=rough, offsets=table, state=state, M=M)
+    a = np.zeros(state.xi.shape[:-2] + (n, 2 * N + 1), dtype=complex)
+    a[..., 1:N + 1] = np.swapaxes(SQRT_2PI * q[1:, None] * state.xi[..., 1:, :], -1, -2)
+    lift = LiftSample(state=state, M=M, offsets={}, a=a)
+    lift.offsets = lift.shifts([u for u in us if abs(u - dx) > 1e-12])
+    return lift
 
 
 @dataclass
 class MatrixField:
-    """Matrix-valued field given by modes: field(x) = sum_m coeffs[m] e^{imx}."""
+    """Matrix-valued field given by modes: field(x) = sum_m coeffs[m] e^{imx},
+    behind the lift's sample axis, if it has one; its grid values are the
+    same mu-average of the offsets' values, made on first read."""
 
-    coeffs: np.ndarray      # complex, (4N+1, n, n)
-    values: np.ndarray      # real, (M, n, n)
+    coeffs: np.ndarray      # complex, (..., 4N+1, n, n)
+    atoms: list             # (weight, OffsetLift) per nonzero atom
+    eps: float
+    M: int
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-
-class MissingOffsetError(KeyError):
-    pass
+    @cached_property
+    def values(self) -> np.ndarray:         # real, (..., M, n, n)
+        zero = np.zeros(self.coeffs.shape[:-3] + (self.M,) + self.coeffs.shape[-2:])
+        return sum((w * entry.values for w, entry in self.atoms), zero) / self.eps
 
 
 def d_eps_xx(lift: LiftSample, scheme: CutoffScheme, eps: float) -> MatrixField:
     """Scaled mu-average of the lift: (1/eps) sum_a w_a XX(., . + eps z_a)."""
-    n = lift.state.n
-    N = lift.N
-    coeffs = np.zeros((4 * N + 1, n, n), dtype=complex)
-    values = np.zeros((lift.M, n, n))
-    for z, w in scheme.mu.atoms:
-        if z == 0.0 or w == 0.0:
-            continue
-        try:
-            entry = lift.offset(eps * z)
-        except KeyError as exc:
-            raise MissingOffsetError(
-                f"lift lacks the offset eps*z = {eps * z!r}") from exc
-        coeffs += w * entry.coeffs
-        values += w * entry.values
-    return MatrixField(coeffs=coeffs / eps, values=values / eps)
+    atoms = [(w, lift.offset(eps * z)) for z, w in scheme.mu.atoms if z != 0.0 and w != 0.0]
+    shape = lift.state.xi.shape[:-2] + (4 * lift.state.N + 1,) + 2 * (lift.state.n,)
+    coeffs = sum((w * entry.coeffs for w, entry in atoms), np.zeros(shape, dtype=complex))
+    return MatrixField(coeffs / eps, atoms, eps, lift.M)
 
 
 def fluctuation_statistic(lift: LiftSample, scheme: CutoffScheme, eps: float,
-                          t: float, alpha: float, center: float | None = None) -> float:
+                          t: float, alpha: float, center: float | None = None,
+                          field: MatrixField | None = None):
     """|D_eps XX(t, .) - Lambda_eps(t) Id|_{H^{-alpha}}, root-sum-square over
-    matrix entries.
+    matrix entries: a float, or a list of one per sample of a chunk's lift.
 
     The centering constant is the finite-eps correction constant truncated at
     the same mode count as the lift, so the statistic is exactly mean-zero
-    for the truncated field.  ``t`` must match the lift's time.  ``center``
-    is that constant, ``lambda_eps(scheme, eps, t, N)``, when the caller
-    already has it; it is computed otherwise.
+    for the truncated field.  ``t`` must match the lift's time.  A caller
+    that has ``center`` = lambda_eps(scheme, eps, t, N) or ``field`` =
+    d_eps_xx(lift, scheme, eps) passes them; they are computed otherwise.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
     if abs(t - lift.state.t) > 1e-12 * max(1.0, abs(t)):
         raise ValueError("t does not match the time of the lifted state")
-    field = d_eps_xx(lift, scheme, eps)
-    N = lift.N
+    field = d_eps_xx(lift, scheme, eps) if field is None else field
+    N, n = lift.state.N, lift.state.n
     if center is None:
         center = lambda_eps(scheme, eps, t, N)
     coeffs = field.coeffs.copy()
-    for i in range(field.n):
-        coeffs[2 * N, i, i] -= center
-    total = 0.0
-    for i in range(field.n):
-        for j in range(field.n):
-            entry = SpectralField(SQRT_2PI * coeffs[None, :, i, j])
-            total += sobolev_minus_alpha_norm(entry, alpha) ** 2
-    return float(np.sqrt(total))
+    coeffs[..., 2 * N, range(n), range(n)] -= center       # m = 0, the diagonal
+    stats = []
+    for c in coeffs.reshape((-1,) + coeffs.shape[-3:]):
+        entries = (SpectralField(SQRT_2PI * c[None, :, i, j]) for i in range(n) for j in range(n))
+        stats.append(float(np.sqrt(sum(sobolev_minus_alpha_norm(e, alpha) ** 2 for e in entries))))
+    return stats[0] if coeffs.ndim == 3 else stats

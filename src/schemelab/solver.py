@@ -299,6 +299,7 @@ class _Operators:
         del draws                                 # before the result is made
         w[..., 0] = w[..., 0].real                # mode 0 is real
         noise = (self.transform.mode_sums(modes) if const is None
+                 else const[0, 0] * w if len(const) == 1      # as in _apply
                  else np.einsum("ij,...jbk->...ibk", const, w))
         return noise if len(r) == len(self.group) else noise[..., self.noise_row, :]
 
@@ -482,9 +483,10 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
 
     def survivors(j, u_grid):
         """Mask of the runs whose state at step j stays in the batch."""
-        if np.abs(u_grid).max() <= cap:     # false for a nan too
+        # max |u| as max(max u, -min u), without a |u| temporary; nan fails both
+        if u_grid.max() <= cap and -u_grid.min() <= cap:
             return None
-        sup = np.abs(u_grid).max(axis=-1).max(axis=0)
+        sup = np.maximum(u_grid.max(axis=-1), -u_grid.min(axis=-1)).max(axis=0)
         keep = np.ones(len(live), dtype=bool)
         for pos in np.flatnonzero(~(sup <= cap)):
             if not np.all(np.isfinite(u_hat[:, pos])):

@@ -16,7 +16,8 @@ from schemelab.lift import (
     mode_amplitudes,
     state_from_coeffs,
 )
-from schemelab.schemes import CutoffScheme, make_function
+from schemelab import lift as lift_module, spectral
+from schemelab.schemes import CutoffScheme, make_function, make_scheme
 from schemelab.spectral import half_spectrum
 
 def random_state(rng, scheme, eps, N, n, t=0.7):
@@ -218,6 +219,63 @@ class TestLiftXX:
             assert np.array_equal(zero.offset(u).coeffs, big.offset(u).coeffs)
             assert np.array_equal(zero.offset(u).values, big.offset(u).values)
         np.testing.assert_allclose(big.rough.X - zero.rough.X, 1e3, rtol=1e-15)
+
+
+def skewed_full_spectrum(bad):
+    """``full_spectrum`` with the negative modes of sample ``bad``'s field
+    doubled, which breaks its conjugate symmetry: the m = 0 block of that
+    sample's lift, sum_k w_k conj(a_k) a_k^T, is then not real."""
+    def full(half):
+        out = spectral.full_spectrum(half)
+        if half.ndim == 3:          # the field modes of a chunk, (S, n, N+1)
+            out[bad, :, :half.shape[-1] - 1] *= 2.0
+        return out
+    return full
+
+
+class TestChunk:
+    """A lift of S states stacked on a leading sample axis."""
+
+    @pytest.mark.parametrize("S, bad", [(1, 0), (4, 2)])
+    def test_lost_reality_raises(self, monkeypatch, forward, S, bad):
+        rng = np.random.default_rng(61)
+        xi = np.stack([random_state(rng, forward, 0.1, 12, 2).xi for _ in range(S)])
+        state = ModeState(xi, forward, 0.1, 0.7)
+        offsets = lift_offsets(forward, 0.1, 40)
+        lift_XX(state, 40, offsets)                       # intact: no error
+        monkeypatch.setattr(lift_module, "full_spectrum", skewed_full_spectrum(bad))
+        with pytest.raises(FloatingPointError, match="reality"):
+            lift_XX(state, 40, offsets)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", ["forward_difference", "central_difference"])
+    def test_bits_of_one_sample_lifts(self, n, name):
+        scheme = make_scheme(name)
+        rng = np.random.default_rng(67)
+        eps, N, M, S = 0.125, 16, 48, 3
+        offsets = lift_offsets(scheme, eps, M) + [0.0, 1.3]
+        singles = [ModeState.zero(scheme, eps, N, n) for _ in range(S)]
+        chunk = ModeState(np.zeros((S, N + 1, n)), scheme, eps, 0.0)
+        for dt in (0.1, 0.4):
+            increments = [draw_increments(rng, N, n) for _ in range(S)]
+            singles = [evolve_modes(st, dt, z) for st, z in zip(singles, increments)]
+            chunk = evolve_modes(chunk, dt, np.stack(increments))
+        assert np.array_equal(chunk.xi, np.stack([st.xi for st in singles]))
+        lift = lift_XX(chunk, M, offsets)
+        lifts = [lift_XX(st, M, offsets) for st in singles]
+        field = d_eps_xx(lift, scheme, eps)
+        stats = fluctuation_statistic(lift, scheme, eps, chunk.t, 0.45)
+        for s, one in enumerate(lifts):
+            for u in offsets:
+                assert np.array_equal(lift.offset(u).coeffs[s], one.offset(u).coeffs)
+                assert np.array_equal(lift.offset(u).values[s], one.offset(u).values)
+            assert np.array_equal(lift.rough[s].x, one.rough.x)
+            assert np.array_equal(lift.rough[s].X, one.rough.X)
+            assert np.array_equal(lift.rough[s].XXinc, one.rough.XXinc)
+            one_field = d_eps_xx(one, scheme, eps)
+            assert np.array_equal(field.coeffs[s], one_field.coeffs)
+            assert np.array_equal(field.values[s], one_field.values)
+            assert stats[s] == fluctuation_statistic(one, scheme, eps, chunk.t, 0.45)
 
 
 class TestDEpsXX:
