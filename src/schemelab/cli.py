@@ -63,9 +63,10 @@ def _cmd_check_scheme(cfg, out_dir):
 
 def _cmd_lambda(cfg, out_dir):
     result = lambda_exact(cfg.scheme, nu=cfg.nu)
-    print(f"lambda = {result.value:.12g} "
-          f"(error estimate {result.error_estimate:.3g}, "
-          f"{result.evaluations} integrand evaluations)")
+    how = ("closed form" if result.evaluations == 0 else
+           f"error estimate {result.error_estimate:.3g}, "
+           f"{result.evaluations} integrand evaluations")
+    print(f"lambda = {result.value:.12g} ({how})")
     table = lambda_decay_table(cfg)
     _write_csv(os.path.join(out_dir, "lambda_table.csv"), table["rows"])
     with open(os.path.join(out_dir, "lambda.json"), "w") as fh:

@@ -5,8 +5,11 @@ The constant is
 
     Lambda = (1/(2 pi nu)) int_0^inf int_R (1 - cos(y t)) h(t)^2 / (t^2 f(t)) mu(dy) dt.
 
-For f = h = 1 it collapses to (1/(4 nu)) int |y| mu(dy); that closed form is
-kept as a test oracle only.  The finite-eps quantity
+For f = 1 it has a closed form, which ``lambda_exact`` returns: with h = 1 it
+collapses to (1/(4 nu)) int |y| mu(dy), and with the window h = 1_{|t| <= c}
+it is (1/(2 pi nu)) sum_a w_a (|z_a| Si(|z_a| c) - (1 - cos(z_a c)) / c).
+Every other (f, h) goes through adaptive quadrature (``lambda_integral``),
+which alone loads scipy.integrate.  The finite-eps quantity
 
     Lambda_{z,eps}(t) = (1/eps) sum_k (q_eps^k)^2 K_k(t) (1 - cos(k eps z)),
 
@@ -22,11 +25,12 @@ to the solver (``make_correction_drift``) and to ``corrected_drift``.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy.special import sici
 
 from schemelab.models import ModelFunctions
 from schemelab.schemes import CutoffScheme, laplacian_multiplier
@@ -62,6 +66,7 @@ def _lambda_single_atom(z: float, f, h, limit: int, tol: float):
     int cos(z t) w(t)/t^2 dt (computed with a cosine-weighted rule), where
     w = h^2/f.  The integrand is extended continuously at 0 by z^2 w(0)/2.
     """
+    from scipy import integrate          # about 27 MB, loaded for quadrature only
     evals = 0
     epsabs = max(tol / 8.0, 1e-13)
 
@@ -109,9 +114,28 @@ def lambda_integral(atoms, f, h, nu: float = 1.0, tol: float = 1e-9,
     return LambdaResult(value=value, error_estimate=error, evaluations=evals)
 
 
+def _lambda_closed_form(scheme: CutoffScheme, nu: float) -> float | None:
+    """Lambda for f = 1 with h = 1 or h = 1_{|t| <= c}, 0 < c < inf (the
+    cutoff defaults as in ``schemes._eval_indicator``); None otherwise."""
+    f, h = scheme.f, scheme.h
+    if f.name != "one" or f.params:
+        return None
+    atoms = [(abs(z), w) for z, w in scheme.mu.atoms if z != 0.0 and w != 0.0]
+    if h.name == "one" and not h.params:
+        return math.fsum(w * s for s, w in atoms) / (4.0 * nu)
+    c = h.params.get("cutoff", 1.0)
+    if h.name != "indicator" or h.params.keys() - {"cutoff"} or not 0.0 < c < math.inf:
+        return None
+    # int_0^c (1 - cos(s t)) / t^2 dt = s Si(s c) - (1 - cos(s c)) / c
+    return math.fsum(w * (s * float(sici(s * c)[0]) - (1.0 - math.cos(s * c)) / c)
+                     for s, w in atoms) / (2.0 * math.pi * nu)
+
+
 def lambda_exact(scheme: CutoffScheme, nu: float = 1.0, tol: float = 1e-9,
                  limit: int = 400) -> LambdaResult:
-    """Correction constant of the scheme by adaptive quadrature.
+    """Correction constant of the scheme: the closed form where f = 1 and h
+    is ``one`` or an ``indicator`` (no error, no evaluations), adaptive
+    quadrature otherwise.
 
     The caller is expected to have validated the scheme; the integral is
     evaluated as given.  Raises QuadratureError (carrying the partial value)
@@ -120,6 +144,9 @@ def lambda_exact(scheme: CutoffScheme, nu: float = 1.0, tol: float = 1e-9,
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
+    value = _lambda_closed_form(scheme, nu)
+    if value is not None:
+        return LambdaResult(value=value, error_estimate=0.0, evaluations=0)
     return lambda_integral(scheme.mu.atoms, scheme.f, scheme.h, nu=nu,
                            tol=tol, limit=limit)
 

@@ -255,6 +255,18 @@ class TestCommands:
 ROOT = Path(__file__).resolve().parents[1]
 
 
+CONFIGS = sorted(str(p) for d in ("configs", "perfbench/configs")
+                 for p in (ROOT / d).glob("*.json"))
+
+
+def _fresh_interpreter(script, *args):
+    """stdout of ``script`` run by a new interpreter on the package source."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}).stdout
+
+
 def test_cli_import_loads_neither_scipy_stats_nor_the_process_pool():
     # a fresh interpreter: this process has imported both long ago.  The
     # rate fit needs only scipy.special, and the pool is imported when
@@ -267,10 +279,26 @@ for path in sys.argv[1:]:
     load_config(path)
 print(" ".join(m for m in ("scipy.stats", "concurrent.futures.process") if m in sys.modules))
 """
-    configs = sorted(str(p) for p in (ROOT / "configs").glob("*.json"))
-    assert len(configs) >= 5
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script, *configs], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out.strip() == ""
+    assert len(CONFIGS) >= 8
+    assert _fresh_interpreter(script, *CONFIGS).strip() == ""
+
+
+def test_closed_form_lambda_loads_no_quadrature():
+    # every shipped scheme has f = 1 and h = one or indicator, so its Lambda
+    # is the closed form; scipy.integrate comes in with the first quadrature
+    script = """
+import sys
+import schemelab.cli
+from schemelab.config import load_config
+from schemelab.correction import lambda_exact
+from schemelab.schemes import make_function, make_scheme
+for path in sys.argv[1:]:
+    cfg = load_config(path)
+    for scheme in filter(None, (cfg.scheme, cfg.scheme2)):
+        assert lambda_exact(scheme, nu=cfg.nu).evaluations == 0
+print("scipy.integrate" in sys.modules)
+lambda_exact(make_scheme("forward_difference", h=make_function("gaussian")))
+print("scipy.integrate" in sys.modules)
+"""
+    assert len(CONFIGS) >= 8
+    assert _fresh_interpreter(script, *CONFIGS).split() == ["False", "True"]

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -12,7 +13,16 @@ from schemelab.correction import (
     lambda_integral,
     lambda_z_eps,
 )
-from schemelab.schemes import AtomicSignedMeasure, CutoffScheme, make_function, make_scheme
+from schemelab.schemes import (
+    BACKWARD_DIFFERENCE,
+    CENTRAL_DIFFERENCE,
+    FORWARD_DIFFERENCE,
+    AtomicSignedMeasure,
+    CutoffScheme,
+    _eval_indicator,
+    make_function,
+    make_scheme,
+)
 
 
 def closed_form(mu, nu=1.0):
@@ -22,10 +32,11 @@ def closed_form(mu, nu=1.0):
 
 class TestLambdaExact:
     def test_forward(self, forward):
-        res = lambda_exact(forward)
+        res = lambda_integral(forward.mu.atoms, forward.f, forward.h)
         assert res.value == pytest.approx(0.25, abs=1e-6)
         assert res.error_estimate <= 1e-9
         assert res.evaluations > 0
+        assert lambda_exact(forward) == LambdaResult(0.25, 0.0, 0)
 
     def test_backward(self, backward):
         assert lambda_exact(backward).value == pytest.approx(-0.25, abs=1e-6)
@@ -49,7 +60,8 @@ class TestLambdaExact:
         "ignore::scipy.integrate.IntegrationWarning")
     def test_budget_exhaustion_carries_partial(self, forward):
         with pytest.raises(QuadratureError) as info:
-            lambda_exact(forward, tol=1e-16, limit=3)
+            lambda_integral(forward.mu.atoms, forward.f, forward.h,
+                            tol=1e-16, limit=3)
         assert info.value.partial_value == pytest.approx(0.25, abs=1e-2)
         assert info.value.error_estimate > 1e-16
 
@@ -62,6 +74,49 @@ class TestLambdaExact:
         expected, _ = quad(lambda t: (1 - np.cos(t)) / t**2, 1e-12, 1.0)
         assert lambda_exact(scheme).value == pytest.approx(
             expected / (2 * np.pi), abs=1e-6)
+
+    @pytest.mark.parametrize("h", [make_function("one"),
+                                   make_function("indicator", cutoff=1.0),
+                                   make_function("indicator", cutoff=2.5)],
+                             ids=["one", "indicator-1", "indicator-2.5"])
+    @pytest.mark.parametrize("mu, nu", [
+        (FORWARD_DIFFERENCE, 1.0), (BACKWARD_DIFFERENCE, 1.0),
+        (CENTRAL_DIFFERENCE, 1.0),
+        (AtomicSignedMeasure([(2.0, 0.5), (0.0, -0.5)]), 1.0),
+        (FORWARD_DIFFERENCE, 4.0)],
+        ids=["forward", "backward", "central", "offset", "forward-nu4"])
+    def test_closed_form_matches_quadrature(self, mu, nu, h):
+        # criterion 4's tolerance; the quadrature stays the reference
+        scheme = CutoffScheme(f=make_function("one"), mu=mu, h=h)
+        closed = lambda_exact(scheme, nu=nu)
+        assert (closed.error_estimate, closed.evaluations) == (0.0, 0)
+        quad = lambda_integral(mu.atoms, scheme.f, h, nu=nu)
+        assert quad.evaluations > 0
+        assert closed.value == pytest.approx(quad.value, abs=1e-6)
+
+    def test_indicator_cutoff_defaults_as_the_function(self, forward):
+        # make_function("indicator") evaluates with _eval_indicator's default
+        h = make_function("indicator")
+        default = inspect.signature(_eval_indicator).parameters["cutoff"].default
+        assert lambda_exact(make_scheme("forward_difference", h=h)) == lambda_exact(
+            make_scheme("forward_difference",
+                        h=make_function("indicator", cutoff=default)))
+        assert lambda_exact(make_scheme("forward_difference", h=h)).value == (
+            pytest.approx(lambda_integral(forward.mu.atoms, forward.f, h).value,
+                          abs=1e-12))
+
+    @pytest.mark.parametrize("f, h", [
+        (make_function("one_plus_sq"), make_function("one")),
+        (make_function("one"), make_function("gaussian")),
+        (make_function("one_plus_sq"), make_function("indicator")),
+        (make_function("one"), make_function("indicator", cutoff=0.0))],
+        ids=["one_plus_sq-one", "one-gaussian", "one_plus_sq-indicator",
+             "one-indicator-0"])
+    def test_other_functions_use_quadrature(self, forward, f, h):
+        scheme = make_scheme("forward_difference", f=f, h=h)
+        res = lambda_exact(scheme)
+        assert res.evaluations > 0
+        assert res == lambda_integral(forward.mu.atoms, scheme.f, scheme.h)
 
     def test_linearity_in_atom_weights(self):
         f = make_function("one")

@@ -253,6 +253,27 @@ class TestFluctuationExperiment:
                             lambda *args: lift.fluctuation_statistic(*args[:5]))
         assert fluctuation_experiment(cfg).per_sample == rows
 
+    @pytest.mark.parametrize("nan_time", [0.1, 0.3])
+    def test_nan_at_any_time_makes_the_sample_nan(self, monkeypatch, nan_time):
+        from schemelab import experiments, lift
+
+        cfg = small_cfg("fluctuation", samples=3, eps_ladder=(0.25, 0.125, 0.0625),
+                        N=12, M=48, times=(0.1, 0.3))
+        clean = fluctuation_experiment(cfg)
+
+        def one_nan(lifted, scheme, eps, t, *args):
+            stats = lift.fluctuation_statistic(lifted, scheme, eps, t, *args)
+            return [math.nan if (eps, t, s) == (0.125, nan_time, 1) else v
+                    for s, v in enumerate(stats)]
+
+        monkeypatch.setattr(experiments, "fluctuation_statistic", one_nan)
+        record = fluctuation_experiment(cfg)
+        nan_rows = [r for r in record.per_sample if math.isnan(r["statistic"])]
+        assert [(r["eps"], r["sample"]) for r in nan_rows] == [(0.125, 1)]
+        assert [r for r in record.per_sample if r not in nan_rows] == [
+            r for r in clean.per_sample if (r["eps"], r["sample"]) != (0.125, 1)]
+        assert [a["n"] for a in record.aggregates] == [3, 2, 3]
+
 
 class TestLiftExperiment:
     def test_rows_and_aggregates(self):
