@@ -11,7 +11,7 @@ Top-level keys:
     solver       {"N", "M", "dt", "T", "record_times", "blowup_cap",
                   "eps_ref", "initial": {"kind", "amplitude", "mode"}}
     experiment   {"eps_ladder", "samples", "alpha", "times", "nu"}
-    norms        {"alpha", "alpha_tilde", "alpha_star", "stride"}
+    norms        {"alpha_tilde", "stride"}
     seed         master seed (unsigned integer)
 """
 
@@ -103,6 +103,10 @@ def parse_config(raw: dict, kind: str | None = None,
 
     try:
         master_seed = seed if seed is not None else raw.get("seed", 0)
+        N = _integer(solver, "N", 64)
+        least = 1 if kind in ("lambda-table", "lift", "fluctuation") else 0
+        if N < least:
+            raise ValueError(f"{kind} needs N >= {least}, not {N}")
         cfg = ExperimentConfig(
             kind=kind,
             scheme=build_scheme(raw["scheme"]),
@@ -111,8 +115,8 @@ def parse_config(raw: dict, kind: str | None = None,
             eps_ladder=tuple(experiment.get("eps_ladder", [0.25])),
             samples=_integer(experiment, "samples", 1),
             master_seed=master_seed,
-            N=_integer(solver, "N", 64),
-            M=_integer(solver, "M", 3 * _integer(solver, "N", 64) + 2),
+            N=N,
+            M=_integer(solver, "M", 3 * N + 2),
             dt=float(solver.get("dt", 1e-3)),
             T=float(solver.get("T", 0.1)),
             record_times=tuple(solver.get("record_times", [float(solver.get("T", 0.1))])),

@@ -144,6 +144,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.eps_ladder = tuple(float(e) for e in self.eps_ladder)
+        if not self.eps_ladder:
+            raise ValueError("eps ladder must not be empty")
         if any(e <= 0 for e in self.eps_ladder):
             raise ValueError("eps ladder entries must be positive")
         if list(self.eps_ladder) != sorted(self.eps_ladder, reverse=True) or \
@@ -158,6 +160,8 @@ class ExperimentConfig:
                              f"not {self.initial_mode}")
         self.record_times = tuple(sorted(float(t) for t in self.record_times))
         self.times = tuple(sorted(float(t) for t in self.times))
+        if self.kind in ("lift", "fluctuation") and not self.times:
+            raise ValueError(f"{self.kind} needs at least one time")
 
     def initial_field(self):
         if self.initial_kind == "zero":
@@ -251,11 +255,6 @@ def _csv_cell(v):
     if isinstance(v, (float, np.floating)):
         return repr(float(v))        # full precision round trip
     return v
-
-
-def read_samples_csv(path) -> list:
-    with open(path) as fh:
-        return list(csv.DictReader(fh))
 
 
 def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:

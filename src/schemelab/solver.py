@@ -649,7 +649,7 @@ def remainder_diagnostic(psi: GridField, theta_now, X_now: GridField,
                     theta[:, 0, i] * dX[0])
         return np.linalg.norm((P[:, j] - P[:, i]) - th_dX, axis=0)
 
-    return pair_reduce(psi.M, stride, remainder, 2.0 * gamma, np.max)
+    return pair_reduce(psi.M, stride, remainder, 2.0 * gamma)
 
 
 def reference_config(config: SolverConfig, eps_ref: float,

@@ -1,4 +1,4 @@
-"""Periodic vector-valued fields on [-pi, pi]: transforms, multipliers, norms.
+"""Periodic vector-valued fields on [-pi, pi]: transforms, semigroups, norms.
 
 Basis convention, fixed once for the whole package:
 
@@ -175,25 +175,6 @@ def to_physical(field: SpectralField, M: int) -> GridField:
     return GridField(transform.to_grid(half_spectrum(field.coeffs)))
 
 
-def to_spectral(grid: GridField, N: int) -> SpectralField:
-    """Recover modes -N..N from grid values (requires M >= 2N+1).
-
-    The output satisfies the reality constraint exactly: the negative modes
-    are the conjugates of the positive ones, and mode 0 of a real rfft is real.
-    """
-    return SpectralField(full_spectrum(Transform(N, grid.M).to_coeffs(grid.values)))
-
-
-def apply_multiplier(field: SpectralField, m) -> SpectralField:
-    """Scale the coefficients modewise; m is a callable k -> complex or an
-    array aligned with field.modes."""
-    ks = field.modes
-    mult = np.asarray(m(ks) if callable(m) else m, dtype=complex)
-    if mult.shape != ks.shape:
-        raise ValueError("multiplier array does not match the mode range")
-    return SpectralField(field.coeffs * mult)
-
-
 def semigroup_apply(field: SpectralField, scheme: CutoffScheme, eps: float,
                     t: float) -> SpectralField:
     """Apply the approximated heat semigroup: mode k scales by e^{-k^2 f(eps k) t}."""
@@ -201,19 +182,6 @@ def semigroup_apply(field: SpectralField, scheme: CutoffScheme, eps: float,
         raise ValueError("t must be >= 0")
     lap = laplacian_multiplier(scheme, field.modes, eps)
     return SpectralField(field.coeffs * np.exp(lap * t))
-
-
-def heat_kernel(scheme: CutoffScheme, eps: float, t: float, N: int,
-                M: int) -> GridField:
-    """The kernel the approximated semigroup convolves with, truncated at N:
-
-        p_t(x) = (1/sqrt(2 pi)) sum_k e^{-t k^2 f(eps k)} e^{i k x}.
-    """
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    ks = np.arange(N + 1)
-    coeffs = np.exp(laplacian_multiplier(scheme, ks, eps) * t)
-    return GridField(Transform(N, M).to_grid(coeffs[None, :]))
 
 
 def sobolev_minus_alpha_norm(field: SpectralField, alpha: float) -> float:
@@ -236,24 +204,19 @@ def _pair_distances(M: int) -> np.ndarray:
 PAIR_BLOCK = 1 << 16
 
 
-def pair_reduce(M: int, stride: int, magnitude, exponent: float, reduce) -> float:
-    """reduce (np.max or np.sum) of magnitude(i, j) / dist(x_i, x_j)^exponent
-    over the pairs x_j = x_i + d, start i = 0, stride, ..., every separation
-    d = 1..M-1; ``magnitude`` maps starts i (B, 1) and ends j (B, M-1) to pair
-    values (B, M-1).  Blocks of about PAIR_BLOCK pairs bound the memory."""
+def pair_reduce(M: int, stride: int, magnitude, exponent: float) -> float:
+    """max of magnitude(i, j) / dist(x_i, x_j)^exponent over the pairs
+    x_j = x_i + d, start i = 0, stride, ..., every separation d = 1..M-1;
+    ``magnitude`` maps starts i (B, 1) and ends j (B, M-1) to pair values
+    (B, M-1).  Blocks of about PAIR_BLOCK pairs bound the memory."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     weight = _pair_distances(M)[1:] ** exponent
     d = np.arange(1, M)
     starts = np.arange(0, M, stride)[:, None]
     size = max(1, PAIR_BLOCK // M)
-    return float(reduce([reduce(magnitude(i, (i + d) % M) / weight, initial=0.0)
+    return float(np.max([np.max(magnitude(i, (i + d) % M) / weight, initial=0.0)
                          for i in np.split(starts, range(size, len(starts), size))]))
-
-
-def _increment_norm(u: np.ndarray):
-    """Pair magnitude |u(x_j) - u(x_i)|, Euclidean over the components."""
-    return lambda i, j: np.linalg.norm(u[:, j] - u[:, i], axis=0)
 
 
 def holder_seminorm_estimate(grid: GridField, gamma: float, stride: int = 1) -> float:
@@ -265,107 +228,24 @@ def holder_seminorm_estimate(grid: GridField, gamma: float, stride: int = 1) -> 
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    return pair_reduce(grid.M, stride, _increment_norm(grid.values), gamma, np.max)
-
-
-def grr_norm_estimate(grid: GridField, alpha: float, p: float) -> float:
-    """Double-integral Hoelder estimator
-
-        ( sum_{x != y} |u(x)-u(y)|^p / dist(x,y)^(alpha p + 2) * dx^2 )^(1/p)
-
-    over all ordered grid pairs with the periodic distance.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    norm = _increment_norm(grid.values)
-    total = pair_reduce(grid.M, 1, lambda i, j: norm(i, j) ** p, alpha * p + 2.0, np.sum)
-    dx = 2.0 * np.pi / grid.M
-    return (total * dx * dx) ** (1.0 / p)
+    u = grid.values
+    return pair_reduce(grid.M, stride,
+                       lambda i, j: np.linalg.norm(u[:, j] - u[:, i], axis=0), gamma)
 
 
 @dataclass(frozen=True)
 class NormConfig:
-    """Hoelder/weight exponents used by the experiment harness.
+    """The Hoelder exponent and pair stride of the gap metric.
 
-    Requires 1/3 < alpha_tilde <= alpha < alpha_star < 1/2.  The blow-up
-    weights follow the convention beta = alpha + kappa/3 with
-    kappa = 1/2 - alpha_star (and likewise for the tilde pair).
+    Requires 1/3 < alpha_tilde < 1/2, the window of the paper's solution
+    theory.
     """
 
-    alpha: float = 0.46
     alpha_tilde: float = 0.34
-    alpha_star: float = 0.48
-    beta: float | None = None
-    beta_tilde: float | None = None
     stride: int = 4
 
     def __post_init__(self):
-        if not (1.0 / 3.0 < self.alpha_tilde <= self.alpha < self.alpha_star < 0.5):
-            raise ValueError("need 1/3 < alpha_tilde <= alpha < alpha_star < 1/2")
-        kappa = 0.5 - self.alpha_star
-        if self.beta is None:
-            object.__setattr__(self, "beta", self.alpha + kappa / 3.0)
-        if self.beta_tilde is None:
-            object.__setattr__(self, "beta_tilde", self.alpha_tilde + kappa / 3.0)
+        if not 1.0 / 3.0 < self.alpha_tilde < 0.5:
+            raise ValueError("need 1/3 < alpha_tilde < 1/2")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-
-    @property
-    def kappa(self) -> float:
-        return 0.5 - self.alpha_star
-
-
-# ---------------------------------------------------------------------------
-# serialisation: component-major, mode-ascending; binary is little-endian
-# float64 (re, im) pairs for spectral data, float64 values for grids
-# ---------------------------------------------------------------------------
-
-def save_spectral(field: SpectralField, path, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        rows = []
-        for j in range(field.n):
-            for i, k in enumerate(field.modes):
-                c = field.coeffs[j, i]
-                rows.append(f"{j},{k},{float(c.real)!r},{float(c.imag)!r}")
-        with open(path, "w") as fh:
-            fh.write("component,mode,re,im\n")
-            fh.write("\n".join(rows) + "\n")
-    elif fmt == "bin":
-        flat = np.empty((field.n, 2 * field.N + 1, 2), dtype="<f8")
-        flat[:, :, 0] = field.coeffs.real
-        flat[:, :, 1] = field.coeffs.imag
-        flat.tofile(path)
-    else:
-        raise ValueError("fmt must be 'csv' or 'bin'")
-
-
-def load_spectral(path, n: int, N: int, fmt: str = "csv") -> SpectralField:
-    if fmt == "csv":
-        coeffs = np.zeros((n, 2 * N + 1), dtype=complex)
-        with open(path) as fh:
-            next(fh)
-            for line in fh:
-                j, k, re, im = line.strip().split(",")
-                coeffs[int(j), int(k) + N] = float(re) + 1j * float(im)
-        return SpectralField(coeffs)
-    if fmt == "bin":
-        flat = np.fromfile(path, dtype="<f8").reshape(n, 2 * N + 1, 2)
-        return SpectralField(flat[:, :, 0] + 1j * flat[:, :, 1])
-    raise ValueError("fmt must be 'csv' or 'bin'")
-
-
-def save_grid(grid: GridField, path, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        np.savetxt(path, grid.values, delimiter=",")
-    elif fmt == "bin":
-        grid.values.astype("<f8").tofile(path)
-    else:
-        raise ValueError("fmt must be 'csv' or 'bin'")
-
-
-def load_grid(path, n: int, M: int, fmt: str = "csv") -> GridField:
-    if fmt == "csv":
-        return GridField(np.loadtxt(path, delimiter=",").reshape(n, M))
-    if fmt == "bin":
-        return GridField(np.fromfile(path, dtype="<f8").reshape(n, M))
-    raise ValueError("fmt must be 'csv' or 'bin'")

@@ -6,7 +6,7 @@ before one real-FFT ``schemelab.spectral.Transform`` and one blocked pair
 kernel replaced them: ``to_physical`` evaluates the full -N..N spectrum with
 a complex inverse FFT and keeps the real part, ``to_spectral`` takes a full
 complex FFT and symmetrises, and every estimator loops over its start points
-(or separations) one at a time.  They are deliberately slow and simple.
+one at a time.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -67,20 +67,6 @@ def holder_seminorm_estimate(grid: GridField, gamma: float, stride: int = 1) -> 
             ratio = np.where(sep > 0, diff / dist[sep] ** gamma, 0.0)
         best = max(best, float(ratio.max()))
     return best
-
-
-def grr_norm_estimate(grid: GridField, alpha: float, p: float) -> float:
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    u = grid.values
-    M = grid.M
-    dx = 2.0 * np.pi / M
-    dist = _pair_distances(M)
-    total = 0.0
-    for s in range(1, M):
-        diff = np.linalg.norm(np.roll(u, -s, axis=1) - u, axis=0)
-        total += float((diff ** p).sum()) / dist[s] ** (alpha * p + 2.0)
-    return (total * dx * dx) ** (1.0 / p)
 
 
 def remainder_diagnostic(psi: GridField, theta_now, X_now: GridField,

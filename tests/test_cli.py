@@ -126,6 +126,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "stride must be an integer" in err
 
+    @pytest.mark.parametrize("block", [
+        {"alpha": 0.46}, {"alpha_star": 0.48}, {"beta": 0.4}, {"beta_tilde": 0.35},
+        {"alpha_tilde": 0.3}, {"alpha_tilde": 0.5}])
+    def test_bad_norms_block_exits_2(self, tmp_path, capsys, block):
+        # the gap metric reads alpha_tilde and stride, and nothing else
+        payload = json.loads(json.dumps(BASE))
+        payload["norms"] = block
+        cfg = write_config(tmp_path, payload)
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad norms block")
+        assert ("1/3 < alpha_tilde < 1/2" if "alpha_tilde" in block else
+                f"'{next(iter(block))}'") in err
+
+    @pytest.mark.parametrize("command, N", [
+        ("check-scheme", -1), ("simulate", -1), ("converge", -1), ("correction", -1),
+        ("lambda", 0), ("lift", 0), ("fluctuation", 0)])
+    def test_too_small_N_exits_2(self, tmp_path, capsys, command, N):
+        payload = json.loads(json.dumps(BASE))
+        payload["scheme2"] = {"name": "central_difference"}
+        payload["solver"]["N"] = N
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"N >= {N + 1}, not {N}" in err
+
+    @pytest.mark.parametrize("command", [
+        "check-scheme", "lambda", "lift", "fluctuation", "simulate", "converge",
+        "correction"])
+    def test_empty_eps_ladder_exits_2(self, tmp_path, capsys, command):
+        payload = json.loads(json.dumps(BASE))
+        payload["scheme2"] = {"name": "central_difference"}
+        payload["experiment"]["eps_ladder"] = []
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "eps ladder must not be empty" in err
+
+    @pytest.mark.parametrize("command", ["lift", "fluctuation"])
+    def test_empty_times_exits_2(self, tmp_path, capsys, command):
+        # fluctuation used to exit 0 with a statistic 0.0 that no lift made
+        payload = json.loads(json.dumps(BASE))
+        payload["experiment"]["times"] = []
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "at least one time" in err
+        assert not (tmp_path / "o" / "samples.csv").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "converge", "lambda"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, BASE)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -19,7 +20,6 @@ from schemelab.experiments import (
     lift_experiment,
     mean_and_se,
     rate_fit,
-    read_samples_csv,
     sample_rng,
     upsilon_diagnostic,
     xi_diagnostic,
@@ -156,7 +156,8 @@ class TestConvergeExperiment:
         cfg = small_cfg("converge", samples=3)
         record = converge_experiment(cfg)
         record.save(tmp_path)
-        rows = read_samples_csv(tmp_path / "samples.csv")
+        with open(tmp_path / "samples.csv") as fh:
+            rows = list(csv.DictReader(fh))
         for agg in record.aggregates:
             vals = [float(r["sup_error"]) for r in rows
                     if float(r["eps"]) == agg["eps"]]
@@ -336,7 +337,7 @@ def test_config_hash_follows_the_resolved_seed():
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "correction.json")
     plain = load_config(path).config_hash()
     # the file's own seed (1111); pinned so a change of the digest shows
-    assert plain == "0af0e699c7d2366f"
+    assert plain == "657bee1edcab0a88"
     assert load_config(path, seed=1111).config_hash() == plain
     hashes = {load_config(path, seed=s).config_hash() for s in (1, 2)}
     assert len(hashes) == 2 and plain not in hashes
@@ -363,6 +364,9 @@ def test_config_hash_covers_every_resolved_field():
     assert ExperimentConfig(**base).config_hash() == plain
     for name, value in variants.items():
         assert ExperimentConfig(**dict(base, **{name: value})).config_hash() != plain, name
+    # the other field of the norms block
+    tilde = ExperimentConfig(**dict(base, norms=NormConfig(alpha_tilde=0.4)))
+    assert tilde.config_hash() != plain
     # the same model with its constant theta left undeclared
     undeclared = dataclasses.replace(base["model"], theta_constant=None)
     assert ExperimentConfig(**dict(base, model=undeclared)).config_hash() != plain

@@ -23,6 +23,8 @@ from schemelab.solver import (
 from schemelab.spectral import (
     GridField,
     SpectralField,
+    Transform,
+    full_spectrum,
     semigroup_apply,
     to_physical,
 )
@@ -130,20 +132,18 @@ class TestStep:
     def test_conservation_vs_nonconservation_form(self, forward):
         # u D_eps u against D_eps(u^2/2) on smooth data: the gap halves with eps
         from schemelab.schemes import derivative_multiplier
-        from schemelab.spectral import apply_multiplier, to_spectral
 
         N, M = 32, 128
         x = -np.pi + 2 * np.pi * np.arange(M) / M
-        u = GridField((1.0 + 0.5 * np.sin(x) + 0.2 * np.cos(2 * x))[None, :])
+        u = (1.0 + 0.5 * np.sin(x) + 0.2 * np.cos(2 * x))[None, :]
+        t = Transform(N, M)
         gaps = []
         for eps in (0.2, 0.1, 0.05):
-            mult = lambda k: derivative_multiplier(forward, k, eps)
-            u_hat = to_spectral(u, N)
-            de_u = to_physical(apply_multiplier(u_hat, mult), M)
-            direct = u.values * de_u.values
-            sq_hat = to_spectral(GridField(0.5 * u.values ** 2), N)
-            conserv = to_physical(apply_multiplier(sq_hat, mult), M)
-            gaps.append(np.abs(direct - conserv.values).max())
+            # modes 0..N: the multiplier of mode -k is the conjugate of mode k's
+            mult = derivative_multiplier(forward, np.arange(N + 1), eps)
+            direct = u * t.to_grid(t.to_coeffs(u) * mult)
+            conserv = t.to_grid(t.to_coeffs(0.5 * u ** 2) * mult)
+            gaps.append(np.abs(direct - conserv).max())
         assert gaps[1] <= 0.6 * gaps[0]
         assert gaps[2] <= 0.6 * gaps[1]
 
@@ -272,15 +272,11 @@ class TestStochasticConvolution:
         for _ in range(S):
             inc = draw_noise(rng, steps, N, 1)
             psi = stochastic_convolution(theta, forward, 0.1, dt, N, M, inc)
-            from schemelab.spectral import to_spectral
-
-            acc += np.abs(to_spectral(psi, N).coeffs[0]) ** 2
+            acc += np.abs(full_spectrum(Transform(N, M).to_coeffs(psi.values)[0])) ** 2
         acc /= S
         # exact discrete second moment: per step the mode-k input is
         # (1/sqrt(2pi)) sum_l theta_hat(k-l) h dw_l, then decay weights apply
-        from schemelab.spectral import SQRT_2PI, to_spectral
-
-        th_hat = to_spectral(GridField(theta_field[0]), 2 * N).coeffs[0]
+        th_hat = full_spectrum(Transform(2 * N, M).to_coeffs(theta_field[0, 0]))
         ks = np.arange(-N, N + 1)
         expected = np.zeros(2 * N + 1)
         for i, k in enumerate(ks):
