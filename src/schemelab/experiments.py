@@ -22,9 +22,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-# at module level, out of the timed run: imported inside rate_fit it would
-# add about 0.34 s to every fluctuation and converge run
-from scipy.special import stdtrit
+import numpy.random  # numpy 2 loads it lazily: load it with the module, not in a run
 
 from schemelab.correction import (lambda_eps, lambda_exact, lambda_z_tail_bound,
                                   make_correction_drift)
@@ -75,6 +73,31 @@ class RateFit:
                 "half_width": self.half_width, "degenerate": False}
 
 
+# stdtrit(df, 0.975) of scipy.special 1.17.1 for df = 1..30, bit for bit:
+# scipy's quantile is not correctly rounded (3.5e-15 off for df = 6),
+# so only its own bits keep the half width equal to scipy.stats'
+_T975 = tuple(map(float.fromhex, (
+    "0x1.96993aacc4d1ep+3", "0x1.135ea98e146b9p+2", "0x1.975a66893c1a7p+1",
+    "0x1.63628d9efb5dep+1", "0x1.4908d359dff38p+1", "0x1.393468546e668p+1",
+    "0x1.2eac01e9f5b1ap+1", "0x1.272b24bc92428p+1", "0x1.218e5dac50b23p+1",
+    "0x1.1d33a7661d302p+1", "0x1.19b9e1b8c996cp+1", "0x1.16e356bbc352dp+1",
+    "0x1.1486f5cb67d3bp+1", "0x1.12885ec4c0667p+1", "0x1.10d356b5a06c2p+1",
+    "0x1.0f590e8d62dd7p+1", "0x1.0e0e6fd5b155ep+1", "0x1.0ceb036f23f31p+1",
+    "0x1.0be83653b666cp+1", "0x1.0b00d9a954436p+1", "0x1.0a30c955b504bp+1",
+    "0x1.0974ac3559fb2p+1", "0x1.08c9c5c7af878p+1", "0x1.082dd3fc3a165p+1",
+    "0x1.079ef594769a4p+1", "0x1.071b96b177db5p+1", "0x1.06a261e29bdabp+1",
+    "0x1.0632348973a31p+1", "0x1.05ca15bce286fp+1", "0x1.05692f10aaee9p+1",
+)))
+
+
+def _t975(df: int) -> float:
+    """The Student-t quantile t_0.975(df) that scipy.stats.t.ppf gives."""
+    if df <= len(_T975):
+        return _T975[df - 1]
+    from scipy.special import stdtrit          # about 24 MB, for df > 30 only
+    return float(stdtrit(df, 0.975))
+
+
 def rate_fit(points) -> RateFit:
     """Ordinary least squares of log(value) against log(eps).
 
@@ -90,8 +113,8 @@ def rate_fit(points) -> RateFit:
     y = np.log([v for _, v in points])
     if np.ptp(x) == 0.0:
         raise ValueError("degenerate fit: all eps equal")
-    # the arithmetic of scipy.stats.linregress and the t quantile that
-    # scipy.stats.t.ppf calls, without the import of scipy.stats
+    # the arithmetic of scipy.stats.linregress and the t quantile of
+    # scipy.stats.t.ppf, without the import of scipy
     df = len(points) - 2
     ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
     if ssym == 0.0:                                 # ssxm > 0: the eps differ
@@ -102,7 +125,7 @@ def rate_fit(points) -> RateFit:
     intercept = np.mean(y) - slope * np.mean(x)
     stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / df)
     return RateFit(slope=float(slope), intercept=float(intercept),
-                   half_width=float(stdtrit(df, 0.975) * stderr))
+                   half_width=float(_t975(df) * stderr))
 
 
 def _fit_or_degenerate(points) -> dict:
@@ -160,8 +183,13 @@ class ExperimentConfig:
                              f"not {self.initial_mode}")
         self.record_times = tuple(sorted(float(t) for t in self.record_times))
         self.times = tuple(sorted(float(t) for t in self.times))
-        if self.kind in ("lift", "fluctuation") and not self.times:
-            raise ValueError(f"{self.kind} needs at least one time")
+        if self.kind in ("lambda-table", "lift", "fluctuation"):
+            if not self.times:
+                raise ValueError(f"{self.kind} needs at least one time")
+            if not all(t > 0 for t in self.times):        # Lambda_eps(t) needs t > 0
+                raise ValueError(f"{self.kind} times must be positive")
+        if self.kind in ("lift", "fluctuation") and not 0.0 < self.alpha < 0.5:
+            raise ValueError("alpha must lie in (0, 1/2)")
 
     def initial_field(self):
         if self.initial_kind == "zero":
@@ -508,10 +536,6 @@ def fluctuation_experiment(cfg: ExperimentConfig) -> RunRecord:
     statistic] per ladder eps, with a log-log slope fit, plus a
     deterministic table of |Lambda_eps(t) - Lambda| over the (eps, t) grid.
     """
-    if not 0.0 < cfg.alpha < 0.5:
-        raise ValueError("alpha must lie in (0, 1/2)")
-    if any(t <= 0 for t in cfg.times):
-        raise ValueError("fluctuation times must be positive")
     t0 = time.perf_counter()
     # the statistic's centring constant Lambda_eps(t), once per (eps, t)
     centers = {eps: {t: lambda_eps(cfg.scheme, eps, t, cfg.N) for t in cfg.times}

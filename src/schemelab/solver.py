@@ -78,6 +78,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily: load it with the module, not in a run
 
 from schemelab.correction import lambda_exact, make_correction_drift
 from schemelab.models import ModelFunctions

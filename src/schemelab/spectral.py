@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it lazily: load it with the module, not in a run
 
 from schemelab.schemes import CutoffScheme, laplacian_multiplier
 

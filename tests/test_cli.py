@@ -164,9 +164,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "eps ladder must not be empty" in err
 
-    @pytest.mark.parametrize("command", ["lift", "fluctuation"])
+    @pytest.mark.parametrize("command", ["lambda", "lift", "fluctuation"])
     def test_empty_times_exits_2(self, tmp_path, capsys, command):
-        # fluctuation used to exit 0 with a statistic 0.0 that no lift made
+        # fluctuation used to exit 0 with a statistic 0.0 that no lift made,
+        # lambda with a zero-byte lambda_table.csv
         payload = json.loads(json.dumps(BASE))
         payload["experiment"]["times"] = []
         cfg = write_config(tmp_path, payload)
@@ -174,6 +175,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "at least one time" in err
         assert not (tmp_path / "o" / "samples.csv").exists()
+        assert not (tmp_path / "o" / "lambda_table.csv").exists()
+
+    @pytest.mark.parametrize("command", ["lambda", "lift", "fluctuation"])
+    @pytest.mark.parametrize("times", [[0.0], [-0.1, 0.2], [0.0, 0.2]])
+    def test_nonpositive_time_exits_2(self, tmp_path, capsys, command, times):
+        # these used to stop with a traceback (exit 1), or for lift with a
+        # last time > 0 to run
+        payload = json.loads(json.dumps(BASE))
+        payload["experiment"]["times"] = times
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "times must be positive" in err
+
+    @pytest.mark.parametrize("command", ["lift", "fluctuation"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.2, 0.7])
+    def test_alpha_outside_open_half_interval_exits_2(self, tmp_path, capsys, command, alpha):
+        payload = json.loads(json.dumps(BASE))
+        payload["experiment"]["alpha"] = alpha
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "alpha must lie in (0, 1/2)" in err
 
     @pytest.mark.parametrize("command", ["simulate", "converge", "lambda"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
@@ -317,8 +341,9 @@ def _fresh_interpreter(script, *args):
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_the_process_pool():
-    # a fresh interpreter: this process has imported both long ago.  The
-    # rate fit needs only scipy.special, and the pool is imported when
+    # a fresh interpreter: this process has imported scipy and the pool long
+    # ago.  No scipy module at all: Si and the fit's t quantile are computed
+    # or tabulated in the package, and the pool is imported when
     # SCHEMELAB_WORKERS > 1 (test_worker_pool_matches_serial runs it)
     script = """
 import sys
@@ -326,10 +351,40 @@ import schemelab.cli
 from schemelab.config import load_config
 for path in sys.argv[1:]:
     load_config(path)
-print(" ".join(m for m in ("scipy.stats", "concurrent.futures.process") if m in sys.modules))
+print(" ".join(sorted(m for m in sys.modules if m == "concurrent.futures.process"
+                      or m.partition(".")[0] == "scipy")))
 """
     assert len(CONFIGS) >= 8
     assert _fresh_interpreter(script, *CONFIGS).strip() == ""
+
+
+def test_cli_runs_load_no_module_after_set_up(tmp_path):
+    # a benchmark round times cli.main after importing schemelab.cli and
+    # loading the config, so a module a run imports lazily (numpy 2 loads
+    # numpy.random and numpy.fft on first use) would load inside the timed
+    # call.  The one exception is the standard library's locale, which
+    # argparse's gettext imports when the first parser is built (about 1 ms)
+    payload = json.loads(json.dumps(BASE))
+    payload["scheme"]["h"] = {"name": "indicator"}          # Si in the closed form
+    payload["scheme2"] = {"name": "central_difference"}
+    payload["model"]["theta"] = "bounded_sqrt"
+    payload["solver"].update(N=8, M=32, T=0.01, record_times=[0.01], eps_ref=0.0625)
+    payload["experiment"]["eps_ladder"] = [0.5, 0.25, 0.125]
+    cfg = write_config(tmp_path, payload)
+    script = """
+import contextlib, io, os, sys
+import schemelab.cli
+from schemelab.config import load_config
+cfg, out = sys.argv[1:]
+load_config(cfg, kind="correction")
+before = set(sys.modules)
+for command in ("correction", "converge", "fluctuation", "lift", "lambda"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert schemelab.cli.main([command, "--config", cfg,
+                                   "--out", os.path.join(out, command)]) == 0
+print(" ".join(sorted(set(sys.modules) - before - {"locale", "_locale"})))
+"""
+    assert _fresh_interpreter(script, cfg, str(tmp_path / "o")).strip() == ""
 
 
 def test_closed_form_lambda_loads_no_quadrature():

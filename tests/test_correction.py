@@ -7,6 +7,7 @@ import pytest
 from schemelab.correction import (
     LambdaResult,
     QuadratureError,
+    _si,
     corrected_drift,
     lambda_eps,
     lambda_exact,
@@ -135,6 +136,27 @@ class TestLambdaExact:
         flipped = [(-z, -w) for z, w in atoms]
         assert lambda_integral(flipped, f, h).value == pytest.approx(
             -lambda_integral(atoms, f, h).value, abs=1e-9)
+
+
+class TestSineIntegral:
+    # the closed-form Lambda's one special function, against scipy's
+    SWITCH = 4.0                      # series at and below, continued fraction above
+
+    def test_matches_scipy_sici(self):
+        from scipy.special import sici
+
+        x = np.concatenate([np.logspace(-8, 6, 1201),
+                            [np.nextafter(self.SWITCH, 0.0), self.SWITCH,
+                             np.nextafter(self.SWITCH, 5.0), 3.9, 4.1, 1.0, 2.5]])
+        want = sici(x)[0]
+        got = np.array([_si(float(v)) for v in x])
+        rel = np.abs(got - want) / want
+        assert rel.max() <= 2e-15, x[rel.argmax()]
+
+    def test_limits(self):
+        assert _si(0.0) == 0.0
+        assert _si(1e-300) == 1e-300                      # Si(x) = x - x^3/18 + ...
+        assert _si(1e15) == pytest.approx(math.pi / 2, rel=1e-15)
 
 
 class TestLambdaEps:

@@ -12,6 +12,7 @@ from schemelab.experiments import (
     ExperimentConfig,
     ExperimentFailure,
     RunRecord,
+    _T975,
     _chunks,
     converge_experiment,
     correction_experiment,
@@ -111,6 +112,26 @@ class TestRateFit:
             if got != want:
                 mismatches.append((points, got, want))
         assert not mismatches, mismatches[:3]
+
+    def test_t_table_is_scipy_stdtrit_bit_for_bit(self):
+        import scipy
+        from scipy.special import stdtrit
+
+        assert len(_T975) == 30
+        changed = [df for df in range(1, 31)
+                   if float(stdtrit(df, 0.975)).hex() != _T975[df - 1].hex()]
+        assert not changed, (
+            f"scipy {scipy.__version__} gives other t quantiles for df = {changed}; "
+            "regenerate experiments._T975 from stdtrit(df, 0.975).hex()")
+
+    def test_past_the_table_matches_scipy_stats_bit_for_bit(self):
+        # 33 points: df = 31, which takes scipy.special.stdtrit, not the table
+        rng = np.random.default_rng(31)
+        e = np.exp(-rng.uniform(0.0, 7.0, 33))
+        points = list(zip(e, e ** 0.4 * np.exp(0.05 * rng.standard_normal(33))))
+        fit = rate_fit(points)
+        assert [self._bits(v) for v in (fit.slope, fit.intercept, fit.half_width)] == [
+            self._bits(v) for v in self._oracle(points)]
 
     def test_noisy_sixth_root_calibration(self):
         rng = np.random.default_rng(123)
