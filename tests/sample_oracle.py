@@ -8,6 +8,12 @@ copy of the gap metrics as they were before each run's snapshots went to
 the grid in one batched transform: snapshots matched by rounded time inside
 the common survival window, and moved to the grid once per pair of runs.
 Tests compare the chunked experiments' rows with these, bit for bit.
+
+Before one chunk made one pass over the whole eps ladder,
+``fluctuation_experiment`` mapped (eps, chunk) pairs over the pool: each
+pair drew its chunk's increments from fresh generators, lifted without a
+plan and summed the statistic one sample and one matrix entry at a time
+through ``sobolev_minus_alpha_norm``.  ``fluctuation_rows`` is that path.
 """
 
 from __future__ import annotations
@@ -16,7 +22,10 @@ import math
 
 import numpy as np
 
-from schemelab.experiments import sample_rng
+from schemelab.correction import lambda_eps
+from schemelab.experiments import _chunks, sample_rng
+from schemelab.lift import (ModeState, d_eps_xx, draw_increments, evolve_modes, lift_offsets,
+                            lift_XX)
 from schemelab.solver import (
     NoiseStream,
     Trajectory,
@@ -24,7 +33,8 @@ from schemelab.solver import (
     reference_config,
     simulate_coupled,
 )
-from schemelab.spectral import GridField, holder_seminorm_estimate
+from schemelab.spectral import (SQRT_2PI, GridField, SpectralField, holder_seminorm_estimate,
+                                sobolev_minus_alpha_norm)
 
 
 # -- the gap metrics ------------------------------------------------------------
@@ -117,3 +127,37 @@ def correction_row(cfg, Lambda1, s):
                         - run2.grid(jb, cfg.M).values).mean())
     return {"eps": eps, "sample": s, "gap_uncorrected": gap_a,
             "gap_corrected": gap_b, "signed_mean_gap": signed}
+
+
+# -- one (eps, chunk) pair at a time ---------------------------------------------
+
+def _statistics(lift, cfg, eps, center):
+    """The fluctuation statistic of each sample of a chunk's lift, one
+    matrix entry at a time."""
+    coeffs = d_eps_xx(lift, cfg.scheme, eps).coeffs.copy()
+    N, n = cfg.N, cfg.model.n
+    coeffs[..., 2 * N, range(n), range(n)] -= center
+    stats = []
+    for c in coeffs:
+        entries = (SpectralField(SQRT_2PI * c[None, :, i, j]) for i in range(n) for j in range(n))
+        stats.append(float(np.sqrt(sum(sobolev_minus_alpha_norm(e, cfg.alpha) ** 2
+                                       for e in entries))))
+    return stats
+
+
+def fluctuation_rows(cfg):
+    """The rows of ``fluctuation_experiment``, eps by eps, chunk by chunk."""
+    rows = []
+    for eps in cfg.eps_ladder:
+        for samples in _chunks(cfg.samples):
+            rngs = [sample_rng(cfg.master_seed, s) for s in samples]
+            state = ModeState(np.zeros((len(rngs), cfg.N + 1, cfg.model.n)), cfg.scheme, eps, 0.0)
+            best, prev = [0.0] * len(samples), 0.0
+            for t in cfg.times:
+                increments = np.stack([draw_increments(rng, cfg.N, cfg.model.n) for rng in rngs])
+                state, prev = evolve_modes(state, t - prev, increments), t
+                lift = lift_XX(state, cfg.M, lift_offsets(cfg.scheme, eps, cfg.M))
+                stats = _statistics(lift, cfg, eps, lambda_eps(cfg.scheme, eps, t, cfg.N))
+                best = [stat if math.isnan(stat) else max(b, stat) for b, stat in zip(best, stats)]
+            rows += [{"eps": eps, "sample": s, "statistic": b} for s, b in zip(samples, best)]
+    return rows

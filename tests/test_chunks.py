@@ -1,9 +1,11 @@
 """Chunked Monte-Carlo experiments against the per-sample path.
 
 ``converge_experiment`` and ``correction_experiment`` step the runs of a
-chunk of samples as one batch, each sample with its own noise stream.
-``sample_oracle`` is the path they replace, one batch per sample; every
-check here asks for bitwise equality with it.
+chunk of samples as one batch, each sample with its own noise stream, and
+``fluctuation_experiment`` lifts a chunk at every eps of the ladder from
+one draw of its increments.  ``sample_oracle`` is the path they replace,
+one batch per sample or one (eps, chunk) pair at a time; every check here
+asks for bitwise equality with it.
 """
 
 import dataclasses
@@ -18,8 +20,9 @@ from schemelab.experiments import (
     ExperimentConfig,
     converge_experiment,
     correction_experiment,
+    fluctuation_experiment,
 )
-from schemelab.models import make_model
+from schemelab.models import ModelFunctions, make_model
 from schemelab.schemes import make_function, make_scheme
 from schemelab.solver import (
     NumericalAbort,
@@ -70,6 +73,18 @@ def test_rows_equal_the_per_sample_path(monkeypatch, kind, chunk):
     monkeypatch.setattr(experiments, "CHUNK_SAMPLES", chunk)
     assert len(experiments._chunks(cfg.samples)) == -(-cfg.samples // chunk)
     assert_rows_identical(RUNNERS[kind](cfg).per_sample, oracle_rows(cfg))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+@pytest.mark.parametrize("n", [1, 2])
+def test_fluctuation_rows_equal_the_per_eps_path(monkeypatch, n, chunk):
+    """Nine samples, three eps and three times: one pass over the ladder
+    with shared draws, one plan per eps and the statistic of a chunk at
+    once give the rows of one (eps, chunk) pair at a time."""
+    cfg = small_cfg("fluctuation", model=ModelFunctions(n=n, F=None, G=None, DG=None, theta=None),
+                    samples=9, M=40, times=(0.1, 0.5, 2.0))
+    monkeypatch.setattr(experiments, "CHUNK_SAMPLES", chunk)
+    assert_rows_identical(fluctuation_experiment(cfg).per_sample, oracle.fluctuation_rows(cfg))
 
 
 def test_truncation_stays_in_its_sample():

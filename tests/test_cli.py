@@ -362,8 +362,9 @@ def test_cli_runs_load_no_module_after_set_up(tmp_path):
     # a benchmark round times cli.main after importing schemelab.cli and
     # loading the config, so a module a run imports lazily (numpy 2 loads
     # numpy.random and numpy.fft on first use) would load inside the timed
-    # call.  The one exception is the standard library's locale, which
-    # argparse's gettext imports when the first parser is built (about 1 ms)
+    # call.  That includes the standard library's locale, which argparse's
+    # gettext imports when the first parser is built: the CLI builds its
+    # parser on import
     payload = json.loads(json.dumps(BASE))
     payload["scheme"]["h"] = {"name": "indicator"}          # Si in the closed form
     payload["scheme2"] = {"name": "central_difference"}
@@ -382,7 +383,7 @@ for command in ("correction", "converge", "fluctuation", "lift", "lambda"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert schemelab.cli.main([command, "--config", cfg,
                                    "--out", os.path.join(out, command)]) == 0
-print(" ".join(sorted(set(sys.modules) - before - {"locale", "_locale"})))
+print(" ".join(sorted(set(sys.modules) - before)))
 """
     assert _fresh_interpreter(script, cfg, str(tmp_path / "o")).strip() == ""
 

@@ -449,11 +449,13 @@ def test_sample_rng_streams_are_stable():
     assert not np.array_equal(a, c)
 
 
-def test_worker_pool_matches_serial(monkeypatch):
-    cfg = small_cfg("converge", samples=4)
-    serial = converge_experiment(cfg)
+@pytest.mark.parametrize("kind", ["converge", "fluctuation"])
+def test_worker_pool_matches_serial(monkeypatch, kind):
+    cfg = small_cfg(kind, samples=4)
+    run = {"converge": converge_experiment, "fluctuation": fluctuation_experiment}[kind]
+    serial = run(cfg)
     monkeypatch.setenv("SCHEMELAB_WORKERS", "2")
     # the chunks shrink to two samples so that each worker gets one
     assert [list(c) for c in _chunks(cfg.samples)] == [[0, 1], [2, 3]]
-    parallel = converge_experiment(cfg)
+    parallel = run(cfg)
     assert serial.per_sample == parallel.per_sample

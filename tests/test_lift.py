@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from schemelab.correction import lambda_eps
 from schemelab.lift import (
+    LiftPlan,
     MissingOffsetError,
     ModeState,
     assemble_X,
@@ -276,6 +279,37 @@ class TestChunk:
             assert np.array_equal(field.coeffs[s], one_field.coeffs)
             assert np.array_equal(field.values[s], one_field.values)
             assert stats[s] == fluctuation_statistic(one, scheme, eps, chunk.t, 0.45)
+
+
+class TestPlan:
+    """A lift plan built once and passed in, as the experiments pass it."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", ["forward_difference", "central_difference"])
+    def test_prebuilt_plan_gives_the_same_bits(self, n, name):
+        scheme = make_scheme(name)
+        rng = np.random.default_rng(71)
+        eps, N, M, S = 0.125, 16, 48, 3
+        offsets = lift_offsets(scheme, eps, M) + [0.0, 1.3]
+        plan = pickle.loads(pickle.dumps(LiftPlan(scheme, eps, N, M, offsets)))
+        increments = np.stack([draw_increments(rng, N, n) for _ in range(S)])
+        state = evolve_modes(ModeState(np.zeros((S, N + 1, n)), scheme, eps, 0.0), 0.4, increments)
+        built, given = lift_XX(state, M, offsets), lift_XX(state, plan=plan)
+        for u in offsets:
+            assert np.array_equal(built.offset(u).coeffs, given.offset(u).coeffs)
+            assert np.array_equal(built.offset(u).values, given.offset(u).values)
+        for a, b in zip(built.rough, given.rough):
+            assert np.array_equal(a.X, b.X) and np.array_equal(a.XXinc, b.XXinc)
+
+    def test_plan_of_another_lift_raises(self, rng, forward):
+        state = random_state(rng, forward, 0.1, 8, 1)
+        offsets = lift_offsets(forward, 0.1, 32)
+        for plan in (LiftPlan(forward, 0.2, 8, 32, offsets), LiftPlan(forward, 0.1, 9, 32, offsets),
+                     LiftPlan(make_scheme("central_difference"), 0.1, 8, 32, offsets)):
+            with pytest.raises(ValueError, match="plan"):
+                lift_XX(state, plan=plan)
+        with pytest.raises(TypeError, match="plan"):
+            lift_XX(state, 32, offsets, plan=LiftPlan(forward, 0.1, 8, 32, offsets))
 
 
 class TestDEpsXX:

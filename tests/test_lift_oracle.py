@@ -15,8 +15,10 @@ import lift_oracle as oracle
 from strategies import schemes
 from schemelab import experiments
 from schemelab.correction import lambda_eps
-from schemelab.experiments import ExperimentConfig, _fluctuation_chunk, lift_experiment
+from schemelab.experiments import (ExperimentConfig, _fluctuation_chunk, _lift_plan,
+                                   lift_experiment)
 from schemelab.lift import (
+    LiftPlan,
     ModeState,
     d_eps_xx,
     draw_increments,
@@ -100,6 +102,27 @@ def test_lift_matches_oracle(case):
                       state.n * width * slack)
 
 
+def test_grid_spacing_shift_made_on_first_read_matches_oracle():
+    """A chunk lifted by a prebuilt plan, as the experiments lift it, holds
+    no grid-spacing shift until one is read; that shift and the rough paths
+    built on it then match the oracle's."""
+    scheme, eps, N, M, n = make_scheme("central_difference"), 0.2, 12, 30, 2
+    rng = np.random.default_rng(4)
+    increments = np.stack([draw_increments(rng, N, n) for _ in range(3)])
+    state = evolve_modes(ModeState(np.zeros_like(increments), scheme, eps, 0.0), 0.4, increments)
+    offsets = lift_offsets(scheme, eps, M)
+    new = lift_XX(state, plan=LiftPlan(scheme, eps, N, M, offsets))
+    old = oracle.lift_XX(state, M, offsets)
+    dx = 2 * np.pi / M
+    assert dx not in new.offsets and len(new.offsets) == len(offsets) - 1
+    slack = max(term_scale(ModeState(xi, scheme, eps, state.t), dx) for xi in state.xi)
+    assert gap_within(new.offset(dx).coeffs, old.offset(dx).coeffs, slack)
+    assert gap_within(new.offset(dx).values, old.offset(dx).values, (4 * N + 1) * slack)
+    for a, b in zip(new.rough, old.rough, strict=True):
+        assert gap_within(a.X, b.X)
+        assert gap_within(a.XXinc, b.XXinc, (4 * N + 1) * slack)
+
+
 # -- per-sample experiment rows -----------------------------------------------
 
 def small_cfg(kind, **overrides):
@@ -124,12 +147,13 @@ def assert_rows_close(new, old):
 
 def test_fluctuation_rows_match_oracle(monkeypatch):
     cfg = small_cfg("fluctuation")
-    args = [(cfg, eps, range(cfg.samples),
-             {t: lambda_eps(cfg.scheme, eps, t, cfg.N) for t in cfg.times})
-            for eps in cfg.eps_ladder]
-    new = [row for a in args for row in _fluctuation_chunk(a)]
+    args = ([_lift_plan(cfg, eps) for eps in cfg.eps_ladder],
+            {eps: {t: lambda_eps(cfg.scheme, eps, t, cfg.N) for t in cfg.times}
+             for eps in cfg.eps_ladder})
+    new = [row for rows in _fluctuation_chunk((cfg, *args, range(cfg.samples))) for row in rows]
     monkeypatch.setattr(experiments, "lift_XX", oracle.lift_XX)
-    assert_rows_close(new, [row for a in args for row in _fluctuation_chunk(a)])
+    old = [row for rows in _fluctuation_chunk((cfg, *args, range(cfg.samples))) for row in rows]
+    assert_rows_close(new, old)
 
 
 def test_lift_rows_match_oracle(monkeypatch):

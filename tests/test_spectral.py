@@ -165,6 +165,14 @@ class TestNorms:
         both = sobolev_minus_alpha_norm(SpectralField(c1 + c2), 0.4)
         assert both == pytest.approx(np.hypot(a, b))
 
+    def test_sobolev_rows_of_a_batch_are_the_one_row_fields_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal((3, 2, 4, 33)) + 1j * rng.standard_normal((3, 2, 4, 33))
+        norms = sobolev_minus_alpha_norm(c, 0.45)
+        assert norms.shape == (3, 2, 4)
+        for idx in np.ndindex(norms.shape):
+            assert norms[idx] == sobolev_minus_alpha_norm(SpectralField(c[idx][None]), 0.45)
+
     def test_holder_constant_field(self):
         assert holder_seminorm_estimate(GridField(np.ones((1, 64))), 0.5) == 0.0
 
