@@ -2,12 +2,11 @@
 
 Subcommands: check-scheme, lambda, lift, fluctuation, simulate, converge,
 correction.  Each takes --config PATH, --seed U64 (overriding the config
-seed), --out DIR.  Exit codes: 0 success, 2 validation failure (a bad
-config, the solver settings of simulate, converge and correction, the grid
-size, alpha and times of lift and fluctuation, the times of lambda and a
-seed that is not an integer included, or a bad SCHEMELAB_WORKERS), 3
-numerical abort.  SCHEMELAB_WORKERS is the only environment knob (process
-count for sample dispatch, a positive integer).
+seed), --out DIR.  Exit codes: 0 success, 2 validation failure (a config that
+the schema tables of ``schemelab.config`` or the objects it builds reject, a
+scheme failing its audit, or a bad SCHEMELAB_WORKERS), 3 numerical abort.
+SCHEMELAB_WORKERS is the only environment knob (process count for sample
+dispatch, a positive integer).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import json
 import os
 import sys
 
-from schemelab.config import ConfigError, load_config
+from schemelab.config import KIND_BY_COMMAND, ConfigError, load_config
 from schemelab.correction import QuadratureError, lambda_exact
 from schemelab.experiments import (
     ExperimentFailure,
@@ -34,21 +33,6 @@ from schemelab.solver import NumericalAbort, simulate
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-_KIND_BY_COMMAND = {
-    "check-scheme": "scheme-audit",
-    "lambda": "lambda-table",
-    "lift": "lift",
-    "fluctuation": "fluctuation",
-    "simulate": "simulate",
-    "converge": "converge",
-    "correction": "correction",
-}
-
-
-def _ensure_out(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
 
 
 def _cmd_check_scheme(cfg, out_dir):
@@ -88,7 +72,7 @@ def _cmd_simulate(cfg, out_dir):
                              "value": grid.values[j, m]})
     _write_csv(os.path.join(out_dir, "trajectory.csv"), rows)
     meta = {
-        "config_hash": traj.config_hash,
+        "config_hash": cfg.config_hash(),
         "seed": cfg.master_seed,
         "eps": eps,
         "truncation_time": traj.truncation_time,
@@ -153,10 +137,10 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        cfg = load_config(args.config, kind=_KIND_BY_COMMAND[args.command],
+        cfg = load_config(args.config, kind=KIND_BY_COMMAND[args.command],
                           seed=args.seed)
-        out_dir = _ensure_out(args.out)
-        return _COMMANDS[args.command](cfg, out_dir)
+        os.makedirs(args.out, exist_ok=True)
+        return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

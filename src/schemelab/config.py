@@ -1,143 +1,195 @@
-"""JSON configuration schema (version 1) and builders.
+"""JSON configuration schema (version 1) and its loader.
 
-Top-level keys:
-
-    version      required, must be 1
-    kind         experiment kind (may be overridden by the CLI subcommand)
-    scheme       {"name": ...} or {"f": {...}, "h": {...}, "mu": [[z, w], ...],
-                  "c_f": ..., "delta": ...}
-    scheme2      optional second scheme (correction experiment)
-    model        {"n": 1, "F": "zero", "G": "state", "theta": "one"}
-    solver       {"N", "M", "dt", "T", "record_times", "blowup_cap",
-                  "eps_ref", "initial": {"kind", "amplitude", "mode"}}
-    experiment   {"eps_ladder", "samples", "alpha", "times", "nu"}
-    norms        {"alpha_tilde", "stride"}
-    seed         master seed (unsigned integer)
+The schema is one table per block: TOP, SCHEME (``scheme`` and ``scheme2``),
+FUNCTION (their ``f`` and ``h``), MODEL, EXPERIMENT, SOLVER (``N``, ``M``,
+``dt``, ``T``, ``record_times``, ``blowup_cap``, ``eps_ref``,
+``conservation_form`` and ``initial``), INITIAL and NORMS.  A Row gives a
+key, its type (a key of _TYPES, or the table of a nested block), its default
+(a value, a function of the config read so far, or REQUIRED), its range
+(text, test(value, config read so far)) and the kinds the range applies to
+(None: every kind).  A key in no table is a config error.  A key that a kind
+does not read is accepted, so one file serves several kinds.  The checks
+that code callers rely on stay with what the loader builds and are called,
+not restated: the registries, NormConfig, SolverConfig and require_unit_nu.
+The README's "Config schema" table lists every row.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import namedtuple
 
 from schemelab.experiments import ConfigError, ExperimentConfig, require_unit_nu
 from schemelab.models import make_model
 from schemelab.schemes import AtomicSignedMeasure, CutoffScheme, make_function, make_scheme
 from schemelab.spectral import NormConfig
 
-KNOWN_KINDS = ("scheme-audit", "lambda-table", "lift", "fluctuation",
-               "simulate", "converge", "correction")
+KIND_BY_COMMAND = {"check-scheme": "scheme-audit", "lambda": "lambda-table",
+                   "lift": "lift", "fluctuation": "fluctuation", "simulate": "simulate",
+                   "converge": "converge", "correction": "correction"}
+STEPPED = ("simulate", "converge", "correction")        # kinds that run the solver
+TIMED = ("lambda-table", "lift", "fluctuation")         # kinds that read times
+REQUIRED = object()
+Row = namedtuple("Row", "key type default range kinds", defaults=(None, None))
 
 
-def _function_from_block(block):
-    if not isinstance(block, dict) or "name" not in block:
-        raise ConfigError("function blocks look like "
-                          '{"name": ..., "params": {...}}')
-    return make_function(block["name"], **dict(block.get("params") or {}))
+def _finite(v):
+    return type(v) in (int, float) and math.isfinite(v)
 
 
-def build_scheme(block) -> CutoffScheme:
-    if not isinstance(block, dict):
-        raise ConfigError("scheme block must be an object")
-    try:
-        if "name" in block:
-            extra = {}
-            if "f" in block:
-                extra["f"] = _function_from_block(block["f"])
-            if "h" in block:
-                extra["h"] = _function_from_block(block["h"])
-            return make_scheme(block["name"], c_f=block.get("c_f", 0.25),
-                               delta=block.get("delta", 1.0), **extra)
-        return CutoffScheme(
-            f=_function_from_block(block["f"]),
-            h=_function_from_block(block["h"]),
-            mu=AtomicSignedMeasure(block["mu"]),
-            c_f=float(block.get("c_f", 0.25)),
-            delta=float(block.get("delta", 1.0)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad scheme block: {exc}") from exc
+_TYPES = {                        # an int is never a bool, a float never a bool
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", _finite),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+    "floats": ("a list of finite numbers",
+               lambda v: type(v) is list and all(map(_finite, v))),
+    "pairs": ("a list of [location, weight] pairs",
+              lambda v: type(v) is list and all(type(p) is list and len(p) == 2
+                                                and all(map(_finite, p)) for p in v)),
+    "object": ("an object", lambda v: type(v) is dict),
+}
+
+FUNCTION = (
+    Row("name", "str", REQUIRED),
+    Row("params", "object", {}),
+)
+SCHEME = (                      # a named scheme, or f, h and mu
+    Row("name", "str", None),
+    Row("f", FUNCTION, None),
+    Row("h", FUNCTION, None),
+    Row("mu", "pairs", None),
+    Row("c_f", "float", 0.25),
+    Row("delta", "float", 1.0),
+)
+MODEL = (
+    Row("n", "int", 1),
+    Row("F", "str", "zero"),
+    Row("G", "str", "zero"),
+    Row("theta", "str", "one"),
+)
+EXPERIMENT = (
+    Row("eps_ladder", "floats", (0.25,),
+        ("non-empty, positive and strictly decreasing",
+         lambda v, r: len(v) > 0 and v[-1] > 0 and all(a > b for a, b in zip(v, v[1:])))),
+    Row("samples", "int", 1, (">= 1", lambda v, r: v >= 1)),
+    Row("alpha", "float", 0.45, ("in (0, 1/2)", lambda v, r: 0 < v < 0.5),
+        ("lift", "fluctuation")),
+    Row("times", "floats", (0.5,),
+        ("non-empty and positive", lambda v, r: len(v) > 0 and min(v) > 0), TIMED),
+    Row("nu", "float", 1.0),
+)
+INITIAL = (
+    Row("kind", "str", "zero"),
+    Row("amplitude", "float", 0.0),
+    Row("mode", "int", 1),
+)
+SOLVER = (
+    Row("N", "int", 64, (">= 0, and >= 1 for lambda-table, lift and fluctuation",
+                         lambda v, r: v >= (r["kind"] in TIMED))),
+    Row("M", "int", lambda r: 3 * r["solver"]["N"] + 2,
+        (">= 2N+1", lambda v, r: v >= 2 * r["solver"]["N"] + 1), ("lift", "fluctuation")),
+    Row("dt", "float", 1e-3),
+    Row("T", "float", 0.1),
+    Row("record_times", "floats", lambda r: (r["solver"]["T"],)),
+    Row("blowup_cap", "float", 1e6, ("> 0", lambda v, r: v > 0), STEPPED),
+    Row("eps_ref", "float", 1e-2, ("in (0, the finest eps_ladder rung)",
+                                   lambda v, r: 0 < v < r["experiment"]["eps_ladder"][-1]),
+        ("converge",)),
+    Row("conservation_form", "bool", False),
+    Row("initial", INITIAL, {}),
+)
+NORMS = (
+    Row("alpha_tilde", "float", 0.34),
+    Row("stride", "int", 4),
+)
+TOP = (                         # experiment before solver: eps_ref reads the ladder
+    Row("version", "int", REQUIRED, ("1", lambda v, r: v == 1)),
+    Row("kind", "str", REQUIRED, ("one of " + ", ".join(KIND_BY_COMMAND.values()),
+                                  lambda v, r: v in KIND_BY_COMMAND.values())),
+    Row("seed", "int", 0, (">= 0", lambda v, r: v >= 0)),
+    Row("scheme", SCHEME, REQUIRED),
+    Row("scheme2", SCHEME, None, ("given", lambda v, r: v is not None), ("correction",)),
+    Row("model", MODEL, {}),
+    Row("experiment", EXPERIMENT, {}),
+    Row("solver", SOLVER, {}),
+    Row("norms", NORMS, {}),
+)
 
 
-def build_model(block):
-    block = dict(block or {})
-    try:
-        return make_model(n=block.get("n", 1), F=block.get("F", "zero"),
-                          G=block.get("G", "zero"),
-                          theta=block.get("theta", "one"))
-    except KeyError as exc:
-        raise ConfigError(f"bad model block: {exc}") from exc
+def _read(table, block, prefix: str, out: dict, config: dict) -> None:
+    """Check one block against its table and store each value, or its
+    default, in ``out``: a nested block as a dict of its own, which
+    ``config``, the whole config read so far, holds too."""
+    known = [row.key for row in table]
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"unknown key {prefix}{key}; "
+                              f"{prefix[:-1] or 'the top level'} takes {', '.join(known)}")
+    for row in table:
+        path = prefix + row.key
+        nested = not isinstance(row.type, str)
+        if row.key in block:
+            value = block[row.key]
+            name, test = _TYPES["object" if nested else row.type]
+            if not test(value):
+                raise ConfigError(f"{path} must be {name}, not {value!r}")
+            if row.type == "float":
+                value = float(value)
+            elif row.type == "floats":
+                value = tuple(map(float, value))
+        elif row.default is REQUIRED:
+            raise ConfigError(f"missing key {path}")
+        else:
+            value = row.default(config) if callable(row.default) else row.default
+        if row.range and (row.kinds is None or config["kind"] in row.kinds) \
+                and not row.range[1](value, config):
+            kinds = "" if row.kinds is None else f" for {config['kind']}"
+            raise ConfigError(f"{path} must be {row.range[0]}{kinds}, not {value!r}")
+        if nested and value is not None:
+            out[row.key] = {}
+            _read(row.type, value, path + ".", out[row.key], config)
+        else:
+            out[row.key] = value
 
 
-def build_norms(block) -> NormConfig:
-    block = block or {}
-    try:
-        if "stride" in block:
-            _integer(block, "stride", 4)        # NormConfig checks >= 1
-        return NormConfig(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad norms block: {exc}") from exc
-
-
-def _integer(block: dict, key: str, default: int) -> int:
-    value = block.get(key, default)
-    if type(value) is not int:                          # no bool, no float
-        raise ConfigError(f"{key} must be an integer, not {value!r}")
-    return value
+def _scheme(block: dict, path: str) -> CutoffScheme:
+    f, h = (block[key] and make_function(block[key]["name"], **block[key]["params"])
+            for key in ("f", "h"))
+    if block["name"] is not None:
+        return make_scheme(block["name"], f=f, h=h, c_f=block["c_f"], delta=block["delta"])
+    if None in (f, h, block["mu"]):
+        raise ConfigError(f"{path} needs a name, or f, h and mu")
+    return CutoffScheme(f=f, h=h, mu=AtomicSignedMeasure(block["mu"]), c_f=block["c_f"],
+                        delta=block["delta"])
 
 
 def parse_config(raw: dict, kind: str | None = None,
                  seed: int | None = None) -> ExperimentConfig:
+    """The ExperimentConfig of a parsed JSON file; ``kind`` and ``seed``,
+    when given, replace the file's."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    if raw.get("version") != 1:
-        raise ConfigError("config must declare version 1")
-    kind = kind or raw.get("kind")
-    if kind not in KNOWN_KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    if kind == "correction" and not raw.get("scheme2"):
-        raise ConfigError("correction experiments need a scheme2 block")
-
-    solver = dict(raw.get("solver") or {})
-    experiment = dict(raw.get("experiment") or {})
-    initial = dict(solver.get("initial") or {"kind": "zero"})
-
+    overrides = {key: value for key, value in (("kind", kind), ("seed", seed))
+                 if value is not None}
+    config = {}
+    _read(TOP, {**raw, **overrides}, "", config, config)
+    solver = config["solver"]
+    initial = {f"initial_{key}": value for key, value in solver.pop("initial").items()}
     try:
-        master_seed = seed if seed is not None else raw.get("seed", 0)
-        N = _integer(solver, "N", 64)
-        least = 1 if kind in ("lambda-table", "lift", "fluctuation") else 0
-        if N < least:
-            raise ValueError(f"{kind} needs N >= {least}, not {N}")
+        # each key of the experiment and solver blocks is the field of its name
         cfg = ExperimentConfig(
-            kind=kind,
-            scheme=build_scheme(raw["scheme"]),
-            scheme2=build_scheme(raw["scheme2"]) if raw.get("scheme2") else None,
-            model=build_model(raw.get("model")),
-            eps_ladder=tuple(experiment.get("eps_ladder", [0.25])),
-            samples=_integer(experiment, "samples", 1),
-            master_seed=master_seed,
-            N=N,
-            M=_integer(solver, "M", 3 * N + 2),
-            dt=float(solver.get("dt", 1e-3)),
-            T=float(solver.get("T", 0.1)),
-            record_times=tuple(solver.get("record_times", [float(solver.get("T", 0.1))])),
-            blowup_cap=float(solver.get("blowup_cap", 1e6)),
-            eps_ref=float(solver.get("eps_ref", 1e-2)),
-            conservation_form=bool(solver.get("conservation_form", False)),
-            norms=build_norms(raw.get("norms")),
-            alpha=float(experiment.get("alpha", 0.45)),
-            times=tuple(experiment.get("times", [0.5])),
-            nu=float(experiment.get("nu", 1.0)),
-            initial_kind=initial.get("kind", "zero"),
-            initial_amplitude=float(initial.get("amplitude", 0.0)),
-            initial_mode=_integer(initial, "mode", 1),
-        )
-        if kind in ("simulate", "converge", "correction"):
+            kind=config["kind"], master_seed=config["seed"],
+            scheme=_scheme(config["scheme"], "scheme"),
+            scheme2=config["scheme2"] and _scheme(config["scheme2"], "scheme2"),
+            model=make_model(**config["model"]), norms=NormConfig(**config["norms"]),
+            **initial, **solver, **config["experiment"])
+        if cfg.kind in STEPPED:
             require_unit_nu(cfg)
             cfg.solver_config(cfg.eps_ladder[0]).steps     # the solver's own checks
-        elif kind in ("lift", "fluctuation") and cfg.M < 2 * cfg.N + 1:
-            raise ValueError("need M >= 2N+1")             # the lift's grid
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from exc
+    except KeyError as exc:                                # an unknown registry name
+        raise ConfigError(exc.args[0]) from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

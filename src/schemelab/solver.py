@@ -73,8 +73,6 @@ samples as one batch, in sample-major order, each sample one noise group.
 from __future__ import annotations
 
 import copy
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,29 +139,6 @@ class SolverConfig:
         if abs(steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             raise ValueError("T must be an integer multiple of dt")
         return steps
-
-    def describe(self) -> dict:
-        return {
-            "scheme": self.scheme.describe(),
-            "eps": self.eps,
-            "N": self.N,
-            "M": self.M,
-            "dt": self.dt,
-            "T": self.T,
-            "model": self.model.describe(),
-            "dealias": self.dealias,
-            "extra_drift": self.extra_drift_label,
-            "record_times": list(self.record_times),
-            "blowup_cap": self.blowup_cap,
-            "initial": ("zero" if self.initial is None else hashlib.sha256(
-                np.ascontiguousarray(self.initial.coeffs).tobytes()).hexdigest()[:16]),
-            "conservation_form": self.conservation_form,
-        }
-
-
-def config_hash(config: SolverConfig) -> str:
-    payload = json.dumps(config.describe(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 class _Operators:
@@ -388,7 +363,6 @@ class Trajectory:
 
     times: tuple
     coeffs: list                      # modes 0..N (n, N+1), one per recorded time
-    config_hash: str
     seed: int | None = None
     truncation_time: float | None = None
 
@@ -530,10 +504,9 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
     return [Trajectory(
         times=tuple(times[b]),
         coeffs=snaps[b],
-        config_hash=config_hash(c),
         seed=seed,
         truncation_time=truncation[b],
-    ) for b, c in enumerate(configs)]
+    ) for b in range(len(configs))]
 
 
 def _increments(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -544,6 +517,11 @@ def _increments(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     np.multiply(im, 1 / np.sqrt(2.0), out=inc.imag)
     inc[:, 0, :] = re[:, 0, :]
     return inc
+
+
+# the order of the normals of draw_noise, NoiseStream and lift.draw_increments:
+# a new order changes every sample, so ExperimentConfig.config_hash reads it
+NOISE_VERSION = 1
 
 
 def draw_noise(rng: np.random.Generator, steps: int, N: int, n: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from schemelab.schemes import (
     noise_multiplier,
 )
 from schemelab import solver
-from schemelab.solver import NumericalAbort, SolverConfig, config_hash, draw_noise
+from schemelab.solver import NumericalAbort, SolverConfig, draw_noise
 from schemelab.spectral import SQRT_2PI, GridField, full_spectrum, half_spectrum
 
 
@@ -166,7 +166,6 @@ def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
     return Trajectory(
         times=tuple(times),
         coeffs=[half_spectrum(c) for c in snaps],
-        config_hash=config_hash(config),
         seed=seed,
         truncation_time=truncation,
         X_coeffs=[half_spectrum(c) for c in xsnaps] if record_reference else None,

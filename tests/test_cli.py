@@ -6,13 +6,29 @@ from pathlib import Path
 
 import pytest
 
+from schemelab import config as schema
 from schemelab.cli import main
+from schemelab.config import ConfigError, load_config, parse_config
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def rejected(tmp_path, capsys, command, payload, *args):
+    """stderr of a run of ``payload`` that must exit 2 with a config error
+    and create no output directory."""
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, *args, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    return err
 
 
 BASE = {
@@ -25,6 +41,87 @@ BASE = {
                    "alpha": 0.45, "times": [0.2]},
     "seed": 7,
 }
+
+
+def schema_rows(table=schema.TOP, prefix=""):
+    """(dotted path, row) of every key of the schema, nested blocks included."""
+    for row in table:
+        yield prefix + row.key, row
+        if not isinstance(row.type, str):
+            yield from schema_rows(row.type, f"{prefix}{row.key}.")
+
+
+DELETE = object()
+WRONG_TYPE = {"int": [1.5, True, "1"], "float": [True, "1", None], "bool": ["no", "false", 0],
+              "str": [1, None], "floats": [None, [True], 0.5], "pairs": [[[1.0]], None],
+              "object": [[], None]}
+OUT_OF_RANGE = {
+    "version": [2], "seed": [-1], "scheme2": [DELETE],
+    "experiment.eps_ladder": [[], [0.125, 0.25], [0.25, 0.25], [0.25, 0.0]],
+    "experiment.samples": [0], "experiment.alpha": [0.0, 0.5],
+    "experiment.times": [[], [0.0, 0.2]], "solver.N": [-1], "solver.M": [24],
+    "solver.blowup_cap": [-1.0, 0.0], "solver.eps_ref": [0.0, 0.0625, 1.0],
+}
+COMMAND_OF = {kind: command for command, kind in schema.KIND_BY_COMMAND.items()}
+
+
+def table_cases():
+    """(command, path, value, message) for each way a file can break a row
+    of the schema: a misspelt key, a value of another JSON type and a value
+    outside the range.  The CLI's command sets the kind, so a file's kind
+    is tested on parse_config."""
+    cases = []
+    for path, row in schema_rows():
+        if path == "kind":
+            continue
+        typ = row.type if isinstance(row.type, str) else "object"
+        cases.append(("converge", path + path[-1], 1, f"unknown key {path + path[-1]};"))
+        cases += [("converge", path, value,
+                   f"{path} must be {schema._TYPES[typ][0]}, not {value!r}")
+                  for value in WRONG_TYPE[typ]]
+        if row.range:
+            command = COMMAND_OF[row.kinds[0]] if row.kinds else "converge"
+            cases += [(command, path, value, f"{path} must be {row.range[0]}")
+                      for value in OUT_OF_RANGE[path]]
+    return cases
+
+
+TABLE_CASES = table_cases()
+
+
+def with_value(path, value):
+    """BASE, with a scheme2, and ``value`` at ``path`` (DELETE removes it)."""
+    payload = json.loads(json.dumps(dict(BASE, scheme2={"name": "central_difference"})))
+    *parents, key = path.split(".")
+    block = payload
+    for part in parents:
+        block = block.setdefault(part, {"name": "one"} if part in ("f", "h") else {})
+    if value is DELETE:
+        del block[key]
+    else:
+        block[key] = value
+    return payload
+
+
+def test_every_range_has_its_out_of_range_values():
+    ranged = {path for path, row in schema_rows() if row.range} - {"kind"}
+    assert ranged == set(OUT_OF_RANGE)
+
+
+def test_the_readme_schema_table_lists_every_key():
+    readme = (ROOT / "README.md").read_text()
+    table = readme[readme.index("## Config schema"):readme.index("## Outputs")]
+    for path, _ in schema_rows():                    # scheme2 takes scheme's keys
+        path = path.replace("scheme2", "scheme").replace("scheme.h.", "scheme.f.")
+        assert f"| `{path}`" in table or f"`, `{path}` |" in table, path
+
+
+def test_a_file_kind_outside_the_known_kinds_is_a_config_error():
+    for raw, message in ((dict(BASE, kind="bogus"), "kind must be one of scheme-audit"),
+                         (BASE, "missing key kind")):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw)
+    assert parse_config(BASE, kind="converge").kind == "converge"
 
 
 class TestExitCodes:
@@ -61,9 +158,7 @@ class TestExitCodes:
         payload = json.loads(json.dumps(BASE))
         payload["scheme2"] = {"name": "central_difference"}
         payload["experiment"]["nu"] = 2.0
-        cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "nu = 1" in capsys.readouterr().err
+        assert "nu = 1" in rejected(tmp_path, capsys, command, payload)
 
     @pytest.mark.parametrize("command", ["simulate", "converge", "correction"])
     @pytest.mark.parametrize("solver, message", [
@@ -75,32 +170,25 @@ class TestExitCodes:
         ({"record_times": [0.0015, 0.02]}, "not on the step grid"),
     ])
     def test_bad_solver_setting_exits_2(self, tmp_path, capsys, command, solver, message):
+        # the checks of SolverConfig and of the initial field, which the loader calls
         payload = json.loads(json.dumps(BASE))
         payload["scheme2"] = {"name": "central_difference"}
         payload["solver"].update(solver)
-        cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err
+        assert message in rejected(tmp_path, capsys, command, payload)
 
     @pytest.mark.parametrize("command", ["fluctuation", "lift"])
     def test_lift_grid_too_small_exits_2(self, tmp_path, capsys, command):
         payload = json.loads(json.dumps(BASE))
         payload["solver"]["M"] = 2 * payload["solver"]["N"]
-        cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "M >= 2N+1" in err
+        err = rejected(tmp_path, capsys, command, payload)
+        assert f"solver.M must be >= 2N+1 for {command}, not 24" in err
 
     @pytest.mark.parametrize("command", ["simulate", "fluctuation", "lambda"])
     @pytest.mark.parametrize("seed", [7.9, 7.0, "7", True])
     def test_non_integer_config_seed_exits_2(self, tmp_path, capsys, command, seed):
-        payload = json.loads(json.dumps(BASE))
-        payload["seed"] = seed
-        cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "non-negative integer" in err
+        payload = dict(BASE, seed=seed)
+        err = rejected(tmp_path, capsys, command, payload)
+        assert f"seed must be an integer, not {seed!r}" in err
 
     @pytest.mark.parametrize("command", ["simulate", "fluctuation", "lambda"])
     @pytest.mark.parametrize("key", ["N", "M", "samples", "mode"])
@@ -112,33 +200,23 @@ class TestExitCodes:
         if block is None:
             block = payload["solver"]["initial"] = {"kind": "sine", "amplitude": 0.5}
         block[key] = value
-        cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and f"{key} must be an integer" in err
+        err = rejected(tmp_path, capsys, command, payload)
+        assert f"{key} must be an integer, not {value!r}" in err
 
     @pytest.mark.parametrize("stride", [2.5, True])
     def test_non_integer_norms_stride_exits_2(self, tmp_path, capsys, stride):
-        payload = json.loads(json.dumps(BASE))
-        payload["norms"] = {"stride": stride}
-        cfg = write_config(tmp_path, payload)
-        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "stride must be an integer" in err
+        payload = dict(BASE, norms={"stride": stride})
+        err = rejected(tmp_path, capsys, "converge", payload)
+        assert f"norms.stride must be an integer, not {stride!r}" in err
 
     @pytest.mark.parametrize("block", [
         {"alpha": 0.46}, {"alpha_star": 0.48}, {"beta": 0.4}, {"beta_tilde": 0.35},
         {"alpha_tilde": 0.3}, {"alpha_tilde": 0.5}])
     def test_bad_norms_block_exits_2(self, tmp_path, capsys, block):
         # the gap metric reads alpha_tilde and stride, and nothing else
-        payload = json.loads(json.dumps(BASE))
-        payload["norms"] = block
-        cfg = write_config(tmp_path, payload)
-        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: bad norms block")
+        err = rejected(tmp_path, capsys, "converge", dict(BASE, norms=block))
         assert ("1/3 < alpha_tilde < 1/2" if "alpha_tilde" in block else
-                f"'{next(iter(block))}'") in err
+                f"unknown key norms.{next(iter(block))};") in err
 
     @pytest.mark.parametrize("command, N", [
         ("check-scheme", -1), ("simulate", -1), ("converge", -1), ("correction", -1),
@@ -147,10 +225,9 @@ class TestExitCodes:
         payload = json.loads(json.dumps(BASE))
         payload["scheme2"] = {"name": "central_difference"}
         payload["solver"]["N"] = N
-        cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and f"N >= {N + 1}, not {N}" in err
+        err = rejected(tmp_path, capsys, command, payload)
+        assert f"solver.N must be >= 0, and >= 1 for lambda-table, lift and fluctuation, " \
+               f"not {N}" in err
 
     @pytest.mark.parametrize("command", [
         "check-scheme", "lambda", "lift", "fluctuation", "simulate", "converge",
@@ -159,10 +236,8 @@ class TestExitCodes:
         payload = json.loads(json.dumps(BASE))
         payload["scheme2"] = {"name": "central_difference"}
         payload["experiment"]["eps_ladder"] = []
-        cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "eps ladder must not be empty" in err
+        err = rejected(tmp_path, capsys, command, payload)
+        assert "experiment.eps_ladder must be non-empty" in err
 
     @pytest.mark.parametrize("command", ["lambda", "lift", "fluctuation"])
     def test_empty_times_exits_2(self, tmp_path, capsys, command):
@@ -170,12 +245,8 @@ class TestExitCodes:
         # lambda with a zero-byte lambda_table.csv
         payload = json.loads(json.dumps(BASE))
         payload["experiment"]["times"] = []
-        cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "at least one time" in err
-        assert not (tmp_path / "o" / "samples.csv").exists()
-        assert not (tmp_path / "o" / "lambda_table.csv").exists()
+        err = rejected(tmp_path, capsys, command, payload)
+        assert "experiment.times must be non-empty and positive" in err
 
     @pytest.mark.parametrize("command", ["lambda", "lift", "fluctuation"])
     @pytest.mark.parametrize("times", [[0.0], [-0.1, 0.2], [0.0, 0.2]])
@@ -184,27 +255,27 @@ class TestExitCodes:
         # last time > 0 to run
         payload = json.loads(json.dumps(BASE))
         payload["experiment"]["times"] = times
-        cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "times must be positive" in err
+        err = rejected(tmp_path, capsys, command, payload)
+        assert "experiment.times must be non-empty and positive" in err
 
     @pytest.mark.parametrize("command", ["lift", "fluctuation"])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.2, 0.7])
     def test_alpha_outside_open_half_interval_exits_2(self, tmp_path, capsys, command, alpha):
         payload = json.loads(json.dumps(BASE))
         payload["experiment"]["alpha"] = alpha
-        cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "alpha must lie in (0, 1/2)" in err
+        err = rejected(tmp_path, capsys, command, payload)
+        assert f"experiment.alpha must be in (0, 1/2) for {command}, not {alpha!r}" in err
 
     @pytest.mark.parametrize("command", ["simulate", "converge", "lambda"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
-        cfg = write_config(tmp_path, BASE)
-        assert main([command, "--config", cfg, "--seed", "-1",
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "non-negative" in capsys.readouterr().err
+        err = rejected(tmp_path, capsys, command, BASE, "--seed", "-1")
+        assert "seed must be >= 0, not -1" in err
+
+    @pytest.mark.parametrize("command, path, value, message", TABLE_CASES,
+                             ids=[f"{c[1]}={c[2]!r}" for c in TABLE_CASES])
+    def test_every_row_of_the_schema_rejects_a_bad_value(self, tmp_path, capsys, command,
+                                                         path, value, message):
+        assert message in rejected(tmp_path, capsys, command, with_value(path, value))
 
     @pytest.mark.parametrize("workers", ["two", "0", "-3", ""])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, workers):
@@ -268,6 +339,20 @@ class TestCommands:
         meta = json.loads((tmp_path / "a" / "run.json").read_text())
         assert meta["seed"] == 123
 
+    def test_simulate_hash_covers_the_seed(self, tmp_path):
+        # run.json used to hash the solver settings alone, so two seeds, two
+        # different trajectories, wrote one hash
+        cfg = write_config(tmp_path, BASE)
+        runs = {}
+        for seed in (1, 2):
+            out = tmp_path / str(seed)
+            assert main(["simulate", "--config", cfg, "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            meta = json.loads((out / "run.json").read_text())
+            assert meta["config_hash"] == load_config(cfg, "simulate", seed).config_hash()
+            runs[meta["config_hash"]] = (out / "trajectory.csv").read_text()
+        assert len(runs) == 2 and len(set(runs.values())) == 2
+
     def test_correction_requires_scheme2(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         # scheme2 missing: surfaces as a validation failure, not a crash
@@ -323,9 +408,6 @@ class TestCommands:
                      "--out", str(tmp_path / "l")]) == 0
         rec = json.loads((tmp_path / "f" / "record.json").read_text())
         assert "lambda_decay" in rec["extras"]
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 CONFIGS = sorted(str(p) for d in ("configs", "perfbench/configs")
