@@ -20,20 +20,19 @@ amplitudes of the lift's reference field, so the fluctuation statistic is
 centred exactly) and K_k(t) = 1 - exp(-2 k^2 f(eps k) t), is the mean of the
 scaled symmetric second-order increment of the Gaussian reference field over
 a shift eps z; integrating it against mu gives Lambda_eps(t), which converges
-to Lambda.  One contraction, ``_contract``, gives the corrected drift both
-to the solver (``make_correction_drift``) and to ``corrected_drift``.
+to Lambda.  One contraction, ``_contract``, gives the corrected drift
+-Lambda theta DG theta both to the solver, whose runs carry their Lambda,
+and to ``corrected_drift``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from schemelab.models import ModelFunctions
 from schemelab.schemes import CutoffScheme, laplacian_multiplier
 from schemelab.spectral import SQRT_2PI
 
@@ -230,29 +229,14 @@ def _theta_theta(theta: np.ndarray) -> np.ndarray:
     return theta * theta if len(theta) == 1 else np.einsum("jk...,lk...->jl...", theta, theta)
 
 
-def _contract(Lambda: float, DG: np.ndarray, tt: np.ndarray) -> np.ndarray:
-    """-Lambda theta^j_k dG^i_l/du_j theta^l_k from DG (n, n, n, ...) and
-    tt = theta theta^T (n, n, ...), pointwise on the trailing axes."""
+def _contract(coeff, DG: np.ndarray, tt: np.ndarray) -> np.ndarray:
+    """coeff theta^j_k dG^i_l/du_j theta^l_k from DG (n, n, n, ...) and
+    tt = theta theta^T (n, n, ...), pointwise on the trailing axes: the
+    corrected drift for coeff = -Lambda, a float or, for a batch of runs on
+    the second to last axis, a column of one -Lambda per run."""
     if len(DG) == 1:                           # n = 1: one product
-        return -Lambda * (DG[0, :, 0] * tt[0, 0])
-    return -Lambda * np.einsum("jil...,jl...->i...", DG, tt)
-
-
-def _correction_drift(model: ModelFunctions, Lambda: float, tt, u_grid: np.ndarray):
-    tt = _theta_theta(model.theta(u_grid)) if tt is None else tt
-    return _contract(Lambda, model.DG(u_grid), tt)
-
-
-def make_correction_drift(model: ModelFunctions, Lambda: float):
-    """Grid drift u -> -Lambda theta^j_k dG^i_l/du_j theta^l_k, or None if
-    Lambda vanishes.  A constant theta is contracted with itself here, once.
-    The drift pickles with the model, so one drift can be built per
-    experiment and shipped to worker processes."""
-    if Lambda == 0.0:
-        return None
-    const = model.theta_constant
-    tt = None if const is None else _theta_theta(const)
-    return functools.partial(_correction_drift, model, Lambda, tt)
+        return coeff * (DG[0, :, 0] * tt[0, 0])
+    return coeff * np.einsum("jil...,jl...->i...", DG, tt)
 
 
 def corrected_drift(F_eval, G_jacobian_eval, theta_eval, Lambda: float,
@@ -272,4 +256,4 @@ def corrected_drift(F_eval, G_jacobian_eval, theta_eval, Lambda: float,
     n = u.shape[0]
     if F.shape != (n,) or DG.shape != (n, n, n) or theta.shape != (n, n):
         raise ValueError("model callables returned arrays of the wrong shape")
-    return F + _contract(Lambda, DG, _theta_theta(theta))
+    return F + _contract(-Lambda, DG, _theta_theta(theta))

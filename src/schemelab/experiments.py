@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily: load it with the module, not in a run
 
-from schemelab.correction import (lambda_eps, lambda_exact, lambda_z_tail_bound,
-                                  make_correction_drift)
+from schemelab.correction import lambda_eps, lambda_exact, lambda_z_tail_bound
 from schemelab.lift import (
     LiftPlan,
     ModeState,
@@ -189,11 +188,10 @@ class ExperimentConfig:
         raise ValueError(f"unknown initial kind {self.initial_kind!r}")
 
     def solver_config(self, eps: float, scheme: CutoffScheme | None = None,
-                      extra_drift=None, extra_drift_label="none") -> SolverConfig:
+                      Lambda: float = 0.0) -> SolverConfig:
         return SolverConfig(
             scheme=scheme or self.scheme, eps=eps, N=self.N, M=self.M,
-            dt=self.dt, T=self.T, model=self.model,
-            extra_drift=extra_drift, extra_drift_label=extra_drift_label,
+            dt=self.dt, T=self.T, model=self.model, Lambda=Lambda,
             record_times=self.record_times, blowup_cap=self.blowup_cap,
             initial=self.initial_field(),
             conservation_form=self.conservation_form,
@@ -423,9 +421,7 @@ def _correction_configs(cfg: ExperimentConfig, Lambda1: float) -> list:
     return [
         cfg.solver_config(eps),
         cfg.solver_config(eps, scheme=cfg.scheme2),
-        cfg.solver_config(eps, scheme=cfg.scheme2,
-                          extra_drift=make_correction_drift(cfg.model, Lambda1),
-                          extra_drift_label=f"correction:{Lambda1!r}"),
+        cfg.solver_config(eps, scheme=cfg.scheme2, Lambda=Lambda1),
     ]
 
 
@@ -627,7 +623,7 @@ def upsilon_diagnostic(traj: Trajectory, config: SolverConfig,
     with X read from ``reference.coeffs``.  ``reference`` is the run, on the
     noise that drove ``traj``, of ``config`` with ``model`` replaced by the
     linear model (F = G = 0, theta = Id declared as ``theta_constant``; for
-    n = 1 ``make_model(1, G="zero", theta="one")``), no extra drift, zero
+    n = 1 ``make_model(1, G="zero", theta="one")``), Lambda = 0, zero
     initial data and no conservation form; its times begin with traj's.
     """
     if reference.times[:len(traj.times)] != traj.times:

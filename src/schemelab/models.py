@@ -125,11 +125,16 @@ def _theta_state(u):
 
 
 def _theta_bounded_sqrt(u):
-    # smooth, bounded in [1, sqrt(2)], behaves like sqrt(1 + u^2) near 0
-    v = u[0]
+    # smooth, bounded in [1, sqrt(2)], behaves like sqrt(1 + u^2) near 0;
+    # sqrt(1 + v^2 / (1 + v^2)) written into the result: five passes, one
+    # temporary
     out = np.empty((1, 1) + u.shape[1:])
-    out[0, 0] = np.sqrt(1.0 + v * v / (1.0 + v * v))
-    return out
+    w = out[0, 0]
+    v2 = np.multiply(u[0], u[0])
+    np.add(1.0, v2, out=w)
+    np.divide(v2, w, out=w)
+    np.add(1.0, w, out=w)
+    return np.sqrt(out, out=out)
 
 
 _F_REGISTRY = {"zero": None}                 # a declared zero

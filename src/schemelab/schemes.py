@@ -21,6 +21,7 @@ it flags violations but never raises.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -92,6 +93,10 @@ class RegistryFunction:
             raise KeyError(
                 f"unknown function {self.name!r}; known: {sorted(_EVALUATORS)}"
             )
+        try:                                       # x is the argument, not a param
+            inspect.signature(_EVALUATORS[self.name]).bind(None, **self.params)
+        except TypeError as exc:
+            raise ValueError(f"function {self.name!r} params: {exc}") from None
 
     def __call__(self, x):
         return _EVALUATORS[self.name](x, **self.params)

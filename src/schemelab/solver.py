@@ -4,10 +4,10 @@ One step advances the band-limited state by
 
     uhat(t+dt) = e^{-k^2 f(eps k) dt} [ uhat(t) + dt Nhat(u(t)) + Shat(t) ],
 
-where N(u) = F(u) + G(u) D_eps u + extra_drift(u) is evaluated
-pseudo-spectrally (the quadratic-type product optionally dealiased by the
-2/3 rule) and S(t) = theta(u(t)) (H_eps dW) uses the left-point state, so
-the noise integral is an Ito one.  The linear part is integrated exactly;
+where N(u) = F(u) + G(u) D_eps u - Lambda theta(u) DG(u) theta(u) is
+evaluated pseudo-spectrally (the quadratic-type product optionally
+dealiased by the 2/3 rule) and S(t) = theta(u(t)) (H_eps dW) uses the
+left-point state, so the noise integral is an Ito one.  The linear part is integrated exactly;
 there is no CFL restriction.
 
 Half-spectrum state: the fields are real, so a run stores only the modes
@@ -44,23 +44,26 @@ sub-block being stepped, and the next one while it is made, of at most
 NOISE_ROWS rows each whatever the batch width B, unless one step alone holds
 more.  The loop carries one state: the Gaussian reference field X is a run
 of its own, of the linear model (F = G = 0, theta = Id declared constant)
-on the same noise, with no extra drift, zero initial data and no
+on the same noise, with Lambda = 0, zero initial data and no
 conservation form (see ``upsilon_diagnostic``).
 
 Batches: ``simulate_coupled`` steps its runs together.  The state of B
 runs has layout (n, B, N+1) and its grid (n, B, M), so the model callables,
-which act pointwise on trailing axes, see the batch as a wider grid; so
-does an extra drift, called once per step on all the runs that share it.
+which act pointwise on trailing axes, see the batch as a wider grid.
 Runs may share a batch when they agree on N, M, dt, T, model, record_times
 and blowup_cap; the model fixes the noise path of the whole batch.  Each
 run keeps its own noise group, scheme and eps (decay, derivative and noise
-multipliers), extra drift, dealiasing and conservation form.  Per step the
+multipliers), Lambda, dealiasing and conservation form.  Per step the
 batch makes one inverse transform, of u and D_eps u, and one forward
 transform of B + R rows: the B products, which alone are dealiased, and the
-rests of the R runs whose rest can be nonzero.  A run's rest is F plus its
-extra drift, plus theta(u) times the noise grid when theta depends on u; so
-R = B unless theta is a declared constant and F a declared zero (None),
-and then R counts the runs with an extra drift.  Both transforms are
+rests of the R runs whose rest can be nonzero.  A run's rest is theta(u)
+times the noise grid when theta depends on u, plus F, plus its corrected
+drift -Lambda theta DG theta when Lambda != 0 (a drift run); so R = B
+unless theta is a declared constant and F a declared zero (None), and then
+R counts the drift runs.  One DG call and one contraction give the drift
+of every drift run of a step, with theta theta^T from the plan when theta
+is constant, else from the theta grid that the noise term made, so theta
+is evaluated at most once per step.  Both transforms are
 unscaled: the grid phase (-1)^k, the 1/sqrt(2 pi) scales, dt, the
 dealiasing mask and the conservation form's D_eps live in per-run input and
 output multipliers.  ``_Operators._per_batch`` makes them, the rest rows and
@@ -78,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily: load it with the module, not in a run
 
-from schemelab.correction import lambda_exact, make_correction_drift
+from schemelab.correction import _contract, _theta_theta, lambda_exact
 from schemelab.models import ModelFunctions
 from schemelab.schemes import (
     CutoffScheme,
@@ -109,8 +112,7 @@ class SolverConfig:
     T: float
     model: ModelFunctions
     dealias: bool = True
-    extra_drift: callable | None = None
-    extra_drift_label: str = "none"
+    Lambda: float = 0.0                # the run's drift is -Lambda theta DG theta
     record_times: tuple = ()
     blowup_cap: float = 1e6
     initial: SpectralField | None = None
@@ -121,6 +123,8 @@ class SolverConfig:
             raise ValueError("need M >= 2N+1")
         if self.dt <= 0 or self.T <= 0 or self.eps <= 0:
             raise ValueError("eps, dt and T must be > 0")
+        if not np.isfinite(self.Lambda):
+            raise ValueError("Lambda must be finite")
         self.record_times = tuple(sorted(set(float(t) for t in self.record_times)))
         for t in self.record_times:
             if not 0.0 <= t <= self.T + 1e-12:
@@ -165,7 +169,7 @@ class _Operators:
         cut = (2 * N) // 3
         self.dealias_mask = np.array([(ks <= cut) | (not c.dealias) for c in configs],
                                      dtype=float)
-        self.extra_drift = [c.extra_drift for c in configs]
+        self.Lambda = np.array([c.Lambda for c in configs], dtype=float)
         self.conservation = np.array([c.conservation_form for c in configs])
         # noise group of each run: the runs of a group read the same draws
         self.group = (np.zeros(len(configs), dtype=int) if groups is None
@@ -175,15 +179,15 @@ class _Operators:
     def _per_batch(self):
         """The step plan: what every step of the batch decides alike.
 
-        The rest of a run is F plus its extra drift, plus theta(u) times the
-        noise grid when theta depends on u.  It can be nonzero for every run
+        The rest of a run is theta(u) times the noise grid when theta
+        depends on u, plus F, plus -Lambda theta DG theta for a drift run
+        (Lambda != 0), filled in that order.  It can be nonzero for every run
         when F is not a declared zero (None) or theta depends on u, else only
-        for the runs with an extra drift: those R runs get a rest row.  The
-        plan holds the work buffers (u and D_eps u, and the grid rows of the
-        B products and the R rests), the terms that fill the rest rows (each
-        callable with the runs it reads and the rows it writes, assigned when
-        it is the first term there, else added), and the multipliers into
-        which the transform scales are folded:
+        for the drift runs: those R runs get a rest row.  The plan holds the
+        work buffers (u and D_eps u, and the grid rows of the B products and
+        the R rests), the drift runs with their rest rows and -Lambda column,
+        theta theta^T when theta is constant, and the multipliers into which
+        the transform scales are folded:
 
         - ``in_mult`` (2, 1, B, N+1): sign / sqrt(2 pi) and dmult times that,
           which put u and D_eps u on the grid by one unscaled irfft;
@@ -198,29 +202,18 @@ class _Operators:
         Also the conservation-form masks and the runs of each distinct noise.
         """
         model, transform = self.model, self.transform
-        n, B, N = model.n, len(self.extra_drift), self.N
+        n, B, N = model.n, len(self.Lambda), self.N
         const = model.theta_constant
-        runs = {}
-        for b, d in enumerate(self.extra_drift):
-            if d is not None:
-                runs.setdefault(d, []).append(b)
-        whole = const is None or model.F is not None
-        rest_runs = (list(range(B)) if whole
-                     else sorted(b for r in runs.values() for b in r))
-        row = {b: i for i, b in enumerate(rest_runs)}
-        everything = slice(None)
-        terms = [] if model.F is None else [(model.F, everything, everything)]
-        terms += [(d, _positions(r), _positions([row[b] for b in r]))
-                  for d, r in runs.items()]
-        # the noise term (theta depends on u) and F write every rest row,
-        # the extra drifts disjoint rows: a term adds to what an earlier one
-        # wrote, else assigns
-        filled = const is None
-        self.rest_terms = []
-        for f, r, w in terms:
-            self.rest_terms.append((f, r, w, filled))
-            filled = filled or w is everything
+        drift_runs = np.flatnonzero(self.Lambda).tolist()
+        # with a rest row per run the drift adds to the noise term or F, else
+        # the drift runs' rows are all the rest rows, and it assigns them
+        self.drift_adds = const is None or model.F is not None
+        rest_runs = list(range(B)) if self.drift_adds else drift_runs
         self.rest_runs = _positions(rest_runs) if rest_runs else None
+        self.drift_runs = _positions(drift_runs) if drift_runs else None
+        self.drift_rows = self.drift_runs if self.drift_adds else slice(None)
+        self.minus_Lambda = -self.Lambda[drift_runs, None]
+        self.drift_tt = None if const is None else _theta_theta(const)
         R = len(rest_runs)
 
         grid_scale = transform.sign / SQRT_2PI
@@ -251,9 +244,8 @@ class _Operators:
         """The operators of the runs selected by the boolean mask ``keep``."""
         out = copy.copy(self)
         for name in ("decay", "dmult", "hmult", "dealias_mask", "conservation",
-                     "group"):
+                     "group", "Lambda"):
             setattr(out, name, getattr(self, name)[keep])
-        out.extra_drift = [d for d, k in zip(self.extra_drift, keep) if k]
         out._per_batch()
         return out
 
@@ -313,12 +305,11 @@ def step(u_hat: np.ndarray, ops: _Operators, noise: np.ndarray):
     call, the grid phase and 1/sqrt(2 pi) being folded into ``in_mult``.
     The forward transforms go through one unscaled rfft call of B + R rows:
     the B products, which alone are dealiased, and the rests of the R runs
-    whose rest can be nonzero (F, the extra drift and theta(u) times the
-    noise grid; all runs unless theta is constant and F a declared zero,
-    then the runs with an extra drift).  One multiplication by ``out_mult``
+    whose rest can be nonzero (theta(u) times the noise grid, F and
+    -Lambda theta DG theta; all runs unless theta is constant and F a
+    declared zero, then the drift runs).  One multiplication by ``out_mult``
     applies the scale, dt, the dealiasing mask and, in conservation form,
-    D_eps; the rest modes are then added to their runs.  The runs that
-    share an extra drift callable are evaluated in one call of it.
+    D_eps; the rest modes are then added to their runs.
     """
     model = ops.model
     B = u_hat.shape[1]
@@ -338,12 +329,21 @@ def step(u_hat: np.ndarray, ops: _Operators, noise: np.ndarray):
 
     const = model.theta_constant
     if const is None:
-        _apply(model.theta(u_grid), noise, out=rest)
-    for f, runs, rows, add in ops.rest_terms:
-        if add:
-            rest[:, rows] += f(u_grid[:, runs])
+        theta = model.theta(u_grid)
+        _apply(theta, noise, out=rest)
+    if model.F is not None:
+        if const is None:
+            rest += model.F(u_grid)
         else:
-            rest[:, rows] = f(u_grid[:, runs])
+            rest[:] = model.F(u_grid)
+    runs = ops.drift_runs
+    if runs is not None:
+        tt = ops.drift_tt if const is not None else _theta_theta(theta[:, :, runs])
+        drift = _contract(ops.minus_Lambda, model.DG(u_grid[:, runs]), tt)
+        if ops.drift_adds:
+            rest[:, ops.drift_rows] += drift
+        else:
+            rest[:, ops.drift_rows] = drift
 
     hats = ops.transform.grid_sums(grids)
     hats *= ops.out_mult
@@ -405,7 +405,7 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
     draws are read once and scaled by each run's own multipliers, when the
     loop reaches the sub-block and only for the runs still in the batch.
     The runs must share N, M, dt, T, model, record_times and blowup_cap;
-    each keeps its own scheme, eps, extra drift, dealiasing and conservation
+    each keeps its own scheme, eps, Lambda, dealiasing and conservation
     form.  A run is truncated at the first time its sup norm exceeds
     ``blowup_cap``: its truncation time is recorded, later snapshots are
     dropped, and it leaves the batch.  A non-finite state raises
@@ -646,9 +646,7 @@ def reference_config(config: SolverConfig, eps_ref: float,
     return SolverConfig(
         scheme=make_scheme("central_difference"), eps=eps_ref, N=config.N,
         M=config.M, dt=config.dt, T=config.T, model=config.model,
-        dealias=config.dealias,
-        extra_drift=make_correction_drift(config.model, Lambda),
-        extra_drift_label=f"correction:{Lambda!r}",
+        dealias=config.dealias, Lambda=Lambda,
         record_times=config.record_times, blowup_cap=config.blowup_cap,
         initial=config.initial,
     )

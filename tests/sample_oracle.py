@@ -29,7 +29,6 @@ from schemelab.lift import (ModeState, d_eps_xx, draw_increments, evolve_modes, 
 from schemelab.solver import (
     NoiseStream,
     Trajectory,
-    make_correction_drift,
     reference_config,
     simulate_coupled,
 )
@@ -110,12 +109,10 @@ def correction_row(cfg, Lambda1, s):
     eps = min(cfg.eps_ladder)
     rng = sample_rng(cfg.master_seed, s)
     inc = NoiseStream(rng, cfg.solver_config(eps).steps, cfg.N, cfg.model.n)
-    drift = make_correction_drift(cfg.model, Lambda1)
     run1, run2, run2c = simulate_coupled([
         cfg.solver_config(eps),
         cfg.solver_config(eps, scheme=cfg.scheme2),
-        cfg.solver_config(eps, scheme=cfg.scheme2, extra_drift=drift,
-                          extra_drift_label=f"correction:{Lambda1!r}"),
+        cfg.solver_config(eps, scheme=cfg.scheme2, Lambda=Lambda1),
     ], inc)
     gap_a, _, _ = _trajectory_gap(run1, run2, cfg.M, cfg.T)
     gap_b, _, _ = _trajectory_gap(run1, run2c, cfg.M, cfg.T)

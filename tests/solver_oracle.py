@@ -98,8 +98,11 @@ def step(u_hat: np.ndarray, config: SolverConfig, increments: np.ndarray,
     nonlin_hat = prod_hat
 
     other = np.zeros_like(u_grid) if model.F is None else model.F(u_grid)   # None: F = 0
-    if config.extra_drift is not None:
-        other = other + config.extra_drift(u_grid)
+    if config.Lambda != 0.0:
+        # the corrected drift -Lambda theta^j_k dG^i_l/du_j theta^l_k, DG[j, i, l]
+        theta = model.theta(u_grid)
+        other = other - config.Lambda * np.einsum("jil...,jk...,lk...->i...",
+                                                  model.DG(u_grid), theta, theta)
     if np.any(other):
         nonlin_hat = nonlin_hat + ops.to_coeffs(other)
 

@@ -28,7 +28,6 @@ from schemelab.solver import (
     NumericalAbort,
     SolverConfig,
     draw_noise,
-    make_correction_drift,
     simulate_coupled,
 )
 from schemelab.spectral import NormConfig
@@ -128,30 +127,32 @@ def test_abort_reports_the_lowest_failing_sample(monkeypatch, chunk):
 
 
 def test_runs_sharing_a_drift_evaluate_it_once_per_step():
-    """Runs 0, 1 and 3 share one correction drift, runs 2 and 4 another;
-    each step makes one call of each, on every run that carries it, and the
-    runs equal those with a drift object per run."""
-    model = make_model(1, G="state", theta="bounded_sqrt")
+    """Four drift runs of three Lambdas and a run with Lambda = 0: each step
+    makes one theta call, on the whole batch, whose grid gives both the
+    noise term and the drifts' theta theta^T, and one DG call, on the drift
+    runs; every run has the bits of the run stepped alone."""
+    base = make_model(1, G="state", theta="bounded_sqrt")
     scheme = make_scheme("forward_difference")
     calls = []
 
-    def counted(drift):
+    def counted(name, f):
         def wrapped(u):
-            calls.append(u.shape)
-            return drift(u)
+            calls.append((name, u.shape))
+            return f(u)
         return wrapped
 
-    def cfg(eps, drift):
-        return SolverConfig(scheme=scheme, eps=eps, N=8, M=32, dt=1e-3, T=0.02,
-                            model=model, extra_drift=drift, record_times=(0.01, 0.02))
+    model = dataclasses.replace(base, DG=counted("DG", base.DG),
+                                theta=counted("theta", base.theta))
 
-    epss = (0.5, 0.25, 0.125, 0.0625, 0.03125)
-    lams = (0.25, 0.25, -0.4, 0.25, -0.4)
-    shared = {lam: counted(make_correction_drift(model, lam)) for lam in set(lams)}
+    def cfg(eps, Lambda):
+        return SolverConfig(scheme=scheme, eps=eps, N=8, M=32, dt=1e-3, T=0.02,
+                            model=model, Lambda=Lambda, record_times=(0.01, 0.02))
+
+    configs = [cfg(eps, Lambda) for eps, Lambda in zip((0.5, 0.25, 0.125, 0.0625, 0.03125),
+                                                       (0.25, 0.0, -0.4, 0.25, 0.1))]
     inc = draw_noise(np.random.default_rng(3), 20, 8, 1)
-    runs = simulate_coupled([cfg(e, shared[lam]) for e, lam in zip(epss, lams)], inc)
-    assert calls == [(1, 3, 32), (1, 2, 32)] * 20
-    alone = simulate_coupled([cfg(e, make_correction_drift(model, lam))
-                              for e, lam in zip(epss, lams)], inc)
-    for a, b in zip(runs, alone):
-        assert all(np.array_equal(x, y) for x, y in zip(a.coeffs, b.coeffs))
+    runs = simulate_coupled(configs, inc)
+    assert calls == [("theta", (1, 5, 32)), ("DG", (1, 4, 32))] * 20
+    for config, run in zip(configs, runs):
+        alone = simulate_coupled([config], inc)[0]
+        assert all(np.array_equal(x, y) for x, y in zip(run.coeffs, alone.coeffs))

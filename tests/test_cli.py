@@ -68,8 +68,9 @@ COMMAND_OF = {kind: command for command, kind in schema.KIND_BY_COMMAND.items()}
 def table_cases():
     """(command, path, value, message) for each way a file can break a row
     of the schema: a misspelt key, a value of another JSON type and a value
-    outside the range.  The CLI's command sets the kind, so a file's kind
-    is tested on parse_config."""
+    outside the range; and a function block whose params its function does
+    not take.  The CLI's command sets the kind, so a file's kind is tested
+    on parse_config."""
     cases = []
     for path, row in schema_rows():
         if path == "kind":
@@ -83,6 +84,8 @@ def table_cases():
             command = COMMAND_OF[row.kinds[0]] if row.kinds else "converge"
             cases += [(command, path, value, f"{path} must be {row.range[0]}")
                       for value in OUT_OF_RANGE[path]]
+    cases.append(("simulate", "scheme.h", {"name": "indicator", "params": {"cutof": 1.0}},
+                  "function 'indicator' params: got an unexpected keyword argument 'cutof'"))
     return cases
 
 

@@ -33,7 +33,6 @@ from schemelab.solver import (
     NumericalAbort,
     SolverConfig,
     draw_noise,
-    make_correction_drift,
     simulate,
     simulate_coupled,
     stochastic_convolution,
@@ -63,15 +62,15 @@ def sub_block(configs):
 
 def linear_configs(configs):
     """The runs of the reference field X of ``configs``: each config with the
-    linear model (F = G = 0, theta = Id declared constant), no extra drift,
+    linear model (F = G = 0, theta = Id declared constant), Lambda = 0,
     zero initial data and no conservation form."""
     n = configs[0].model.n
     model = make_model(1, G="zero", theta="one") if n == 1 else ModelFunctions(
         n=n, F=None, G=_constant(np.zeros((n, n))),
         DG=_constant(np.zeros((n, n, n))), theta=_constant(np.eye(n)),
         label=f"n{n}:linear", theta_constant=np.eye(n))
-    return [dataclasses.replace(c, model=model, extra_drift=None, extra_drift_label="none",
-                                initial=None, conservation_form=False) for c in configs]
+    return [dataclasses.replace(c, model=model, Lambda=0.0, initial=None,
+                                conservation_form=False) for c in configs]
 
 
 def assert_reference_matches_oracle(configs, inc, source=None):
@@ -116,15 +115,13 @@ def batches(draw):
     rng = np.random.default_rng(seed)
     configs = []
     for _ in range(draw(st.integers(1, 4))):
-        lam = draw(st.sampled_from([0.0, 0.25, -0.4]))
         conservative = model.potential is not None and draw(st.booleans())
         initial = (band_limited(rng, N, draw(st.integers(0, N)), 0.4)
                    if draw(st.booleans()) else None)
         configs.append(SolverConfig(
             scheme=draw(schemes()), eps=draw(st.floats(0.05, 0.5)), N=N, M=M,
             dt=dt, T=steps * dt, model=model, dealias=draw(st.booleans()),
-            extra_drift=make_correction_drift(model, lam),
-            extra_drift_label=f"correction:{lam!r}",
+            Lambda=draw(st.sampled_from([0.0, 0.25, -0.4])),
             record_times=tuple(j * dt for j in record_steps),
             initial=initial, conservation_form=conservative))
     inc = draw_noise(rng, steps, N, 1)
@@ -149,9 +146,9 @@ def test_batch_matches_oracle_run_by_run(batch, with_reference):
         assert_reference_matches_oracle(configs, inc)
 
 
-def growth_batch(cap=2.0, model=None):
-    """Three runs; the middle one carries a strong growth drift and a larger
-    start, so it alone crosses ``cap`` partway through."""
+def growth_batch(cap=2.0, model=None, Lambdas=(0.0, -15.0, 0.0)):
+    """Three runs; the middle one carries a strong growth drift (Lambda < 0)
+    and a larger start, so it alone crosses ``cap`` partway through."""
     forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
     model = model or make_model(1, G="state", theta="one")
     rng = np.random.default_rng(11)
@@ -162,9 +159,8 @@ def growth_batch(cap=2.0, model=None):
                             blowup_cap=cap, initial=band_limited(rng, 8, 3, scale),
                             **kw)
 
-    configs = [cfg(forward, 0.05), cfg(central, 0.2, extra_drift=lambda u: 40.0 * u,
-                                       extra_drift_label="growth"),
-               cfg(central, 0.05)]
+    configs = [cfg(forward, 0.05, Lambda=Lambdas[0]), cfg(central, 0.2, Lambda=Lambdas[1]),
+               cfg(central, 0.05, Lambda=Lambdas[2])]
     return configs, draw_noise(rng, configs[0].steps, 8, 1) * 0.1
 
 
@@ -197,17 +193,14 @@ def test_reference_of_a_truncated_run_matches_oracle():
     assert max(refs[1].times) > cut
 
 
-def poisoned(threshold):
-    """A drift that turns infinite once |u| exceeds ``threshold``."""
-    return lambda u: np.where(np.abs(u) > threshold, np.inf, 40.0 * u)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_first_non_finite_run_in_list_order_sets_the_abort_time():
-    configs, inc = growth_batch(cap=1e6)
-    # run 1 goes non-finite late, run 2 (after it in the list) early
-    configs[1].extra_drift = poisoned(0.8)
-    configs[2].extra_drift = poisoned(0.02)
+    # with G = theta = state the drift is -Lambda u^2: it blows up in finite
+    # time, sooner for the larger -Lambda, and under a cap this high the
+    # state overflows before it crosses the cap; so run 1 goes non-finite
+    # late, run 2 (after it in the list) early
+    configs, inc = growth_batch(cap=1e300, model=make_model(1, G="state", theta="state"),
+                                Lambdas=(0.0, -100.0, -1000.0))
     expected = None
     for config in configs:
         try:
@@ -293,15 +286,14 @@ def correction_runs(N=12, M=40, steps=150):
     initial = band_limited(np.random.default_rng(9), N, 4, 0.4)
 
     def build(model):
-        def cfg(scheme, drift=None):
+        def cfg(scheme, Lambda=0.0):
             return SolverConfig(
                 scheme=make_scheme(scheme), eps=0.125, N=N, M=M, dt=dt,
-                T=steps * dt, model=model, extra_drift=drift,
-                extra_drift_label="none" if drift is None else "correction:0.25",
+                T=steps * dt, model=model, Lambda=Lambda,
                 record_times=(0.05, 0.1, 0.15),
                 initial=SpectralField(np.repeat(initial.coeffs, model.n, axis=0)))
         return [cfg("forward_difference"), cfg("central_difference"),
-                cfg("central_difference", make_correction_drift(model, 0.25))]
+                cfg("central_difference", 0.25)]
     return build
 
 
@@ -414,19 +406,17 @@ def truncated_correction_runs(truncate, N=12, M=40, steps=150):
     model = make_model(1, G="state", theta="one")
     Lambda = -10.0 if truncate == 2 else 0.25
 
-    def cfg(scheme, drift=None, mean=0.0):
+    def cfg(scheme, Lambda=0.0, mean=0.0):
         c = np.zeros((1, 2 * N + 1), dtype=complex)
         c[0, N] = mean * math.sqrt(2.0 * math.pi)
         return SolverConfig(
             scheme=make_scheme(scheme), eps=0.125, N=N, M=M, dt=1e-3, T=steps * 1e-3,
-            model=model, extra_drift=drift,
-            extra_drift_label="none" if drift is None else f"correction:{Lambda!r}",
-            record_times=(0.02, 0.05, 0.1, 0.15), blowup_cap=1.5,
-            initial=SpectralField(c))
+            model=model, Lambda=Lambda, record_times=(0.02, 0.05, 0.1, 0.15),
+            blowup_cap=1.5, initial=SpectralField(c))
 
     return [cfg("forward_difference", mean=1.0 if truncate == 0 else 0.0),
             cfg("central_difference"),
-            cfg("central_difference", make_correction_drift(model, Lambda))]
+            cfg("central_difference", Lambda)]
 
 
 @pytest.mark.parametrize("truncate, rows_after", [(2, 2), (0, 3)])
@@ -455,14 +445,13 @@ def test_conservation_form_run_with_a_drift_matches_oracle(monkeypatch, theta, r
     rng = np.random.default_rng(12)
     forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
 
-    def cfg(scheme, conservative, drift=None):
+    def cfg(scheme, conservative, Lambda=0.0):
         return SolverConfig(
             scheme=scheme, eps=0.125, N=12, M=40, dt=1e-3, T=0.15, model=model,
-            extra_drift=drift, extra_drift_label="none" if drift is None else "correction:0.25",
-            record_times=(0.05, 0.1, 0.15), initial=band_limited(rng, 12, 4, 0.4),
+            Lambda=Lambda, record_times=(0.05, 0.1, 0.15), initial=band_limited(rng, 12, 4, 0.4),
             conservation_form=conservative)
 
-    configs = [cfg(forward, True, make_correction_drift(model, 0.25)), cfg(central, False),
+    configs = [cfg(forward, True, 0.25), cfg(central, False),
                cfg(central, True)]
     inc = draw_noise(rng, configs[0].steps, 12, 1)
     spy = forward_rows(monkeypatch)
@@ -507,9 +496,8 @@ def oracle_correction_row(cfg, Lambda1, s):
                      cfg.N, cfg.model.n)
     run1 = oracle.simulate(cfg.solver_config(eps), increments=inc)
     run2 = oracle.simulate(cfg.solver_config(eps, scheme=cfg.scheme2), increments=inc)
-    run2c = oracle.simulate(cfg.solver_config(
-        eps, scheme=cfg.scheme2, extra_drift=make_correction_drift(cfg.model, Lambda1),
-        extra_drift_label=f"correction:{Lambda1!r}"), increments=inc)
+    run2c = oracle.simulate(cfg.solver_config(eps, scheme=cfg.scheme2, Lambda=Lambda1),
+                            increments=inc)
     ia, jb, _t = _common_positive_times(run1, run2, cfg.T)[-1]
     return {"eps": eps, "sample": s,
             "gap_uncorrected": _trajectory_gap(run1, run2, cfg.M, cfg.T)[0],
@@ -523,9 +511,7 @@ def oracle_converge_rows(cfg, Lambda, s):
     inc = draw_noise(sample_rng(cfg.master_seed, s), base.steps, cfg.N, cfg.model.n)
     ref = oracle.simulate(SolverConfig(
         scheme=make_scheme("central_difference"), eps=cfg.eps_ref, N=cfg.N, M=cfg.M,
-        dt=cfg.dt, T=cfg.T, model=cfg.model,
-        extra_drift=make_correction_drift(cfg.model, Lambda),
-        extra_drift_label=f"correction:{Lambda!r}", record_times=base.record_times,
+        dt=cfg.dt, T=cfg.T, model=cfg.model, Lambda=Lambda, record_times=base.record_times,
         blowup_cap=base.blowup_cap, initial=base.initial), increments=inc)
     rows = []
     for eps in cfg.eps_ladder:

@@ -146,8 +146,7 @@ def test_stream_and_array_drive_identical_runs():
                             T=steps * 1e-3, model=model, blowup_cap=1.0,
                             record_times=(0.05, 0.1, 0.2, steps * 1e-3), **kw)
 
-    configs = [cfg(forward), cfg(central, extra_drift=lambda u: 20.0 * u,
-                                 extra_drift_label="growth"), cfg(central)]
+    configs = [cfg(forward), cfg(central, Lambda=-8.0), cfg(central)]
     from_stream = simulate_coupled(configs, NoiseStream(np.random.default_rng(11), steps, 8, 1))
     inc = draw_noise(np.random.default_rng(11), steps, 8, 1)
     from_array = simulate_coupled(configs, inc)
@@ -190,8 +189,7 @@ def test_noise_groups_match_their_solo_batches():
                             T=steps * 1e-3, model=model, blowup_cap=1.0,
                             record_times=(0.1, 0.2, steps * 1e-3), **kw)
 
-    trio = [cfg(forward), cfg(central, extra_drift=lambda u: 12.0 * u,
-                              extra_drift_label="growth"), cfg(central)]
+    trio = [cfg(forward), cfg(central, Lambda=-5.0), cfg(central)]
     seeds = (11, 12, 13, 14, 15)
     sources = [NoiseStream(np.random.default_rng(seeds[0]), steps, N, 1),
                draw_noise(np.random.default_rng(seeds[1]), steps, N, 1),
@@ -329,8 +327,7 @@ def test_an_early_exit_leaves_the_stream_replaying_the_same_bits():
     """Every run is truncated in the first sub-block, so the loop leaves
     with the stream's reads unfinished; the stream then gives the bits of a
     fresh one, read by itself and as a run's noise."""
-    configs, steps = lifetime_configs(extra_drift=lambda u: 40.0 * u,
-                                      extra_drift_label="growth", blowup_cap=0.05)
+    configs, steps = lifetime_configs(Lambda=-5.0, blowup_cap=0.05)
     stream = NoiseStream(np.random.default_rng(4), steps, 8, 1)
     runs = simulate_coupled(configs, stream)
     assert all(r.truncation_time is not None
@@ -348,8 +345,8 @@ def test_an_early_exit_leaves_the_stream_replaying_the_same_bits():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_stream_source_run_raises_numerical_abort():
-    configs, steps = lifetime_configs(extra_drift=lambda u: u * np.inf,
-                                      extra_drift_label="bad")
+    # the drift -Lambda overflows the forward transform of its rest row
+    configs, steps = lifetime_configs(Lambda=1e308)
     with pytest.raises(NumericalAbort):
         simulate_coupled(configs, NoiseStream(np.random.default_rng(5), steps, 8, 1))
 
@@ -383,9 +380,8 @@ def test_grid_noise_batch_with_mid_sub_block_truncations_equals_solo_runs():
                             T=steps * 1e-3, model=model, blowup_cap=2.0,
                             record_times=(0.1, 0.2, steps * 1e-3), **kw)
 
-    configs = [cfg(forward), cfg(central, extra_drift=lambda u: 12.0 * u,
-                                 extra_drift_label="growth"),
-               cfg(central, extra_drift=lambda u: 30.0 * u, extra_drift_label="fast")]
+    # the drifts -Lambda theta^2 of theta = bounded_sqrt lie in [-2 Lambda, -Lambda]
+    configs = [cfg(forward), cfg(central, Lambda=-5.0), cfg(central, Lambda=-12.0)]
     cut = batch_truncations_after_solo_check(configs, steps)
     assert cut[0] is None and None not in cut[1:] and cut[1] != cut[2]
 
@@ -405,8 +401,7 @@ def test_runs_after_a_truncated_one_keep_their_own_noise():
                             T=steps * 1e-3, model=model, blowup_cap=2.0,
                             record_times=(0.1, 0.2, steps * 1e-3), **kw)
 
-    configs = [cfg(2.0, extra_drift=lambda u: 30.0 * u, extra_drift_label="fast"),
-               cfg(1.0), cfg(0.5)]
+    configs = [cfg(2.0, Lambda=-20.0), cfg(1.0), cfg(0.5)]
     assert len(_Operators(configs).noise_runs) == 3
     cut = batch_truncations_after_solo_check(configs, steps)
     assert cut[1:] == [None, None]

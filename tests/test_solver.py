@@ -13,7 +13,6 @@ from schemelab.solver import (
     _Operators,
     corrected_reference,
     draw_noise,
-    make_correction_drift,
     remainder_diagnostic,
     simulate,
     simulate_coupled,
@@ -52,6 +51,15 @@ class TestModels:
         u = np.linspace(-50, 50, 101)[None, :]
         th = model.theta(u)[0, 0]
         assert np.all(th >= 1.0) and np.all(th <= np.sqrt(2.0) + 1e-12)
+
+    def test_bounded_theta_is_its_closed_form_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        v = np.concatenate([[0.0, -0.0, 1e-200, 1e150],
+                            rng.standard_normal(400) * 10.0 ** rng.integers(-8, 8, 400)])
+        th = make_model(1, theta="bounded_sqrt").theta(v.reshape(1, 2, -1))
+        assert th.shape == (1, 1, 2, v.size // 2)
+        assert np.array_equal(th.ravel().view(np.int64),
+                              np.sqrt(1.0 + v * v / (1.0 + v * v)).view(np.int64))
 
     def test_constant_theta_is_declared_only_for_theta_one(self):
         assert np.array_equal(make_model(1, theta="one").theta_constant, [[1.0]])
@@ -199,14 +207,13 @@ class TestSimulate:
         assert abs(finals.mean() - 2.0) <= 5 * se
 
     def test_blowup_truncation(self, forward):
-        # strong deterministic growth via an extra drift against a low cap
-        model = zero_model()
+        # strong deterministic growth against a low cap: with G = theta =
+        # state the corrected drift is -Lambda u^2, which blows up for Lambda < 0
+        model = make_model(1, G="state", theta="state")
         rng = np.random.default_rng(1)
         u0 = random_initial(rng, 8, scale=1.0)
         cfg = SolverConfig(scheme=forward, eps=0.25, N=8, M=32, dt=1e-3,
-                           T=2.0, model=model,
-                           extra_drift=lambda u: 5.0 * u,
-                           extra_drift_label="growth",
+                           T=2.0, model=model, Lambda=-5.0,
                            record_times=(0.5, 1.0, 2.0), blowup_cap=2.0,
                            initial=u0)
         traj = simulate(cfg, increments=np.zeros((cfg.steps, 9, 1), complex))
@@ -215,11 +222,11 @@ class TestSimulate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_aborts(self, forward):
-        model = zero_model()
+        # the drift -Lambda of G = state, theta = one overflows the forward
+        # transform of its rest row at the first step
+        model = make_model(1, G="state", theta="one")
         cfg = SolverConfig(scheme=forward, eps=0.25, N=4, M=16, dt=1e-3,
-                           T=0.1, model=model,
-                           extra_drift=lambda u: u * np.inf,
-                           extra_drift_label="bad")
+                           T=0.1, model=model, Lambda=1e308)
         rng = np.random.default_rng(0)
         u0 = random_initial(rng, 4)
         cfg.initial = u0
@@ -337,11 +344,20 @@ class TestCorrectedReference:
         for a, b in zip(ref.coeffs, plain.coeffs):
             assert np.array_equal(a, b)
 
-    def test_scalar_drift_constant(self):
+    def test_scalar_drift_constant(self, central):
+        # G = state, theta = one: the drift is the constant -Lambda, so a
+        # run from 0 without noise is the flat field -Lambda t
         model = make_model(1, G="state", theta="one")
-        drift = make_correction_drift(model, 0.25)
-        u = np.linspace(-1, 1, 7)[None, :]
-        np.testing.assert_allclose(drift(u), np.full((1, 7), -0.25))
+        cfg = SolverConfig(scheme=central, eps=0.25, N=4, M=16, dt=1e-3, T=0.1,
+                           model=model, Lambda=0.25, record_times=(0.05, 0.1))
+        traj = simulate(cfg, increments=np.zeros((cfg.steps, 5, 1), complex))
+        for i, t in enumerate(traj.times):
+            np.testing.assert_allclose(traj.grid(i, 16).values, -0.25 * t, rtol=1e-12)
+
+    def test_lambda_must_be_finite(self, central):
+        with pytest.raises(ValueError, match="Lambda must be finite"):
+            SolverConfig(scheme=central, eps=0.25, N=4, M=16, dt=1e-3, T=0.1,
+                         model=make_model(1, G="state"), Lambda=np.inf)
 
     def test_drift_gap_grows_with_lambda(self, forward):
         # paired-seed runs with two different explicit drifts separate more
@@ -355,8 +371,7 @@ class TestCorrectedReference:
         for lam in (0.1, 0.3):
             drifted = SolverConfig(
                 scheme=forward, eps=0.05, N=32, M=128, dt=5e-4, T=0.1,
-                model=model, extra_drift=make_correction_drift(model, lam),
-                extra_drift_label=f"lam{lam}", record_times=(0.1,))
+                model=model, Lambda=lam, record_times=(0.1,))
             run = simulate(drifted, increments=inc)
             gaps.append(np.abs(run.coeffs[-1] - plain.coeffs[-1]).max())
         assert gaps[1] > 2.0 * gaps[0]
