@@ -46,7 +46,7 @@ def _cmd_check_scheme(cfg, out_dir):
 
 
 def _cmd_lambda(cfg, out_dir):
-    result = lambda_exact(cfg.scheme, nu=cfg.nu)
+    result = lambda_exact(cfg.scheme)
     how = ("closed form" if result.evaluations == 0 else
            f"error estimate {result.error_estimate:.3g}, "
            f"{result.evaluations} integrand evaluations")

@@ -10,8 +10,9 @@ key, its type (a key of _TYPES, or the table of a nested block), its default
 (None: every kind).  A key in no table is a config error.  A key that a kind
 does not read is accepted, so one file serves several kinds.  The checks
 that code callers rely on stay with what the loader builds and are called,
-not restated: the registries, NormConfig, SolverConfig and require_unit_nu.
-The README's "Config schema" table lists every row.
+not restated: the registries, NormConfig and SolverConfig.  The workbench
+fixes nu = 1: no key sets it.  The README's "Config schema" table lists
+every row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 from collections import namedtuple
 
-from schemelab.experiments import ConfigError, ExperimentConfig, require_unit_nu
+from schemelab.experiments import ConfigError, ExperimentConfig
 from schemelab.models import make_model
 from schemelab.schemes import AtomicSignedMeasure, CutoffScheme, make_function, make_scheme
 from schemelab.spectral import NormConfig
@@ -61,7 +62,6 @@ SCHEME = (                      # a named scheme, or f, h and mu
     Row("h", FUNCTION, None),
     Row("mu", "pairs", None),
     Row("c_f", "float", 0.25),
-    Row("delta", "float", 1.0),
 )
 MODEL = (
     Row("n", "int", 1),
@@ -78,7 +78,6 @@ EXPERIMENT = (
         ("lift", "fluctuation")),
     Row("times", "floats", (0.5,),
         ("non-empty and positive", lambda v, r: len(v) > 0 and min(v) > 0), TIMED),
-    Row("nu", "float", 1.0),
 )
 INITIAL = (
     Row("kind", "str", "zero"),
@@ -158,11 +157,10 @@ def _scheme(block: dict, path: str) -> CutoffScheme:
     f, h = (block[key] and make_function(block[key]["name"], **block[key]["params"])
             for key in ("f", "h"))
     if block["name"] is not None:
-        return make_scheme(block["name"], f=f, h=h, c_f=block["c_f"], delta=block["delta"])
+        return make_scheme(block["name"], f=f, h=h, c_f=block["c_f"])
     if None in (f, h, block["mu"]):
         raise ConfigError(f"{path} needs a name, or f, h and mu")
-    return CutoffScheme(f=f, h=h, mu=AtomicSignedMeasure(block["mu"]), c_f=block["c_f"],
-                        delta=block["delta"])
+    return CutoffScheme(f=f, h=h, mu=AtomicSignedMeasure(block["mu"]), c_f=block["c_f"])
 
 
 def parse_config(raw: dict, kind: str | None = None,
@@ -186,7 +184,6 @@ def parse_config(raw: dict, kind: str | None = None,
             model=make_model(**config["model"]), norms=NormConfig(**config["norms"]),
             **initial, **solver, **config["experiment"])
         if cfg.kind in STEPPED:
-            require_unit_nu(cfg)
             cfg.solver_config(cfg.eps_ladder[0]).steps     # the solver's own checks
     except KeyError as exc:                                # an unknown registry name
         raise ConfigError(exc.args[0]) from exc

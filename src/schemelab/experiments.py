@@ -161,7 +161,6 @@ class ExperimentConfig:
     norms: NormConfig = field(default_factory=NormConfig)
     alpha: float = 0.45
     times: tuple = (0.5,)
-    nu: float = 1.0
     scheme2: CutoffScheme | None = None
     initial_kind: str = "zero"
     initial_amplitude: float = 0.0
@@ -360,13 +359,6 @@ def _gap(times, diffs, holder_gamma: float | None = None, stride: int = 4):
 # experiments
 # ---------------------------------------------------------------------------
 
-def require_unit_nu(cfg: ExperimentConfig) -> None:
-    """Reject nu != 1 in an experiment that steps the solver, which has no nu:
-    its runs solve the nu = 1 equation, whatever Lambda(nu) drift they carry."""
-    if cfg.nu != 1.0:
-        raise ValueError(f"{cfg.kind} experiments need nu = 1, not {cfg.nu!r}")
-
-
 def _converge_chunk(args):
     cfg, configs, samples = args
     rows = []
@@ -387,9 +379,8 @@ def _converge_chunk(args):
 
 def converge_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Coupled-noise strong-error ladder against the corrected reference."""
-    require_unit_nu(cfg)
     t0 = time.perf_counter()
-    Lambda = lambda_exact(cfg.scheme, nu=cfg.nu).value
+    Lambda = lambda_exact(cfg.scheme).value
     ladder = [cfg.solver_config(eps) for eps in cfg.eps_ladder]
     configs = [reference_config(ladder[0], cfg.eps_ref, Lambda)] + ladder
     rows = [r for chunk in _pool_map(_converge_chunk, [
@@ -448,9 +439,8 @@ def correction_experiment(cfg: ExperimentConfig) -> RunRecord:
     """
     if cfg.scheme2 is None:
         raise ValueError("correction experiment needs two schemes")
-    require_unit_nu(cfg)
     t0 = time.perf_counter()
-    Lambda1 = lambda_exact(cfg.scheme, nu=cfg.nu).value
+    Lambda1 = lambda_exact(cfg.scheme).value
     configs = _correction_configs(cfg, Lambda1)
     rows = [r for chunk in _pool_map(_correction_chunk, [
         (cfg, configs, samples) for samples in _chunks(cfg.samples)]) for r in chunk]
@@ -545,17 +535,13 @@ def fluctuation_experiment(cfg: ExperimentConfig) -> RunRecord:
 
 
 def lambda_decay_table(cfg: ExperimentConfig) -> dict:
-    """Deterministic table of Lambda_eps(t) against Lambda with per-t slopes.
-
-    For nu != 1 the mode sum is evaluated at the rescaled time nu*t and
-    scaled by 1/nu, which is exactly the nu-dependence of the constant.
-    """
-    result = lambda_exact(cfg.scheme, nu=cfg.nu)
+    """Deterministic table of Lambda_eps(t) against Lambda with per-t slopes."""
+    result = lambda_exact(cfg.scheme)
     rows = []
     for eps in cfg.eps_ladder:
         tail = lambda_z_tail_bound(cfg.scheme, eps, cfg.N)
         for t in cfg.times:
-            le = lambda_eps(cfg.scheme, eps, cfg.nu * t, cfg.N) / cfg.nu
+            le = lambda_eps(cfg.scheme, eps, t, cfg.N)
             rows.append({"eps": eps, "t": t, "lambda_eps": le,
                          "gap": abs(le - result.value),
                          "truncation_tail_bound": tail})

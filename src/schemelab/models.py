@@ -25,8 +25,7 @@ THETA_CONSTANT_RTOL = 1e-12
 @dataclass(eq=False)
 class ModelFunctions:
     """The model's grid callables (see the module docstring).  F = None
-    declares F = 0: the solver neither calls nor transforms it, and
-    ``describe()`` is that of the same model with a zero callable."""
+    declares F = 0: the solver neither calls nor transforms it."""
 
     n: int
     F: callable | None
@@ -64,9 +63,24 @@ class ModelFunctions:
                 self.label, None if const is None else const.tobytes())
 
     def describe(self) -> dict:
+        """n, the label, the constant theta and each callable by its
+        ``module.qualname`` (None for None): the model as ``config_hash``
+        digests it.  Raises ValueError for a lambda or a nested function,
+        whose name does not identify it."""
         const = self.theta_constant
         return {"n": self.n, "label": self.label,
-                "theta_constant": None if const is None else const.tolist()}
+                "theta_constant": None if const is None else const.tolist(),
+                **{name: _qualified_name(getattr(self, name))
+                   for name in ("F", "G", "DG", "theta", "potential")}}
+
+
+def _qualified_name(fn) -> str | None:
+    if fn is None:
+        return None
+    name = getattr(fn, "__qualname__", "<unnamed>")
+    if "<" in name:                          # <lambda>, <locals> or unnamed
+        raise ValueError(f"the model callable {name} has no module-level name to hash")
+    return f"{fn.__module__}.{name}"
 
 
 def validate_gradient(model: ModelFunctions, probe_points: np.ndarray,
@@ -124,13 +138,18 @@ def _theta_state(u):
     return u[None, :]
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _theta_bounded_sqrt(u):
     # smooth, bounded in [1, sqrt(2)], behaves like sqrt(1 + u^2) near 0;
-    # sqrt(1 + v^2 / (1 + v^2)) written into the result: five passes, one
-    # temporary
+    # sqrt(1 + v^2 / (1 + v^2)) written into the result: six passes, one
+    # temporary.  v^2 is capped at the largest float, where the quotient is
+    # already 1, so an overflow (|u| > 1.3e154) gives sqrt(2), not inf / inf
     out = np.empty((1, 1) + u.shape[1:])
     w = out[0, 0]
     v2 = np.multiply(u[0], u[0])
+    np.minimum(v2, _FLOAT_MAX, out=v2)
     np.add(1.0, v2, out=w)
     np.divide(v2, w, out=w)
     np.add(1.0, w, out=w)

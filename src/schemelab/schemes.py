@@ -176,16 +176,14 @@ CENTRAL_DIFFERENCE = AtomicSignedMeasure([(1.0, 0.5), (-1.0, -0.5)])
 class CutoffScheme:
     """The triple (f, mu, h) defining one approximation scheme.
 
-    c_f is the lower-bound constant of the Laplacian cut-off (f >= 2 c_f)
-    and delta the radius on which f is taken to be C^1 around 0; both are
-    metadata consumed by the validation probe.
+    c_f is the lower-bound constant of the Laplacian cut-off (f >= 2 c_f),
+    read by the validation probe and by ``lambda_z_tail_bound``.
     """
 
     f: RegistryFunction
     mu: AtomicSignedMeasure
     h: RegistryFunction
     c_f: float = 0.25
-    delta: float = 1.0
 
     def describe(self) -> dict:
         return {
@@ -193,7 +191,6 @@ class CutoffScheme:
             "h": self.h.describe(),
             "mu": [list(a) for a in self.mu.atoms],
             "c_f": self.c_f,
-            "delta": self.delta,
         }
 
 
@@ -205,8 +202,7 @@ _NAMED_SCHEMES = {
 
 
 def make_scheme(name: str, f: RegistryFunction | None = None,
-                h: RegistryFunction | None = None, c_f: float = 0.25,
-                delta: float = 1.0) -> CutoffScheme:
+                h: RegistryFunction | None = None, c_f: float = 0.25) -> CutoffScheme:
     """Build a named scheme; f and h default to the identity cut-offs."""
     if name not in _NAMED_SCHEMES:
         raise KeyError(f"unknown scheme {name!r}; known: {sorted(_NAMED_SCHEMES)}")
@@ -215,7 +211,6 @@ def make_scheme(name: str, f: RegistryFunction | None = None,
         mu=_NAMED_SCHEMES[name],
         h=h or make_function("one"),
         c_f=c_f,
-        delta=delta,
     )
 
 

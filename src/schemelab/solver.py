@@ -5,7 +5,7 @@ One step advances the band-limited state by
     uhat(t+dt) = e^{-k^2 f(eps k) dt} [ uhat(t) + dt Nhat(u(t)) + Shat(t) ],
 
 where N(u) = F(u) + G(u) D_eps u - Lambda theta(u) DG(u) theta(u) is
-evaluated pseudo-spectrally (the quadratic-type product optionally
+evaluated pseudo-spectrally (the quadratic-type product G(u) D_eps u
 dealiased by the 2/3 rule) and S(t) = theta(u(t)) (H_eps dW) uses the
 left-point state, so the noise integral is an Ito one.  The linear part is integrated exactly;
 there is no CFL restriction.
@@ -53,7 +53,7 @@ which act pointwise on trailing axes, see the batch as a wider grid.
 Runs may share a batch when they agree on N, M, dt, T, model, record_times
 and blowup_cap; the model fixes the noise path of the whole batch.  Each
 run keeps its own noise group, scheme and eps (decay, derivative and noise
-multipliers), Lambda, dealiasing and conservation form.  Per step the
+multipliers), Lambda and conservation form.  Per step the
 batch makes one inverse transform, of u and D_eps u, and one forward
 transform of B + R rows: the B products, which alone are dealiased, and the
 rests of the R runs whose rest can be nonzero.  A run's rest is theta(u)
@@ -111,7 +111,6 @@ class SolverConfig:
     dt: float
     T: float
     model: ModelFunctions
-    dealias: bool = True
     Lambda: float = 0.0                # the run's drift is -Lambda theta DG theta
     record_times: tuple = ()
     blowup_cap: float = 1e6
@@ -166,9 +165,7 @@ class _Operators:
         self.dmult = np.array([derivative_multiplier(c.scheme, ks, c.eps)
                                for c in configs])
         self.hmult = np.array([noise_multiplier(c.scheme, ks, c.eps) for c in configs])
-        cut = (2 * N) // 3
-        self.dealias_mask = np.array([(ks <= cut) | (not c.dealias) for c in configs],
-                                     dtype=float)
+        self.dealias_mask = (ks <= (2 * N) // 3).astype(float)     # the 2/3 rule
         self.Lambda = np.array([c.Lambda for c in configs], dtype=float)
         self.conservation = np.array([c.conservation_form for c in configs])
         # noise group of each run: the runs of a group read the same draws
@@ -219,7 +216,8 @@ class _Operators:
         grid_scale = transform.sign / SQRT_2PI
         self.in_mult = np.stack([np.broadcast_to(grid_scale, self.dmult.shape),
                                  self.dmult * grid_scale])[:, None]
-        out = transform.coeff_scale * self.dealias_mask * self.dt
+        out = np.broadcast_to(transform.coeff_scale * self.dealias_mask * self.dt,
+                              self.dmult.shape)
         if self.conservation.any():                   # complex then
             out = np.where(self.conservation[:, None], out * self.dmult, out)
         self.out_mult = np.concatenate(
@@ -243,8 +241,7 @@ class _Operators:
     def take(self, keep: np.ndarray) -> "_Operators":
         """The operators of the runs selected by the boolean mask ``keep``."""
         out = copy.copy(self)
-        for name in ("decay", "dmult", "hmult", "dealias_mask", "conservation",
-                     "group", "Lambda"):
+        for name in ("decay", "dmult", "hmult", "conservation", "group", "Lambda"):
             setattr(out, name, getattr(self, name)[keep])
         out._per_batch()
         return out
@@ -359,11 +356,10 @@ def step(u_hat: np.ndarray, ops: _Operators, noise: np.ndarray):
 
 @dataclass
 class Trajectory:
-    """Recorded states of one run plus reproducibility metadata."""
+    """Recorded states of one run and the time it was truncated, if it was."""
 
     times: tuple
     coeffs: list                      # modes 0..N (n, N+1), one per recorded time
-    seed: int | None = None
     truncation_time: float | None = None
 
     def spectral(self, i: int) -> SpectralField:
@@ -388,14 +384,14 @@ def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
         if rng is None:
             rng = np.random.default_rng(seed)
         increments = NoiseStream(rng, config.steps, config.N, config.model.n)
-    return simulate_coupled([config], increments, seed=seed)[0]
+    return simulate_coupled([config], increments)[0]
 
 
 # settings every run of a batch must share
 _SHARED = ("N", "M", "dt", "T", "model", "record_times", "blowup_cap")
 
 
-def simulate_coupled(configs, increments, seed: int | None = None) -> list:
+def simulate_coupled(configs, increments) -> list:
     """Step runs together, one Trajectory each.
 
     ``increments`` is one noise source for every run or a list with one
@@ -405,14 +401,13 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
     draws are read once and scaled by each run's own multipliers, when the
     loop reaches the sub-block and only for the runs still in the batch.
     The runs must share N, M, dt, T, model, record_times and blowup_cap;
-    each keeps its own scheme, eps, Lambda, dealiasing and conservation
-    form.  A run is truncated at the first time its sup norm exceeds
-    ``blowup_cap``: its truncation time is recorded, later snapshots are
-    dropped, and it leaves the batch.  A non-finite state raises
-    NumericalAbort at the time running the configs one after another would
-    report, that of the first run in list order that goes non-finite.  A
-    run's reference field X is a run of the linear model on the same source
-    (see the module docstring).
+    each keeps its own scheme, eps, Lambda and conservation form.  A run is
+    truncated at the first time its sup norm exceeds ``blowup_cap``: its
+    truncation time is recorded, later snapshots are dropped, and it leaves
+    the batch.  A non-finite state raises NumericalAbort at the time running
+    the configs one after another would report, that of the first run in
+    list order that goes non-finite.  A run's reference field X is a run of
+    the linear model on the same source (see the module docstring).
     """
     configs = list(configs)
     if not configs:
@@ -504,7 +499,6 @@ def simulate_coupled(configs, increments, seed: int | None = None) -> list:
     return [Trajectory(
         times=tuple(times[b]),
         coeffs=snaps[b],
-        seed=seed,
         truncation_time=truncation[b],
     ) for b in range(len(configs))]
 
@@ -594,7 +588,7 @@ def stochastic_convolution(theta_path, scheme: CutoffScheme, eps: float,
                                  label="convolution")
     config = SolverConfig(
         scheme=scheme, eps=eps, N=N, M=M, dt=dt, T=steps * dt,
-        model=dummy_model, dealias=False,
+        model=dummy_model,
     )
     ops = _Operators([config])
     rest_mult = ops.transform.coeff_scale * ops.dt    # the noise grid holds w / dt
@@ -645,8 +639,7 @@ def reference_config(config: SolverConfig, eps_ref: float,
         Lambda = lambda_exact(config.scheme).value
     return SolverConfig(
         scheme=make_scheme("central_difference"), eps=eps_ref, N=config.N,
-        M=config.M, dt=config.dt, T=config.T, model=config.model,
-        dealias=config.dealias, Lambda=Lambda,
+        M=config.M, dt=config.dt, T=config.T, model=config.model, Lambda=Lambda,
         record_times=config.record_times, blowup_cap=config.blowup_cap,
         initial=config.initial,
     )

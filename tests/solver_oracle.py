@@ -51,8 +51,7 @@ class Operators:
         self.M = M
         self.N = N
         self.sqrt_dt = np.sqrt(config.dt)
-        cut = (2 * N) // 3
-        self.dealias_mask = (np.abs(ks) <= cut).astype(float) if config.dealias else None
+        self.dealias_mask = (np.abs(ks) <= (2 * N) // 3).astype(float)
         # phase bookkeeping for the -pi grid offset
         self.sign = np.where(ks % 2 == 0, 1.0, -1.0)
         self.fold = np.mod(ks, M)
@@ -93,9 +92,7 @@ def step(u_hat: np.ndarray, config: SolverConfig, increments: np.ndarray,
         de_u = ops.to_grid(u_hat * ops.dmult)
         prod = np.einsum("ij...,j...->i...", model.G(u_grid), de_u)
         prod_hat = ops.to_coeffs(prod)
-    if ops.dealias_mask is not None:
-        prod_hat = prod_hat * ops.dealias_mask
-    nonlin_hat = prod_hat
+    nonlin_hat = prod_hat * ops.dealias_mask
 
     other = np.zeros_like(u_grid) if model.F is None else model.F(u_grid)   # None: F = 0
     if config.Lambda != 0.0:
@@ -169,7 +166,6 @@ def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
     return Trajectory(
         times=tuple(times),
         coeffs=[half_spectrum(c) for c in snaps],
-        seed=seed,
         truncation_time=truncation,
         X_coeffs=[half_spectrum(c) for c in xsnaps] if record_reference else None,
     )
@@ -181,7 +177,7 @@ def stochastic_convolution(theta_path, scheme, eps, dt, N, M, increments):
     steps, n = increments.shape[0], increments.shape[2]
     model = ModelFunctions(n=n, F=None, G=None, DG=None, theta=None)
     ops = Operators(SolverConfig(scheme=scheme, eps=eps, N=N, M=M, dt=dt,
-                                 T=steps * dt, model=model, dealias=False))
+                                 T=steps * dt, model=model))
     psi_hat = np.zeros((n, 2 * N + 1), dtype=complex)
     for j in range(steps):
         noise_grid = np.einsum("ij...,j...->i...", theta_path[j],

@@ -63,14 +63,16 @@ OUT_OF_RANGE = {
     "solver.blowup_cap": [-1.0, 0.0], "solver.eps_ref": [0.0, 0.0625, 1.0],
 }
 COMMAND_OF = {kind: command for command, kind in schema.KIND_BY_COMMAND.items()}
+# keys the schema no longer has: no computation read them (nu is fixed at 1)
+RETIRED = ("scheme.delta", "scheme2.delta", "experiment.nu")
 
 
 def table_cases():
     """(command, path, value, message) for each way a file can break a row
     of the schema: a misspelt key, a value of another JSON type and a value
-    outside the range; and a function block whose params its function does
-    not take.  The CLI's command sets the kind, so a file's kind is tested
-    on parse_config."""
+    outside the range; a retired key, whatever its value; and a function
+    block whose params its function does not take.  The CLI's command sets
+    the kind, so a file's kind is tested on parse_config."""
     cases = []
     for path, row in schema_rows():
         if path == "kind":
@@ -84,6 +86,8 @@ def table_cases():
             command = COMMAND_OF[row.kinds[0]] if row.kinds else "converge"
             cases += [(command, path, value, f"{path} must be {row.range[0]}")
                       for value in OUT_OF_RANGE[path]]
+    cases += [("converge", path, value, f"unknown key {path};")
+              for path in RETIRED for value in [1.0, *WRONG_TYPE["float"]]]
     cases.append(("simulate", "scheme.h", {"name": "indicator", "params": {"cutof": 1.0}},
                   "function 'indicator' params: got an unexpected keyword argument 'cutof'"))
     return cases
@@ -161,7 +165,7 @@ class TestExitCodes:
         payload = json.loads(json.dumps(BASE))
         payload["scheme2"] = {"name": "central_difference"}
         payload["experiment"]["nu"] = 2.0
-        assert "nu = 1" in rejected(tmp_path, capsys, command, payload)
+        assert "unknown key experiment.nu;" in rejected(tmp_path, capsys, command, payload)
 
     @pytest.mark.parametrize("command", ["simulate", "converge", "correction"])
     @pytest.mark.parametrize("solver, message", [
@@ -287,13 +291,12 @@ class TestExitCodes:
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "SCHEMELAB_WORKERS must be a positive integer" in capsys.readouterr().err
 
-    def test_lambda_with_nu_two_runs(self, tmp_path, capsys):
+    def test_lambda_with_nu_two_exits_2(self, tmp_path, capsys):
+        # the lambda table once honoured nu; the workbench now fixes nu = 1,
+        # and lambda_exact(scheme, nu) gives Lambda / nu in code
         payload = json.loads(json.dumps(BASE))
         payload["experiment"]["nu"] = 2.0
-        cfg = write_config(tmp_path, payload)
-        assert main(["lambda", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        value = float(capsys.readouterr().out.split("lambda = ")[1].split()[0])
-        assert value == pytest.approx(0.125, abs=1e-6)
+        assert "unknown key experiment.nu;" in rejected(tmp_path, capsys, "lambda", payload)
 
     def test_numerical_abort_exits_3(self, tmp_path):
         bad = json.loads(json.dumps(BASE))
@@ -485,7 +488,7 @@ from schemelab.schemes import make_function, make_scheme
 for path in sys.argv[1:]:
     cfg = load_config(path)
     for scheme in filter(None, (cfg.scheme, cfg.scheme2)):
-        assert lambda_exact(scheme, nu=cfg.nu).evaluations == 0
+        assert lambda_exact(scheme).evaluations == 0
 print("scipy.integrate" in sys.modules)
 lambda_exact(make_scheme("forward_difference", h=make_function("gaussian")))
 print("scipy.integrate" in sys.modules)

@@ -120,7 +120,7 @@ def batches(draw):
                    if draw(st.booleans()) else None)
         configs.append(SolverConfig(
             scheme=draw(schemes()), eps=draw(st.floats(0.05, 0.5)), N=N, M=M,
-            dt=dt, T=steps * dt, model=model, dealias=draw(st.booleans()),
+            dt=dt, T=steps * dt, model=model,
             Lambda=draw(st.sampled_from([0.0, 0.25, -0.4])),
             record_times=tuple(j * dt for j in record_steps),
             initial=initial, conservation_form=conservative))

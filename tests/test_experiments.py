@@ -358,7 +358,7 @@ def test_config_hash_follows_the_resolved_seed():
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "correction.json")
     plain = load_config(path).config_hash()
     # the file's own seed (1111); pinned so a change of the digest shows
-    assert plain == "8f4c21b35b4fb845"
+    assert plain == "1f19f82360633deb"
     assert load_config(path, seed=1111).config_hash() == plain
     hashes = {load_config(path, seed=s).config_hash() for s in (1, 2)}
     assert len(hashes) == 2 and plain not in hashes
@@ -378,7 +378,7 @@ def test_config_hash_covers_every_resolved_field():
         "N": 32, "M": 128, "dt": 5e-4, "T": 0.5, "eps_ladder": (0.25, 0.0625),
         "samples": 5, "master_seed": 98, "kind": "correction",
         "record_times": (0.05,), "blowup_cap": 1e3, "eps_ref": 0.02,
-        "norms": NormConfig(stride=8), "alpha": 0.4, "times": (0.2,), "nu": 2.0,
+        "norms": NormConfig(stride=8), "alpha": 0.4, "times": (0.2,),
         "initial_kind": "sine", "conservation_form": True,
     }
     plain = ExperimentConfig(**base).config_hash()
@@ -391,6 +391,15 @@ def test_config_hash_covers_every_resolved_field():
     # the same model with its constant theta left undeclared
     undeclared = dataclasses.replace(base["model"], theta_constant=None)
     assert ExperimentConfig(**dict(base, model=undeclared)).config_hash() != plain
+    # the same label with other module-level callables ...
+    zero_g = make_model(1, G="zero", theta="one")
+    other = dataclasses.replace(base["model"], G=zero_g.G, DG=zero_g.DG)
+    assert other.label == base["model"].label
+    assert ExperimentConfig(**dict(base, model=other)).config_hash() != plain
+    # ... and a lambda, whose name does not identify it, is no model to hash
+    anonymous = dataclasses.replace(base["model"], F=lambda u: 0.0 * u)
+    with pytest.raises(ValueError, match="<lambda>"):
+        ExperimentConfig(**dict(base, model=anonymous)).config_hash()
     sine = dict(base, initial_kind="sine", initial_amplitude=0.5)
     hashes = {ExperimentConfig(**dict(sine, **change)).config_hash()
               for change in ({}, {"initial_amplitude": 0.6}, {"initial_mode": 2})}
@@ -425,20 +434,19 @@ def test_file_config_hash_covers_kind_and_filled_in_defaults():
 
 @pytest.mark.parametrize("kind", ["converge", "correction"])
 def test_solver_experiments_reject_nu_other_than_one(kind):
-    """The solver steps the nu = 1 equation, so converge and correction
-    reject another nu, from a file (ConfigError) and in code (ValueError);
-    the lambda table still takes it."""
+    """The workbench fixes nu = 1, so no kind takes a nu: any nu in a file is
+    an unknown key, and ExperimentConfig has no such field."""
     from schemelab.config import ConfigError, parse_config
 
     raw = {"version": 1, "kind": kind, "scheme": {"name": "forward_difference"},
-           "scheme2": {"name": "central_difference"}, "experiment": {"nu": 2.0}}
-    with pytest.raises(ConfigError, match="nu = 1"):
-        parse_config(raw)
-    assert parse_config(raw, kind="lambda-table").nu == 2.0
-    assert parse_config(dict(raw, experiment={"nu": 1.0})).nu == 1.0
-    runner = {"converge": converge_experiment, "correction": correction_experiment}[kind]
-    with pytest.raises(ValueError, match="nu = 1"):
-        runner(small_cfg(kind, nu=2.0))
+           "scheme2": {"name": "central_difference"}}
+    for nu in (2.0, 1.0):
+        for as_kind in (kind, "lambda-table"):
+            with pytest.raises(ConfigError, match="unknown key experiment.nu;"):
+                parse_config(dict(raw, experiment={"nu": nu}), kind=as_kind)
+    assert parse_config(raw).kind == kind
+    with pytest.raises(TypeError, match="nu"):
+        small_cfg(kind, nu=2.0)
 
 
 def test_sample_rng_streams_are_stable():

@@ -54,12 +54,18 @@ class TestModels:
 
     def test_bounded_theta_is_its_closed_form_bit_for_bit(self):
         rng = np.random.default_rng(8)
-        v = np.concatenate([[0.0, -0.0, 1e-200, 1e150],
+        v = np.concatenate([[0.0, -0.0, 1e-200, 1e150, 1e200, -1e200, np.inf, -np.inf],
                             rng.standard_normal(400) * 10.0 ** rng.integers(-8, 8, 400)])
-        th = make_model(1, theta="bounded_sqrt").theta(v.reshape(1, 2, -1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            th = make_model(1, theta="bounded_sqrt").theta(v.reshape(1, 2, -1))
+            closed = np.sqrt(1.0 + v * v / (1.0 + v * v))
+        # past |v| = 1.3e154 v * v overflows, and the closed form's inf / inf
+        # is nan; theta stays at its bound there
+        huge = np.abs(v) > 1e154
+        assert huge.sum() == 4 and np.isnan(closed[huge]).all()
+        closed[huge] = np.sqrt(2.0)
         assert th.shape == (1, 1, 2, v.size // 2)
-        assert np.array_equal(th.ravel().view(np.int64),
-                              np.sqrt(1.0 + v * v / (1.0 + v * v)).view(np.int64))
+        assert np.array_equal(th.ravel().view(np.int64), closed.view(np.int64))
 
     def test_constant_theta_is_declared_only_for_theta_one(self):
         assert np.array_equal(make_model(1, theta="one").theta_constant, [[1.0]])
@@ -124,9 +130,11 @@ class TestStep:
         cfg = SolverConfig(scheme=forward, eps=0.1, N=N, M=M, dt=dt, T=T,
                            model=zero_model(), record_times=(T,))
         S = 400
+        # S runs in one batch, each on its own stream, drawn from rng in the
+        # order S simulate calls would draw them
+        streams = [NoiseStream(rng, cfg.steps, N, 1) for _ in range(S)]
         acc = np.zeros(2 * N + 1)
-        for _ in range(S):
-            traj = simulate(cfg, rng=rng)
+        for traj in simulate_coupled([cfg] * S, streams):
             acc += np.abs(traj.spectral(-1).coeffs[0]) ** 2
         acc /= S
         from schemelab.spectral import SQRT_2PI
