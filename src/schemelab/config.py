@@ -77,7 +77,8 @@ EXPERIMENT = (
     Row("alpha", "float", 0.45, ("in (0, 1/2)", lambda v, r: 0 < v < 0.5),
         ("lift", "fluctuation")),
     Row("times", "floats", (0.5,),
-        ("non-empty and positive", lambda v, r: len(v) > 0 and min(v) > 0), TIMED),
+        ("non-empty, positive and distinct",
+         lambda v, r: len(v) > 0 and min(v) > 0 and len(set(v)) == len(v)), TIMED),
 )
 INITIAL = (
     Row("kind", "str", "zero"),
@@ -91,7 +92,9 @@ SOLVER = (
         (">= 2N+1", lambda v, r: v >= 2 * r["solver"]["N"] + 1), ("lift", "fluctuation")),
     Row("dt", "float", 1e-3),
     Row("T", "float", 0.1),
-    Row("record_times", "floats", lambda r: (r["solver"]["T"],)),
+    Row("record_times", "floats", lambda r: (r["solver"]["T"],),
+        ("a list with a time > 0", lambda v, r: max(v, default=0) > 0),
+        ("converge", "correction")),
     Row("blowup_cap", "float", 1e6, ("> 0", lambda v, r: v > 0), STEPPED),
     Row("eps_ref", "float", 1e-2, ("in (0, the finest eps_ladder rung)",
                                    lambda v, r: 0 < v < r["experiment"]["eps_ladder"][-1]),

@@ -21,10 +21,11 @@ spectrum.  Runs that share the draws differ only through their
 multipliers, which is what makes strong-error ladders across eps possible.
 A run's generator is consumed in one canonical order: every real part of
 every step, then every imaginary part.  ``draw_noise`` returns that stream
-as one (steps, N+1, n) array; ``NoiseStream`` keeps only the generator
-states at the start of the real and of the imaginary parts and reads the
-same increments, bit for bit, in order, a few steps at a time, so a run
-holds O(NOISE_ROWS) noise instead of O(steps).
+as one (steps, N+1, n) array; ``NoiseStream`` walks the real parts once to
+find the generator states at the start of the real and of the imaginary
+parts, keeps only those two, and reads the same increments, bit for bit,
+in order, a few steps at a time, so a run holds O(NOISE_ROWS) noise
+instead of O(steps).
 
 Noise groups: ``simulate_coupled`` takes one noise source (stream or
 array) for all its runs or one per run; the runs given the same source
@@ -66,17 +67,17 @@ is constant, else from the theta grid that the noise term made, so theta
 is evaluated at most once per step.  Both transforms are
 unscaled: the grid phase (-1)^k, the 1/sqrt(2 pi) scales, dt, the
 dealiasing mask and the conservation form's D_eps live in per-run input and
-output multipliers.  ``_Operators._per_batch`` makes them, the rest rows and
-the buffers once per batch, as the step plan, and again when a truncated
-run leaves the batch.  ``simulate`` is a batch of one, so there is a single
+output multipliers.  ``_Operators`` makes them, the rest rows and the
+buffers, the step plan, once per set of live runs: when a truncated run
+leaves the batch, the plan of the runs left is made anew from their
+configs.  ``simulate`` is a batch of one, so there is a single
 stepping path, ``step``.  The Monte-Carlo experiments step a chunk of
 samples as one batch, in sample-major order, each sample one noise group.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily: load it with the module, not in a run
@@ -145,63 +146,60 @@ class SolverConfig:
 
 
 class _Operators:
-    """Half-spectrum multipliers and transforms of the runs of one batch,
-    and the step plan that ``_per_batch`` makes from them.
+    """The step plan of the runs of one batch: what every step decides
+    alike, made once per set of live runs from their configs and noise
+    groups (the source index of each run).
 
     Per-run arrays carry the run on their first axis: the multipliers are
-    (B, N+1), and they broadcast against states of layout (n, B, N+1).
+    (B, N+1), and they broadcast against states of layout (n, B, N+1).  Each
+    run's row is computed from its own config alone, so the plan of some of
+    the runs holds their rows of the plan of all, bit for bit.
+
+    The rest of a run is theta(u) times the noise grid when theta depends on
+    u, plus F, plus -Lambda theta DG theta for a drift run (Lambda != 0),
+    filled in that order.  It can be nonzero for every run when F is not a
+    declared zero (None) or theta depends on u, else only for the drift
+    runs: those R runs get a rest row.  The plan holds the work buffers (u
+    and D_eps u, and the grid rows of the B products and the R rests), the
+    drift runs with their rest rows and -Lambda column, theta theta^T when
+    theta is constant, and the multipliers into which the transform scales
+    are folded:
+
+    - ``in_mult`` (2, 1, B, N+1): sign / sqrt(2 pi) and dmult times that,
+      which put u and D_eps u on the grid by one unscaled irfft;
+    - ``out_mult`` (B + R, N+1): coeff_scale dt times the dealiasing mask
+      (and dmult in conservation form) for each product row, and
+      coeff_scale dt for each rest row;
+    - ``noise_mult`` (B, N+1): sqrt(dt) hmult, the increment of H_eps W,
+      when theta is constant; else hmult sign / (sqrt(2 pi) sqrt(dt)),
+      which puts that increment over dt on the grid by one unscaled irfft,
+      so that the noise term shares the rest rows' dt;
+    - ``decay`` (B, N+1): the exact linear step.
+
+    Also the conservation-form masks and the runs of each distinct noise.
     """
 
     def __init__(self, configs, groups=None):
         first = configs[0]
-        N, M = first.N, first.M
+        model, N, M, dt = first.model, first.N, first.M, first.dt
+        n, B = model.n, len(configs)
         ks = np.arange(N + 1)
-        self.N, self.M, self.ks = N, M, ks
-        self.model = first.model
-        self.dt = first.dt
-        self.transform = Transform(N, M)
+        transform = Transform(N, M)
+        self.N, self.model, self.transform = N, model, transform
         self.decay = np.array([
             np.exp(laplacian_multiplier(c.scheme, ks, c.eps) * c.dt) for c in configs])
-        self.dmult = np.array([derivative_multiplier(c.scheme, ks, c.eps)
-                               for c in configs])
-        self.hmult = np.array([noise_multiplier(c.scheme, ks, c.eps) for c in configs])
-        self.dealias_mask = (ks <= (2 * N) // 3).astype(float)     # the 2/3 rule
-        self.Lambda = np.array([c.Lambda for c in configs], dtype=float)
+        dmult = np.array([derivative_multiplier(c.scheme, ks, c.eps) for c in configs])
+        hmult = np.array([noise_multiplier(c.scheme, ks, c.eps) for c in configs])
+        Lambda = np.array([c.Lambda for c in configs], dtype=float)
         self.conservation = np.array([c.conservation_form for c in configs])
+        self.any_conservation = bool(self.conservation.any())
+        self.plain = ~self.conservation
+        self.any_plain = bool(self.plain.any())
         # noise group of each run: the runs of a group read the same draws
-        self.group = (np.zeros(len(configs), dtype=int) if groups is None
-                      else np.asarray(groups))
-        self._per_batch()
+        self.group = np.zeros(B, dtype=int) if groups is None else np.asarray(groups)
 
-    def _per_batch(self):
-        """The step plan: what every step of the batch decides alike.
-
-        The rest of a run is theta(u) times the noise grid when theta
-        depends on u, plus F, plus -Lambda theta DG theta for a drift run
-        (Lambda != 0), filled in that order.  It can be nonzero for every run
-        when F is not a declared zero (None) or theta depends on u, else only
-        for the drift runs: those R runs get a rest row.  The plan holds the
-        work buffers (u and D_eps u, and the grid rows of the B products and
-        the R rests), the drift runs with their rest rows and -Lambda column,
-        theta theta^T when theta is constant, and the multipliers into which
-        the transform scales are folded:
-
-        - ``in_mult`` (2, 1, B, N+1): sign / sqrt(2 pi) and dmult times that,
-          which put u and D_eps u on the grid by one unscaled irfft;
-        - ``out_mult`` (B + R, N+1): coeff_scale dt times the dealiasing
-          mask (and dmult in conservation form) for each product row, and
-          coeff_scale dt for each rest row;
-        - ``noise_mult`` (B, N+1): sqrt(dt) hmult, the increment of H_eps W,
-          when theta is constant; else hmult sign / (sqrt(2 pi) sqrt(dt)),
-          which puts that increment over dt on the grid by one unscaled
-          irfft, so that the noise term shares the rest rows' dt.
-
-        Also the conservation-form masks and the runs of each distinct noise.
-        """
-        model, transform = self.model, self.transform
-        n, B, N = model.n, len(self.Lambda), self.N
         const = model.theta_constant
-        drift_runs = np.flatnonzero(self.Lambda).tolist()
+        drift_runs = np.flatnonzero(Lambda).tolist()
         # with a rest row per run the drift adds to the noise term or F, else
         # the drift runs' rows are all the rest rows, and it assigns them
         self.drift_adds = const is None or model.F is not None
@@ -209,42 +207,31 @@ class _Operators:
         self.rest_runs = _positions(rest_runs) if rest_runs else None
         self.drift_runs = _positions(drift_runs) if drift_runs else None
         self.drift_rows = self.drift_runs if self.drift_adds else slice(None)
-        self.minus_Lambda = -self.Lambda[drift_runs, None]
+        self.minus_Lambda = -Lambda[drift_runs, None]
         self.drift_tt = None if const is None else _theta_theta(const)
         R = len(rest_runs)
 
         grid_scale = transform.sign / SQRT_2PI
-        self.in_mult = np.stack([np.broadcast_to(grid_scale, self.dmult.shape),
-                                 self.dmult * grid_scale])[:, None]
-        out = np.broadcast_to(transform.coeff_scale * self.dealias_mask * self.dt,
-                              self.dmult.shape)
-        if self.conservation.any():                   # complex then
-            out = np.where(self.conservation[:, None], out * self.dmult, out)
+        self.in_mult = np.stack([np.broadcast_to(grid_scale, dmult.shape),
+                                 dmult * grid_scale])[:, None]
+        dealias_mask = (ks <= (2 * N) // 3).astype(float)     # the 2/3 rule
+        out = np.broadcast_to(transform.coeff_scale * dealias_mask * dt, dmult.shape)
+        if self.any_conservation:                     # complex then
+            out = np.where(self.conservation[:, None], out * dmult, out)
         self.out_mult = np.concatenate(
-            [out, np.broadcast_to(transform.coeff_scale * self.dt, (R, N + 1))])
-        sqrt_dt = np.sqrt(self.dt)
-        self.noise_mult = (self.hmult * sqrt_dt if const is not None
-                           else self.hmult * (transform.sign / (SQRT_2PI * sqrt_dt)))
+            [out, np.broadcast_to(transform.coeff_scale * dt, (R, N + 1))])
+        sqrt_dt = np.sqrt(dt)
+        self.noise_mult = (hmult * sqrt_dt if const is not None
+                           else hmult * (transform.sign / (SQRT_2PI * sqrt_dt)))
         self.coeff_buf = transform.mode_buffer((2, n, B))
         self.coeff_modes = self.coeff_buf[..., :N + 1]
-        self.grid_buf = np.empty((n, B + R, self.M))
+        self.grid_buf = np.empty((n, B + R, M))
 
-        self.any_conservation = bool(self.conservation.any())
-        self.plain = ~self.conservation
-        self.any_plain = bool(self.plain.any())
         # runs of one noise group with equal multipliers have equal noise
-        keys = [(g, h.tobytes()) for g, h in zip(self.group, self.hmult)]
+        keys = [(g, h.tobytes()) for g, h in zip(self.group, hmult)]
         distinct = list(dict.fromkeys(keys))
         self.noise_runs = np.array([keys.index(k) for k in distinct])
         self.noise_row = np.array([distinct.index(k) for k in keys])
-
-    def take(self, keep: np.ndarray) -> "_Operators":
-        """The operators of the runs selected by the boolean mask ``keep``."""
-        out = copy.copy(self)
-        for name in ("decay", "dmult", "hmult", "conservation", "group", "Lambda"):
-            setattr(out, name, getattr(self, name)[keep])
-        out._per_batch()
-        return out
 
     def noise(self, draws: np.ndarray) -> np.ndarray:
         """What ``step`` takes of every run's increments w of H_eps W, from
@@ -376,9 +363,10 @@ def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
     """Iterate the exponential-Euler step from 0 to T, recording snapshots.
 
     Noise comes either from pre-drawn ``increments`` of shape
-    (steps, N+1, n) or from ``rng`` (streamed in the canonical order of
-    ``draw_noise``, so runs with equal (N, steps) consume identical
-    increments).  This is ``simulate_coupled`` with a single run.
+    (steps, N+1, n) or from ``rng`` (a NoiseStream of it: the increments
+    ``draw_noise`` would draw, so runs with equal (N, steps) consume
+    identical increments; ``rng`` is left past the real parts only, see
+    NoiseStream).  This is ``simulate_coupled`` with a single run.
     """
     if increments is None:
         if rng is None:
@@ -482,12 +470,12 @@ def simulate_coupled(configs, increments) -> list:
         if j > 0:
             keep = survivors(j, u_grid)
             if keep is not None:
-                live, ops = live[keep], ops.take(keep)
-                u_hat = u_hat[:, keep]
-                if j < steps:
-                    u_next, noise = u_next[:, keep], noise[:, :, keep]
+                live, u_hat = live[keep], u_hat[:, keep]
                 if live.size == 0 or (failed and live[0] > min(failed)):
                     break
+                ops = _Operators([configs[b] for b in live], ops.group[keep])
+                if j < steps:
+                    u_next, noise = u_next[:, keep], noise[:, :, keep]
             maybe_record(j)
         if j == steps:
             break
@@ -533,13 +521,15 @@ class NoiseStream:
     """The increments ``draw_noise(rng, steps, N, n)`` would return, read in
     order, a few steps at a time, instead of held whole.
 
-    Construction walks ``rng`` once through the canonical order (every real
-    part, then every imaginary part) in a scratch of at most NOISE_ROWS rows
-    of N+1 normals, saving the generator state at the start of the real and
-    of the imaginary parts and discarding the values; ``rng`` ends where
-    ``draw_noise`` would leave it.  ``read`` draws both parts on again from
-    those two states.  A stream holds no read state, so any number of reads,
-    on any threads, each give the same bits.
+    Construction saves the generator state at the start of the real parts,
+    walks ``rng`` through them in a scratch of at most NOISE_ROWS rows of
+    N+1 normals, discarding the values, and saves the state there, at the
+    start of the imaginary parts.  So ``rng`` ends past the real parts
+    only, not where ``draw_noise`` would leave it: normals drawn on from it
+    are this stream's imaginary parts, and a caller who wants independent
+    noise gives each stream a generator of its own.  ``read`` draws both
+    parts from those two states.  A stream holds no read state, so any
+    number of reads, on any threads, each give the same bits.
     """
 
     def __init__(self, rng: np.random.Generator, steps: int, N: int, n: int):
@@ -547,11 +537,10 @@ class NoiseStream:
         self._bit_generator = type(rng.bit_generator)
         length = max(1, NOISE_ROWS // n)
         scratch = np.empty((length, N + 1, n))
-        self._states = []                 # at the real, then the imaginary parts
-        for _ in range(2):
-            self._states.append(rng.bit_generator.state)
-            for start in range(0, steps, length):
-                rng.standard_normal(out=scratch[:min(length, steps - start)])
+        real = rng.bit_generator.state
+        for start in range(0, steps, length):
+            rng.standard_normal(out=scratch[:min(length, steps - start)])
+        self._states = [real, rng.bit_generator.state]   # the real, imaginary parts
 
     def read(self, length: int):
         """The increments in order, ``length`` steps per item (the last item
@@ -591,7 +580,7 @@ def stochastic_convolution(theta_path, scheme: CutoffScheme, eps: float,
         model=dummy_model,
     )
     ops = _Operators([config])
-    rest_mult = ops.transform.coeff_scale * ops.dt    # the noise grid holds w / dt
+    rest_mult = ops.transform.coeff_scale * dt        # the noise grid holds w / dt
     psi_hat = np.zeros((n, N + 1), dtype=complex)
     for j in range(steps):
         theta_j = theta_path(j) if callable(theta_path) else theta_path[j]
@@ -633,16 +622,13 @@ def reference_config(config: SolverConfig, eps_ref: float,
     the fine step eps_ref with the explicit drift -Lambda * theta dG theta,
     so its small-eps limit is the limit equation associated with the
     original scheme.  Lambda defaults to the scheme's correction constant.
-    It shares every batch setting with ``config``.
+    It is ``config`` in all else (the batch settings and the initial data),
+    in non-conservation form.
     """
     if Lambda is None:
         Lambda = lambda_exact(config.scheme).value
-    return SolverConfig(
-        scheme=make_scheme("central_difference"), eps=eps_ref, N=config.N,
-        M=config.M, dt=config.dt, T=config.T, model=config.model, Lambda=Lambda,
-        record_times=config.record_times, blowup_cap=config.blowup_cap,
-        initial=config.initial,
-    )
+    return replace(config, scheme=make_scheme("central_difference"), eps=eps_ref,
+                   Lambda=Lambda, conservation_form=False)
 
 
 def corrected_reference(config: SolverConfig, eps_ref: float,

@@ -59,7 +59,8 @@ OUT_OF_RANGE = {
     "version": [2], "seed": [-1], "scheme2": [DELETE],
     "experiment.eps_ladder": [[], [0.125, 0.25], [0.25, 0.25], [0.25, 0.0]],
     "experiment.samples": [0], "experiment.alpha": [0.0, 0.5],
-    "experiment.times": [[], [0.0, 0.2]], "solver.N": [-1], "solver.M": [24],
+    "experiment.times": [[], [0.0, 0.2], [0.5, 0.5]], "solver.N": [-1], "solver.M": [24],
+    "solver.record_times": [[], [0.0]],
     "solver.blowup_cap": [-1.0, 0.0], "solver.eps_ref": [0.0, 0.0625, 1.0],
 }
 COMMAND_OF = {kind: command for command, kind in schema.KIND_BY_COMMAND.items()}
@@ -253,7 +254,7 @@ class TestExitCodes:
         payload = json.loads(json.dumps(BASE))
         payload["experiment"]["times"] = []
         err = rejected(tmp_path, capsys, command, payload)
-        assert "experiment.times must be non-empty and positive" in err
+        assert "experiment.times must be non-empty, positive and distinct" in err
 
     @pytest.mark.parametrize("command", ["lambda", "lift", "fluctuation"])
     @pytest.mark.parametrize("times", [[0.0], [-0.1, 0.2], [0.0, 0.2]])
@@ -263,7 +264,7 @@ class TestExitCodes:
         payload = json.loads(json.dumps(BASE))
         payload["experiment"]["times"] = times
         err = rejected(tmp_path, capsys, command, payload)
-        assert "experiment.times must be non-empty and positive" in err
+        assert "experiment.times must be non-empty, positive and distinct" in err
 
     @pytest.mark.parametrize("command", ["lift", "fluctuation"])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.2, 0.7])

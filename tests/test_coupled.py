@@ -32,6 +32,7 @@ from schemelab.solver import (
     NOISE_ROWS,
     NumericalAbort,
     SolverConfig,
+    _Operators,
     draw_noise,
     simulate,
     simulate_coupled,
@@ -458,6 +459,41 @@ def test_conservation_form_run_with_a_drift_matches_oracle(monkeypatch, theta, r
     runs = assert_oracle_run_by_run(configs, inc)
     assert all(run.truncation_time is None for run in runs)
     assert spy == [rows] * configs[0].steps
+
+
+@pytest.mark.parametrize("theta, rows", [("one", (3 + 1, 2 + 1)), ("bounded_sqrt", (3 + 3, 2 + 2))])
+def test_truncated_conservation_run_leaves_a_replanned_batch(monkeypatch, theta, rows):
+    """A conservation-form run leaves the batch in the middle of a noise
+    sub-block, beside a conservation-form drift run and a plain run.  The
+    first run has an indicator h and the other two share their noise
+    multipliers (h = 1), so the plan of the two runs left holds new
+    conservation masks, rest rows and noise rows (0, 1, 1 becomes 0, 0).
+    Every run and its truncation time match the oracle."""
+    model = make_model(1, G="state", theta=theta)
+    N, steps = 12, 150
+
+    def cfg(scheme, conservative, Lambda=0.0, mean=0.0):
+        c = np.zeros((1, 2 * N + 1), dtype=complex)
+        c[0, N] = mean * math.sqrt(2.0 * math.pi)
+        return SolverConfig(
+            scheme=scheme, eps=0.125, N=N, M=40, dt=1e-3, T=steps * 1e-3, model=model,
+            Lambda=Lambda, record_times=(0.02, 0.05, 0.1, 0.15), blowup_cap=1.5,
+            initial=SpectralField(c), conservation_form=conservative)
+
+    narrow = make_scheme("forward_difference", h=make_function("indicator", cutoff=1.0))
+    central = make_scheme("central_difference")
+    configs = [cfg(narrow, True, mean=1.0), cfg(central, True, Lambda=0.25),
+               cfg(central, False)]
+    inc = draw_noise(np.random.default_rng(41), steps, N, 1)
+    spy = forward_rows(monkeypatch)
+    runs = assert_oracle_run_by_run(configs, inc)
+    cut = [run.truncation_time for run in runs]
+    assert cut[0] is not None and cut[1:] == [None, None]
+    assert list(_Operators(configs).noise_row) == [0, 1, 1]
+    k, sub = round(cut[0] / 1e-3), sub_block(configs)
+    # a recorded time before the cut, and a sub-block made for the runs left
+    assert 0.02 < cut[0] and k % sub != 0 and (k // sub + 1) * sub < steps
+    assert spy == [rows[0]] * (k + 1) + [rows[1]] * (steps - k - 1)
 
 
 def _f2(u):

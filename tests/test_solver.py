@@ -130,9 +130,9 @@ class TestStep:
         cfg = SolverConfig(scheme=forward, eps=0.1, N=N, M=M, dt=dt, T=T,
                            model=zero_model(), record_times=(T,))
         S = 400
-        # S runs in one batch, each on its own stream, drawn from rng in the
-        # order S simulate calls would draw them
-        streams = [NoiseStream(rng, cfg.steps, N, 1) for _ in range(S)]
+        # S runs in one batch, each on its own stream of its own generator:
+        # streams made one after another from one generator would overlap
+        streams = [NoiseStream(r, cfg.steps, N, 1) for r in rng.spawn(S)]
         acc = np.zeros(2 * N + 1)
         for traj in simulate_coupled([cfg] * S, streams):
             acc += np.abs(traj.spectral(-1).coeffs[0]) ** 2
