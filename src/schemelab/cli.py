@@ -29,6 +29,7 @@ from schemelab.experiments import (
 )
 from schemelab.schemes import validate_scheme
 from schemelab.solver import NumericalAbort, simulate
+from schemelab.spectral import grid_points
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -63,13 +64,12 @@ def _cmd_simulate(cfg, out_dir):
     eps = cfg.eps_ladder[0]
     solver_cfg = cfg.solver_config(eps)
     traj = simulate(solver_cfg, seed=cfg.master_seed)
+    xs = grid_points(cfg.M)
     rows = []
     for i, t in enumerate(traj.times):
-        grid = traj.grid(i, cfg.M)
-        for j in range(grid.n):
-            for m, x in enumerate(grid.x):
-                rows.append({"t": t, "component": j, "x": x,
-                             "value": grid.values[j, m]})
+        for j, values in enumerate(traj.grid(i, cfg.M)):
+            for x, value in zip(xs, values):
+                rows.append({"t": t, "component": j, "x": x, "value": value})
     _write_csv(os.path.join(out_dir, "trajectory.csv"), rows)
     meta = {
         "config_hash": cfg.config_hash(),

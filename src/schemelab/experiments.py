@@ -3,12 +3,12 @@
 Every experiment follows the same pattern: derive one RNG per sample from
 (master seed, sample index), stream that sample's noise, run the coupled
 simulations, and reduce per-sample rows into aggregates plus a
-least-squares rate fit.  Converge, correction and fluctuation map chunks
-of CHUNK_SAMPLES samples over the workers: the first two step the runs of
-every sample of a chunk as one batch; fluctuation draws a chunk's
+least-squares rate fit.  Converge, correction, fluctuation and lift map
+chunks of CHUNK_SAMPLES samples over the workers: the first two step the
+runs of every sample of a chunk as one batch; fluctuation draws a chunk's
 increments once per time and, for every eps of the ladder, evolves and
 lifts the reference fields of its samples as one stacked state, by a lift
-plan built once per eps.  Per-sample
+plan built once per eps, and lift does so at one (eps, t).  Per-sample
 numbers are persisted next to the aggregates so every reported mean can be
 recomputed from the table.
 """
@@ -49,8 +49,7 @@ from schemelab.solver import (
     simulate,  # unused here; perfbench's self-test checks this binding is traced
     simulate_coupled,
 )
-from schemelab.spectral import (SQRT_2PI, GridField, NormConfig, SpectralField, Transform,
-                                holder_seminorm_estimate)
+from schemelab.spectral import SQRT_2PI, NormConfig, Transform, holder_seminorm_estimate
 
 
 class ExperimentFailure(RuntimeError):
@@ -172,18 +171,18 @@ class ExperimentConfig:
         self.record_times = tuple(sorted(float(t) for t in self.record_times))
         self.times = tuple(sorted(float(t) for t in self.times))
 
-    def initial_field(self):
+    def initial_field(self) -> np.ndarray | None:
+        """The initial data, modes 0..N (n, N+1): none for ``zero``, else
+        amplitude * sin(k0 x) in component 0."""
         if self.initial_kind == "zero":
             return None
         if self.initial_kind == "sine":
             if not 1 <= self.initial_mode <= self.N:
                 raise ValueError(f"initial mode must lie in 1..N = {self.N}, "
                                  f"not {self.initial_mode}")
-            coeffs = np.zeros((self.model.n, 2 * self.N + 1), dtype=complex)
-            k0 = self.initial_mode
-            coeffs[0, self.N + k0] = -0.5j * self.initial_amplitude * SQRT_2PI
-            coeffs[0, self.N - k0] = +0.5j * self.initial_amplitude * SQRT_2PI
-            return SpectralField(coeffs)
+            half = np.zeros((self.model.n, self.N + 1), dtype=complex)
+            half[0, self.initial_mode] = -0.5j * self.initial_amplitude * SQRT_2PI
+            return half
         raise ValueError(f"unknown initial kind {self.initial_kind!r}")
 
     def solver_config(self, eps: float, scheme: CutoffScheme | None = None,
@@ -350,8 +349,7 @@ def _gap(times, diffs, holder_gamma: float | None = None, stride: int = 4):
     for diff in diffs:
         sup_err = max(sup_err, float(np.abs(diff).max()))
         if holder_gamma is not None:
-            holder_err = max(holder_err, holder_seminorm_estimate(
-                GridField(diff), holder_gamma, stride))
+            holder_err = max(holder_err, holder_seminorm_estimate(diff, holder_gamma, stride))
     return sup_err, (holder_err if holder_gamma is not None else math.nan), times[-1]
 
 
@@ -497,7 +495,7 @@ def _fluctuation_chunk(args):
     best = [[0.0] * len(samples) for _ in plans]
     for t, i, lift in _chunk_lifts(cfg, plans, samples, cfg.times):
         eps = plans[i].eps
-        stats = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha, centers[eps][t])
+        stats = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha, centers[eps, t])
         # max(b, nan) is b: a NaN at any time makes the sample's statistic NaN
         best[i] = [stat if math.isnan(stat) else max(b, stat) for b, stat in zip(best[i], stats)]
         del lift                                  # before the next lift is made
@@ -513,9 +511,9 @@ def fluctuation_experiment(cfg: ExperimentConfig) -> RunRecord:
     deterministic table of |Lambda_eps(t) - Lambda| over the (eps, t) grid.
     """
     t0 = time.perf_counter()
-    # the statistic's centring constant Lambda_eps(t), once per (eps, t)
-    centers = {eps: {t: lambda_eps(cfg.scheme, eps, t, cfg.N) for t in cfg.times}
-               for eps in cfg.eps_ladder}
+    table = lambda_decay_table(cfg)
+    # the statistic's centring constant Lambda_eps(t), the table's, per (eps, t)
+    centers = {(row["eps"], row["t"]): row["lambda_eps"] for row in table["rows"]}
     plans = [_lift_plan(cfg, eps) for eps in cfg.eps_ladder]
     chunks = _pool_map(_fluctuation_chunk, [
         (cfg, plans, centers, samples) for samples in _chunks(cfg.samples)])
@@ -526,11 +524,10 @@ def fluctuation_experiment(cfg: ExperimentConfig) -> RunRecord:
                                        if r["eps"] == eps])
         aggregates.append({"eps": eps, "mean": mean, "se": se, "n": nkept})
     fit = _fit_or_degenerate([(a["eps"], a["mean"]) for a in aggregates])
-    extras = {"lambda_decay": lambda_decay_table(cfg)}
     return RunRecord(
         kind="fluctuation", config_hash=cfg.config_hash(),
         master_seed=cfg.master_seed, per_sample=rows, aggregates=aggregates,
-        fit=fit, extras=extras, wallclock=time.perf_counter() - t0,
+        fit=fit, extras={"lambda_decay": table}, wallclock=time.perf_counter() - t0,
     )
 
 
@@ -554,6 +551,17 @@ def lambda_decay_table(cfg: ExperimentConfig) -> dict:
             "rows": rows, "slopes_by_t": slopes}
 
 
+def _lift_chunk(args):
+    """The rows of ``samples``: one lift of their reference fields at t."""
+    cfg, plan, t, center, samples = args
+    (_, _, lift), = _chunk_lifts(cfg, [plan], samples, (t,))
+    dxx = d_eps_xx(lift, cfg.scheme, plan.eps)
+    stats = fluctuation_statistic(lift, cfg.scheme, plan.eps, t, cfg.alpha, center, dxx)
+    return [{"eps": plan.eps, "t": t, "sample": s, "statistic": stat,
+             "dxx_trace_mean": float(np.trace(values.mean(axis=0)) / cfg.model.n)}
+            for s, stat, values in zip(samples, stats, dxx.values)]
+
+
 def lift_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Per-sample lift statistics at a single (eps, t), one lift per chunk."""
     t0 = time.perf_counter()
@@ -561,14 +569,8 @@ def lift_experiment(cfg: ExperimentConfig) -> RunRecord:
     t = cfg.times[-1]
     center = lambda_eps(cfg.scheme, eps, t, cfg.N)
     plan = _lift_plan(cfg, eps)
-    rows = []
-    for samples in _chunks(cfg.samples):
-        (_, _, lift), = _chunk_lifts(cfg, [plan], samples, (t,))
-        dxx = d_eps_xx(lift, cfg.scheme, eps)
-        stats = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha, center, dxx)
-        rows += [{"eps": eps, "t": t, "sample": s, "statistic": stat,
-                  "dxx_trace_mean": float(np.trace(values.mean(axis=0)) / cfg.model.n)}
-                 for s, stat, values in zip(samples, stats, dxx.values)]
+    rows = [r for chunk in _pool_map(_lift_chunk, [
+        (cfg, plan, t, center, samples) for samples in _chunks(cfg.samples)]) for r in chunk]
     mean, se, nkept = mean_and_se([r["statistic"] for r in rows])
     tr_mean, tr_se, _ = mean_and_se([r["dxx_trace_mean"] for r in rows])
     aggregates = [{"eps": eps, "mean": mean, "se": se, "n": nkept,
@@ -585,9 +587,10 @@ def lift_experiment(cfg: ExperimentConfig) -> RunRecord:
 # post-hoc diagnostics on frozen trajectories
 # ---------------------------------------------------------------------------
 
-def _left_rule(traj: Trajectory, config: SolverConfig, integrand) -> GridField:
-    """Left-rule time integral over the recorded times of S_eps(t_final - s)
-    g(s), where integrand(transform, i) gives the grid values of g at time i."""
+def _left_rule(traj: Trajectory, config: SolverConfig, integrand) -> np.ndarray:
+    """Grid values (n, M) of the left-rule time integral over the recorded
+    times of S_eps(t_final - s) g(s), where integrand(transform, i) gives the
+    grid values of g at time i."""
     transform = Transform(config.N, config.M)
     t_final = traj.times[-1]
     lap = laplacian_multiplier(config.scheme, np.arange(config.N + 1), config.eps)
@@ -597,11 +600,11 @@ def _left_rule(traj: Trajectory, config: SolverConfig, integrand) -> GridField:
         dt_rec = traj.times[i + 1] - s
         acc += (dt_rec * np.exp(lap * (t_final - s))
                 * transform.to_coeffs(integrand(transform, i)))
-    return GridField(transform.to_grid(acc))
+    return transform.to_grid(acc)
 
 
 def upsilon_diagnostic(traj: Trajectory, config: SolverConfig,
-                       reference: Trajectory) -> GridField:
+                       reference: Trajectory) -> np.ndarray:
     """Extra second-order term accumulated along a frozen trajectory.
 
     Left-rule time integral over the recorded times of
@@ -631,7 +634,7 @@ def upsilon_diagnostic(traj: Trajectory, config: SolverConfig,
 
 
 def xi_diagnostic(traj: Trajectory, config: SolverConfig,
-                  reference: Trajectory) -> GridField:
+                  reference: Trajectory) -> np.ndarray:
     """Corrected nonlinear term along a frozen trajectory: the left-rule
     accumulation of S_eps(t_final - s)[G(u) D_eps u](s) plus the
     second-order extra term ``upsilon_diagnostic`` (X from ``reference``)."""
@@ -644,5 +647,4 @@ def xi_diagnostic(traj: Trajectory, config: SolverConfig,
         u_grid, de_u = transform.to_grid(np.stack([u_hat, u_hat * dmult]))
         return np.einsum("ij...,j...->i...", model.G(u_grid), de_u)
 
-    first = _left_rule(traj, config, integrand)
-    return GridField(first.values + extra.values)
+    return _left_rule(traj, config, integrand) + extra

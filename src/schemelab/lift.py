@@ -30,11 +30,13 @@ one lift puts them all, for one state or a chunk of states stacked on a
 leading sample axis, on a P = 2M point grid with one batched irfft and takes
 the modes m = 1..2N of the products A_i (C/i)_j and A_i (B_u)_j with one
 batched rfft (P > 4N, so no product mode aliases).  Negative modes are the
-complex conjugates.  A ``LiftPlan`` holds every constant of that
-computation, which depends on the scheme, eps, N, M and the shifts alone,
-with the amplitudes and the transform's sign and scales folded into its
-row and mode multipliers; the experiments build one per eps and pass it
-to every ``lift_XX`` call.  The grid values (an irfft on the same grid,
+complex conjugates; ``OffsetLift`` and ``MatrixField`` hold modes -2N..2N,
+the layout ``sobolev_minus_alpha_norm`` reads, while the field itself
+(``assemble_X``) is its modes 0..N, (n, N+1), as the solver's.  A
+``LiftPlan`` holds every constant of that computation, which depends on
+the scheme, eps, N, M and the shifts alone, with the amplitudes and the
+transform's sign and scales folded into its row and mode multipliers; the
+experiments build one per eps and pass it to every ``lift_XX`` call.  The grid values (an irfft on the same grid,
 whose even points are the M-point grid), the grid-spacing shift and the
 rough-path sample are made when first read; the fluctuation statistic
 reads none, and sums every sample and matrix entry of a chunk in one
@@ -50,8 +52,8 @@ import numpy as np
 
 from schemelab.correction import lambda_eps, mode_amplitudes
 from schemelab.schemes import CutoffScheme, laplacian_multiplier
-from schemelab.spectral import (REALITY_TOL, SQRT_2PI, GridField, SpectralField, Transform,
-                                full_spectrum, grid_points, sobolev_minus_alpha_norm)
+from schemelab.spectral import (REALITY_TOL, SQRT_2PI, Transform, full_spectrum, grid_points,
+                                sobolev_minus_alpha_norm)
 from schemelab.roughpath import RoughPathSample
 from schemelab.solver import draw_noise
 
@@ -114,12 +116,11 @@ def evolve_modes(state: ModeState, dt: float, increments: np.ndarray) -> ModeSta
 
 
 def assemble_X(state: ModeState, M: int | None = None):
-    """Field coefficients q_k xi_k as a SpectralField (uhat = sqrt(2 pi) q xi);
-    with M given, also return the real grid values."""
+    """The field's modes 0..N (n, N+1), uhat = sqrt(2 pi) q xi; with M
+    given, also its grid values (n, M)."""
     q = mode_amplitudes(state.scheme, state.eps, state.N)
     half = (SQRT_2PI * q[:, None] * state.xi).T
-    field = SpectralField(full_spectrum(half))
-    return field if M is None else (field, GridField(Transform(state.N, M).to_grid(half)))
+    return half if M is None else (half, Transform(state.N, M).to_grid(half))
 
 
 def state_from_coeffs(coeffs: np.ndarray, scheme: CutoffScheme, eps: float,

@@ -159,11 +159,10 @@ def rough_integral(Y: ControlledPath, Z: ControlledPath, i: int, j: int) -> np.n
 def young_integral(Y, Z, i: int, j: int) -> np.ndarray:
     """First-order left-point sum of int Y (x) dZ; the naive discretisation.
 
-    Y and Z may be (M, n) arrays, ControlledPath, or spectral GridField
-    (values transposed to (M, n)).
+    Y and Z may be (M, n) arrays or ControlledPath.
     """
-    Ya = _as_path_values(Y)
-    Za = _as_path_values(Z)
+    Ya, Za = (P.Y if isinstance(P, ControlledPath) else np.asarray(P, dtype=float)
+              for P in (Y, Z))
     M = Ya.shape[0]
     if not 0 <= i <= j <= M:
         raise IndexError(f"indices ({i}, {j}) out of range for M = {M}")
@@ -172,14 +171,6 @@ def young_integral(Y, Z, i: int, j: int) -> np.ndarray:
     m = np.arange(i, j)
     dZ = Za[(m + 1) % M] - Za[m]
     return _fsum_terms(np.einsum("ma,mb->mab", Ya[m], dZ))
-
-
-def _as_path_values(obj) -> np.ndarray:
-    if isinstance(obj, ControlledPath):
-        return obj.Y
-    if hasattr(obj, "values"):           # GridField stores (n, M)
-        return np.asarray(obj.values).T
-    return np.asarray(obj, dtype=float)
 
 
 def second_order_correction(Y: ControlledPath, Z: ControlledPath, i: int,

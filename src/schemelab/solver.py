@@ -10,9 +10,9 @@ dealiased by the 2/3 rule) and S(t) = theta(u(t)) (H_eps dW) uses the
 left-point state, so the noise integral is an Ito one.  The linear part is integrated exactly;
 there is no CFL restriction.
 
-Half-spectrum state: the fields are real, so a run stores only the modes
-k = 0..N (uhat(-k) = conj uhat(k)), moves to and from the M-point grid with
-``spectral.Transform`` and records that half spectrum (``Trajectory.spectral``).
+Half-spectrum state: the fields are real (uhat(-k) = conj uhat(k)), so a
+run's initial data, state and snapshots (``Trajectory.coeffs``) are modes
+0..N, (n, N+1) with a real mode 0, put on the grid by ``spectral.Transform``.
 
 Noise convention: per step a draw of shape (N+1, n) with unit complex rows
 1..N and a unit real row 0 (lift.draw_increments is one such step); mode
@@ -91,8 +91,7 @@ from schemelab.schemes import (
     make_scheme,
     noise_multiplier,
 )
-from schemelab.spectral import (SQRT_2PI, GridField, SpectralField, Transform,
-                                full_spectrum, half_spectrum, pair_reduce)
+from schemelab.spectral import SQRT_2PI, Transform, pair_reduce
 
 
 class NumericalAbort(RuntimeError):
@@ -115,7 +114,7 @@ class SolverConfig:
     Lambda: float = 0.0                # the run's drift is -Lambda theta DG theta
     record_times: tuple = ()
     blowup_cap: float = 1e6
-    initial: SpectralField | None = None
+    initial: np.ndarray | None = None  # modes 0..N (n, N+1), mode 0 real
     conservation_form: bool = False
 
     def __post_init__(self):
@@ -131,9 +130,12 @@ class SolverConfig:
                 raise ValueError("record times must lie in [0, T]")
             if abs(round(t / self.dt) * self.dt - t) > 1e-9 * max(1.0, self.T):
                 raise ValueError(f"record time {t} is not on the step grid")
-        if self.initial is not None and (self.initial.n != self.model.n
-                                         or self.initial.N != self.N):
-            raise ValueError("initial data does not match (n, N)")
+        if self.initial is not None:
+            self.initial = np.asarray(self.initial, dtype=complex)
+            shape = (self.model.n, self.N + 1)
+            if self.initial.shape != shape or np.any(self.initial[:, 0].imag):
+                raise ValueError(f"initial data must be modes 0..N of shape (n, N+1) = "
+                                 f"{shape} with a real mode 0")
         if self.conservation_form and self.model.potential is None:
             raise ValueError("conservation form needs a model potential")
 
@@ -349,13 +351,10 @@ class Trajectory:
     coeffs: list                      # modes 0..N (n, N+1), one per recorded time
     truncation_time: float | None = None
 
-    def spectral(self, i: int) -> SpectralField:
-        """Snapshot i with its coefficients -N..N."""
-        return SpectralField(full_spectrum(self.coeffs[i]))
-
-    def grid(self, i: int, M: int) -> GridField:
+    def grid(self, i: int, M: int) -> np.ndarray:
+        """Snapshot i on the M-point grid, (n, M)."""
         half = self.coeffs[i]
-        return GridField(Transform(half.shape[-1] - 1, M).to_grid(half))
+        return Transform(half.shape[-1] - 1, M).to_grid(half)
 
 
 def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
@@ -426,7 +425,7 @@ def simulate_coupled(configs, increments) -> list:
     readers = [_read(src, sub) for src in sources]
 
     u_hat = np.stack([np.zeros((n, N + 1), dtype=complex) if c.initial is None
-                      else half_spectrum(c.initial.coeffs) for c in configs], axis=1)
+                      else c.initial for c in configs], axis=1)
     live = np.arange(len(configs))           # list positions of the batch's runs
     times = [[] for _ in configs]
     snaps = [[] for _ in configs]
@@ -562,13 +561,14 @@ def _read(src, length: int):
 
 def stochastic_convolution(theta_path, scheme: CutoffScheme, eps: float,
                            dt: float, N: int, M: int,
-                           increments: np.ndarray) -> GridField:
+                           increments: np.ndarray) -> np.ndarray:
     """Left-point Ito discretisation of int_0^T S_eps(T-s) theta(s) H_eps dW(s).
 
     ``theta_path[j]`` is the (n, n, M) matrix field at the j-th step's left
     endpoint; T = steps * dt with steps = len(increments).  Each step applies
     the exact semigroup weight, so with theta = Id the result coincides with
-    the reference field driven by the same increments.
+    the reference field driven by the same increments.  Returns its grid
+    values (n, M).
     """
     increments = np.asarray(increments, dtype=complex)
     steps = increments.shape[0]
@@ -588,21 +588,17 @@ def stochastic_convolution(theta_path, scheme: CutoffScheme, eps: float,
                                ops.noise(increments[None, j])[:, 0])
         psi_hat = ops.decay[0] * (psi_hat
                                   + ops.transform.grid_sums(noise_grid) * rest_mult)
-    return GridField(ops.transform.to_grid(psi_hat))
+    return ops.transform.to_grid(psi_hat)
 
 
-def remainder_diagnostic(psi: GridField, theta_now, X_now: GridField,
+def remainder_diagnostic(P: np.ndarray, theta: np.ndarray, X: np.ndarray,
                          gamma: float, stride: int = 1) -> float:
     """Discrete seminorm sup_{x != y} |R(x,y)| / |x-y|^{2 gamma} of the
-    controlled-path remainder R(x,y) = dPsi(x,y) - theta(x) dX(x,y),
-    over pairs with start points subsampled by ``stride``."""
+    controlled-path remainder R(x,y) = dPsi(x,y) - theta(x) dX(x,y), from
+    the grid values Psi = P and X (n, M) and theta (n, n, M), over pairs
+    with start points subsampled by ``stride``."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    P = psi.values
-    X = X_now.values
-    theta = np.asarray(theta_now.values if hasattr(theta_now, "values") else theta_now)
-    if theta.ndim == 2:                      # scalar theta field -> 1x1 matrix
-        theta = theta[None, :, :]
 
     def remainder(i, j):
         dX = X[:, j] - X[:, i]
@@ -611,7 +607,7 @@ def remainder_diagnostic(psi: GridField, theta_now, X_now: GridField,
                     theta[:, 0, i] * dX[0])
         return np.linalg.norm((P[:, j] - P[:, i]) - th_dX, axis=0)
 
-    return pair_reduce(psi.M, stride, remainder, 2.0 * gamma)
+    return pair_reduce(P.shape[-1], stride, remainder, 2.0 * gamma)
 
 
 def reference_config(config: SolverConfig, eps_ref: float,

@@ -7,6 +7,13 @@ Basis convention, fixed once for the whole package:
 with grid points x_m = -pi + 2 pi m / M.  Under this convention Parseval
 reads  sum |uhat|^2 = (2 pi / M) sum_m |u(x_m)|^2  for band-limited data,
 and the heat semigroup acts modewise as exp(-k^2 f(eps k) t).
+
+A field is its array.  The fields are real (uhat(-k) = conj uhat(k)), so
+a spectral field is its half spectrum, modes 0..N, (n, N+1) complex with a
+real mode 0, the layout of ``Transform``, ``to_physical`` and
+``semigroup_apply``; a grid field is its (n, M) float values at the x_m.
+``sobolev_minus_alpha_norm`` alone reads the full layout -K..K (..., 2K+1)
+of ``full_spectrum``, in which the lift holds its product modes.
 """
 
 from __future__ import annotations
@@ -20,67 +27,6 @@ from schemelab.schemes import CutoffScheme, laplacian_multiplier
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 REALITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Truncated Fourier coefficients of a real vector field.
-
-    coeffs has shape (n, 2N+1), mode index ascending from -N to N.
-    Reality requires coeffs[:, -k] = conj(coeffs[:, k]).
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 2 or c.shape[1] % 2 == 0:
-            raise ValueError("coeffs must have shape (n, 2N+1)")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def N(self) -> int:
-        return (self.coeffs.shape[1] - 1) // 2
-
-    @property
-    def modes(self) -> np.ndarray:
-        return np.arange(-self.N, self.N + 1)
-
-    def reality_defect(self) -> float:
-        return float(np.abs(self.coeffs - np.conj(self.coeffs[:, ::-1])).max())
-
-    @staticmethod
-    def zeros(n: int, N: int) -> "SpectralField":
-        return SpectralField(np.zeros((n, 2 * N + 1), dtype=complex))
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Real values of a vector field on the uniform grid x_m = -pi + 2 pi m/M."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("values must have shape (n, M)")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def x(self) -> np.ndarray:
-        return grid_points(self.M)
 
 
 def grid_points(M: int) -> np.ndarray:
@@ -135,12 +81,6 @@ class Transform:
         return np.fft.rfft(values, axis=-1)[..., :self.N + 1]
 
 
-def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    """Modes 0..N of the real field with (..., 2N+1) coefficients -N..N."""
-    N = (coeffs.shape[-1] - 1) // 2
-    return 0.5 * (coeffs[..., N:] + np.conj(coeffs[..., N::-1]))
-
-
 def full_spectrum(half: np.ndarray) -> np.ndarray:
     """Coefficients -N..N of the real field with modes 0..N ``half``."""
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
@@ -167,37 +107,30 @@ def eval_modes_on_grid(coeffs: np.ndarray, ks: np.ndarray, M: int) -> np.ndarray
     return np.fft.ifft(D, axis=-1) * M
 
 
-def to_physical(field: SpectralField, M: int) -> GridField:
-    """Evaluate a real spectral field on the M-point grid (requires M >= 2N+1)."""
-    transform = Transform(field.N, M)
-    defect = field.reality_defect()
-    if defect > REALITY_TOL * max(1.0, float(np.abs(field.coeffs).max())):
-        raise ValueError(f"field violates the reality constraint (defect {defect:.2e})")
-    return GridField(transform.to_grid(half_spectrum(field.coeffs)))
+def to_physical(half: np.ndarray, M: int) -> np.ndarray:
+    """Grid values (..., M) of the real field with modes 0..N (..., N+1),
+    ``Transform(N, M).to_grid(half)`` (requires M >= 2N+1)."""
+    return Transform(half.shape[-1] - 1, M).to_grid(half)
 
 
-def semigroup_apply(field: SpectralField, scheme: CutoffScheme, eps: float,
-                    t: float) -> SpectralField:
-    """Apply the approximated heat semigroup: mode k scales by e^{-k^2 f(eps k) t}."""
+def semigroup_apply(half: np.ndarray, scheme: CutoffScheme, eps: float,
+                    t: float) -> np.ndarray:
+    """Apply the approximated heat semigroup to modes 0..N (..., N+1): mode k
+    scales by e^{-k^2 f(eps k) t}."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    lap = laplacian_multiplier(scheme, field.modes, eps)
-    return SpectralField(field.coeffs * np.exp(lap * t))
+    lap = laplacian_multiplier(scheme, np.arange(half.shape[-1]), eps)
+    return half * np.exp(lap * t)
 
 
-def sobolev_minus_alpha_norm(field, alpha: float):
-    """Negative Sobolev norm ( sum_{j,k} (1+k^2)^{-alpha} |uhat_j(k)|^2 )^(1/2)
-    of a SpectralField, a float.  Given coefficients (..., 2N+1) instead, the
-    norm of each row, each summed along its mode axis (contiguous rows keep
-    the bits of one-row fields)."""
+def sobolev_minus_alpha_norm(coeffs: np.ndarray, alpha: float) -> np.ndarray:
+    """Negative Sobolev norm ( sum_k (1+k^2)^{-alpha} |uhat(k)|^2 )^(1/2) of
+    each row of coefficients -K..K (..., 2K+1), summed along its mode axis
+    (contiguous rows keep the bits of one-row arrays)."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    coeffs = field.coeffs if isinstance(field, SpectralField) else field
     k = np.arange(-(coeffs.shape[-1] // 2), coeffs.shape[-1] // 2 + 1, dtype=float)
-    terms = (1.0 + k * k) ** (-alpha) * np.abs(coeffs) ** 2
-    if isinstance(field, SpectralField):
-        return float(np.sqrt(terms.sum()))
-    return np.sqrt(terms.sum(axis=-1))
+    return np.sqrt(((1.0 + k * k) ** (-alpha) * np.abs(coeffs) ** 2).sum(axis=-1))
 
 
 def _pair_distances(M: int) -> np.ndarray:
@@ -226,8 +159,9 @@ def pair_reduce(M: int, stride: int, magnitude, exponent: float) -> float:
                          for i in np.split(starts, range(size, len(starts), size))]))
 
 
-def holder_seminorm_estimate(grid: GridField, gamma: float, stride: int = 1) -> float:
-    """sup |u(x)-u(y)| / dist(x,y)^gamma over grid pairs, periodic distance.
+def holder_seminorm_estimate(u: np.ndarray, gamma: float, stride: int = 1) -> float:
+    """sup |u(x)-u(y)| / dist(x,y)^gamma over pairs of the grid values u
+    (n, M), periodic distance.
 
     Pairs are (x_i, x_j) with the start index i subsampled by ``stride`` and
     all separations kept, so refining the stride can only add pairs and the
@@ -235,8 +169,7 @@ def holder_seminorm_estimate(grid: GridField, gamma: float, stride: int = 1) -> 
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    u = grid.values
-    return pair_reduce(grid.M, stride,
+    return pair_reduce(u.shape[-1], stride,
                        lambda i, j: np.linalg.norm(u[:, j] - u[:, i], axis=0), gamma)
 
 

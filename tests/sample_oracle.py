@@ -32,8 +32,7 @@ from schemelab.solver import (
     reference_config,
     simulate_coupled,
 )
-from schemelab.spectral import (SQRT_2PI, GridField, SpectralField, holder_seminorm_estimate,
-                                sobolev_minus_alpha_norm)
+from schemelab.spectral import SQRT_2PI, holder_seminorm_estimate, sobolev_minus_alpha_norm
 
 
 # -- the gap metrics ------------------------------------------------------------
@@ -53,7 +52,7 @@ def _common_positive_times(a: Trajectory, b: Trajectory, T: float):
 def _differences(a: Trajectory, b: Trajectory, M: int, T: float) -> list:
     """(t, grid values of a - b) at each recorded time the runs share inside
     their common survival window."""
-    return [(t, a.grid(ia, M).values - b.grid(jb, M).values)
+    return [(t, a.grid(ia, M) - b.grid(jb, M))
             for ia, jb, t in _common_positive_times(a, b, T)]
 
 
@@ -67,8 +66,7 @@ def _gap(diffs: list, holder_gamma: float | None = None, stride: int = 4):
     for _t, diff in diffs:
         sup_err = max(sup_err, float(np.abs(diff).max()))
         if holder_gamma is not None:
-            holder_err = max(holder_err, holder_seminorm_estimate(
-                GridField(diff), holder_gamma, stride))
+            holder_err = max(holder_err, holder_seminorm_estimate(diff, holder_gamma, stride))
     return sup_err, (holder_err if holder_gamma is not None else math.nan), diffs[-1][0]
 
 
@@ -120,8 +118,7 @@ def correction_row(cfg, Lambda1, s):
     signed = math.nan
     if shared:
         ia, jb, _t = shared[-1]
-        signed = float((run1.grid(ia, cfg.M).values
-                        - run2.grid(jb, cfg.M).values).mean())
+        signed = float((run1.grid(ia, cfg.M) - run2.grid(jb, cfg.M)).mean())
     return {"eps": eps, "sample": s, "gap_uncorrected": gap_a,
             "gap_corrected": gap_b, "signed_mean_gap": signed}
 
@@ -136,7 +133,7 @@ def _statistics(lift, cfg, eps, center):
     coeffs[..., 2 * N, range(n), range(n)] -= center
     stats = []
     for c in coeffs:
-        entries = (SpectralField(SQRT_2PI * c[None, :, i, j]) for i in range(n) for j in range(n))
+        entries = (SQRT_2PI * c[:, i, j] for i in range(n) for j in range(n))
         stats.append(float(np.sqrt(sum(sobolev_minus_alpha_norm(e, cfg.alpha) ** 2
                                        for e in entries))))
     return stats

@@ -27,7 +27,8 @@ from schemelab.schemes import (
 )
 from schemelab import solver
 from schemelab.solver import NumericalAbort, SolverConfig, draw_noise
-from schemelab.spectral import SQRT_2PI, GridField, full_spectrum, half_spectrum
+from schemelab.spectral import SQRT_2PI, full_spectrum
+from spectral_oracle import half_spectrum
 
 
 @dataclass
@@ -125,7 +126,7 @@ def simulate(config: SolverConfig, rng: np.random.Generator | None = None,
         raise ValueError(f"increments must have shape {(steps, N + 1, n)}")
 
     ops = Operators(config)
-    u_hat = (config.initial.coeffs.copy() if config.initial is not None
+    u_hat = (full_spectrum(config.initial) if config.initial is not None
              else np.zeros((n, 2 * N + 1), dtype=complex))
     x_hat = np.zeros((n, 2 * N + 1), dtype=complex)
 
@@ -183,10 +184,10 @@ def stochastic_convolution(theta_path, scheme, eps, dt, N, M, increments):
         noise_grid = np.einsum("ij...,j...->i...", theta_path[j],
                                ops.to_grid(full_noise_modes(increments[j], ops)))
         psi_hat = ops.decay * (psi_hat + ops.to_coeffs(noise_grid))
-    return GridField(ops.to_grid(psi_hat))
+    return ops.to_grid(psi_hat)
 
 
-def upsilon_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
+def upsilon_diagnostic(traj: Trajectory, config: SolverConfig) -> np.ndarray:
     """Left-rule integral of S_eps(t_final - s)[DG(u) u' (D_eps XX) u'](s)."""
     ops = Operators(config)
     model, eps = config.model, config.eps
@@ -203,10 +204,10 @@ def upsilon_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
         integrand = np.einsum("dijm,dlm,mlk,jkm->im", model.DG(u_grid), theta, D, theta)
         acc += ((traj.times[i + 1] - s) * np.exp(lap * (t_final - s))
                 * ops.to_coeffs(integrand))
-    return GridField(ops.to_grid(acc))
+    return ops.to_grid(acc)
 
 
-def xi_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
+def xi_diagnostic(traj: Trajectory, config: SolverConfig) -> np.ndarray:
     """Left-rule integral of S_eps(t_final - s)[G(u) D_eps u](s) plus upsilon."""
     ops = Operators(config)
     model = config.model
@@ -220,4 +221,4 @@ def xi_diagnostic(traj: Trajectory, config: SolverConfig) -> GridField:
         prod = np.einsum("ij...,j...->i...", model.G(u_grid),
                          ops.to_grid(u_hat * ops.dmult))
         acc += (traj.times[i + 1] - s) * np.exp(lap * (t_final - s)) * ops.to_coeffs(prod)
-    return GridField(ops.to_grid(acc) + upsilon_diagnostic(traj, config).values)
+    return ops.to_grid(acc) + upsilon_diagnostic(traj, config)

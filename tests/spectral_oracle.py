@@ -6,42 +6,44 @@ before one real-FFT ``schemelab.spectral.Transform`` and one blocked pair
 kernel replaced them: ``to_physical`` evaluates the full -N..N spectrum with
 a complex inverse FFT and keeps the real part, ``to_spectral`` takes a full
 complex FFT and symmetrises, and every estimator loops over its start points
-one at a time.  They are deliberately slow and simple.
+one at a time.  They are deliberately slow and simple.  Fields are arrays,
+as in the package: coefficients -N..N (n, 2N+1) here, grid values (n, M);
+``half_spectrum`` gives the package's modes 0..N of the former.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from schemelab.spectral import (
-    REALITY_TOL,
-    SQRT_2PI,
-    GridField,
-    SpectralField,
-    eval_modes_on_grid,
-)
+from schemelab.spectral import REALITY_TOL, SQRT_2PI, eval_modes_on_grid
 
 
-def to_physical(field: SpectralField, M: int) -> GridField:
-    if M < 2 * field.N + 1:
-        raise ValueError(f"grid size {M} too small for max mode {field.N}")
-    vals = eval_modes_on_grid(field.coeffs, field.modes, M) / SQRT_2PI
+def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """Modes 0..N of the real field with (..., 2N+1) coefficients -N..N."""
+    N = (coeffs.shape[-1] - 1) // 2
+    return 0.5 * (coeffs[..., N:] + np.conj(coeffs[..., N::-1]))
+
+
+def to_physical(coeffs: np.ndarray, M: int) -> np.ndarray:
+    N = (coeffs.shape[-1] - 1) // 2
+    if M < 2 * N + 1:
+        raise ValueError(f"grid size {M} too small for max mode {N}")
+    vals = eval_modes_on_grid(coeffs, np.arange(-N, N + 1), M) / SQRT_2PI
     defect = float(np.abs(vals.imag).max()) if vals.size else 0.0
     if defect > REALITY_TOL * max(1.0, float(np.abs(vals.real).max())):
         raise ValueError(f"field violates the reality constraint (defect {defect:.2e})")
-    return GridField(vals.real)
+    return vals.real
 
 
-def to_spectral(grid: GridField, N: int) -> SpectralField:
-    M = grid.M
+def to_spectral(values: np.ndarray, N: int) -> np.ndarray:
+    M = values.shape[-1]
     if M < 2 * N + 1:
         raise ValueError(f"grid size {M} too small for requested max mode {N}")
-    F = np.fft.fft(grid.values, axis=-1)
+    F = np.fft.fft(values, axis=-1)
     ks = np.arange(-N, N + 1)
     coeffs = F[:, np.mod(ks, M)] * np.where(ks % 2 == 0, 1.0, -1.0)
     coeffs *= SQRT_2PI / M
-    coeffs = 0.5 * (coeffs + np.conj(coeffs[:, ::-1]))
-    return SpectralField(coeffs)
+    return 0.5 * (coeffs + np.conj(coeffs[:, ::-1]))
 
 
 def _pair_distances(M: int) -> np.ndarray:
@@ -50,13 +52,12 @@ def _pair_distances(M: int) -> np.ndarray:
     return np.minimum(d, 2.0 * np.pi - d)
 
 
-def holder_seminorm_estimate(grid: GridField, gamma: float, stride: int = 1) -> float:
+def holder_seminorm_estimate(u: np.ndarray, gamma: float, stride: int = 1) -> float:
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    u = grid.values
-    M = grid.M
+    M = u.shape[-1]
     dist = _pair_distances(M)
     best = 0.0
     idx = np.arange(M)
@@ -69,16 +70,11 @@ def holder_seminorm_estimate(grid: GridField, gamma: float, stride: int = 1) -> 
     return best
 
 
-def remainder_diagnostic(psi: GridField, theta_now, X_now: GridField,
+def remainder_diagnostic(P: np.ndarray, theta: np.ndarray, X: np.ndarray,
                          gamma: float, stride: int = 1) -> float:
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    P = psi.values
-    X = X_now.values
-    theta = np.asarray(theta_now.values if hasattr(theta_now, "values") else theta_now)
-    if theta.ndim == 2:
-        theta = theta[None, :, :]
-    M = psi.M
+    M = P.shape[-1]
     dist = 2.0 * np.pi * np.arange(M) / M
     dist = np.minimum(dist, 2.0 * np.pi - dist)
     idx = np.arange(M)

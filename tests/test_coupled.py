@@ -38,7 +38,8 @@ from schemelab.solver import (
     simulate_coupled,
     stochastic_convolution,
 )
-from schemelab.spectral import NormConfig, SpectralField, Transform, grid_points
+from schemelab.spectral import NormConfig, Transform, grid_points
+from spectral_oracle import half_spectrum
 
 RTOL = 1e-12
 
@@ -94,12 +95,11 @@ def assert_reference_matches_oracle(configs, inc, source=None):
 # -- strategies ---------------------------------------------------------------
 
 def band_limited(rng, N, K, scale):
-    """Real field with modes |k| <= K <= N, as (1, 2N+1) coefficients."""
+    """Real field with modes |k| <= K <= N, as (1, N+1) modes 0..N."""
     c = np.zeros(2 * N + 1, dtype=complex)
     c[N - K:N + K + 1] = scale * (rng.standard_normal(2 * K + 1)
                                   + 1j * rng.standard_normal(2 * K + 1))
-    c = 0.5 * (c + np.conj(c[::-1]))
-    return SpectralField(c[None, :])
+    return half_spectrum(c)[None, :]
 
 
 @st.composite
@@ -234,7 +234,7 @@ def test_stochastic_convolution_matches_oracle(forward):
                       for j in range(steps)])
     new = stochastic_convolution(theta, forward, 0.1, dt, N, M, inc)
     old = oracle.stochastic_convolution(theta, forward, 0.1, dt, N, M, inc)
-    assert rel_gap(new.values, old.values) <= RTOL
+    assert rel_gap(new, old) <= RTOL
 
 
 @pytest.mark.parametrize("theta", ["one", "state"])
@@ -251,7 +251,7 @@ def test_diagnostics_match_oracle(theta):
     with_x = oracle.Trajectory(**vars(traj), X_coeffs=reference.coeffs)
     for new, old in ((upsilon_diagnostic, oracle.upsilon_diagnostic),
                      (xi_diagnostic, oracle.xi_diagnostic)):
-        assert rel_gap(new(traj, cfg, reference).values, old(with_x, cfg).values) <= RTOL
+        assert rel_gap(new(traj, cfg, reference), old(with_x, cfg)) <= RTOL
 
 
 # -- constant theta: noise added to the spectrum against the grid path ------
@@ -292,7 +292,7 @@ def correction_runs(N=12, M=40, steps=150):
                 scheme=make_scheme(scheme), eps=0.125, N=N, M=M, dt=dt,
                 T=steps * dt, model=model, Lambda=Lambda,
                 record_times=(0.05, 0.1, 0.15),
-                initial=SpectralField(np.repeat(initial.coeffs, model.n, axis=0)))
+                initial=np.repeat(initial, model.n, axis=0))
         return [cfg("forward_difference"), cfg("central_difference"),
                 cfg("central_difference", 0.25)]
     return build
@@ -408,12 +408,12 @@ def truncated_correction_runs(truncate, N=12, M=40, steps=150):
     Lambda = -10.0 if truncate == 2 else 0.25
 
     def cfg(scheme, Lambda=0.0, mean=0.0):
-        c = np.zeros((1, 2 * N + 1), dtype=complex)
-        c[0, N] = mean * math.sqrt(2.0 * math.pi)
+        c = np.zeros((1, N + 1), dtype=complex)
+        c[0, 0] = mean * math.sqrt(2.0 * math.pi)
         return SolverConfig(
             scheme=make_scheme(scheme), eps=0.125, N=N, M=M, dt=1e-3, T=steps * 1e-3,
             model=model, Lambda=Lambda, record_times=(0.02, 0.05, 0.1, 0.15),
-            blowup_cap=1.5, initial=SpectralField(c))
+            blowup_cap=1.5, initial=c)
 
     return [cfg("forward_difference", mean=1.0 if truncate == 0 else 0.0),
             cfg("central_difference"),
@@ -473,12 +473,12 @@ def test_truncated_conservation_run_leaves_a_replanned_batch(monkeypatch, theta,
     N, steps = 12, 150
 
     def cfg(scheme, conservative, Lambda=0.0, mean=0.0):
-        c = np.zeros((1, 2 * N + 1), dtype=complex)
-        c[0, N] = mean * math.sqrt(2.0 * math.pi)
+        c = np.zeros((1, N + 1), dtype=complex)
+        c[0, 0] = mean * math.sqrt(2.0 * math.pi)
         return SolverConfig(
             scheme=scheme, eps=0.125, N=N, M=40, dt=1e-3, T=steps * 1e-3, model=model,
             Lambda=Lambda, record_times=(0.02, 0.05, 0.1, 0.15), blowup_cap=1.5,
-            initial=SpectralField(c), conservation_form=conservative)
+            initial=c, conservation_form=conservative)
 
     narrow = make_scheme("forward_difference", h=make_function("indicator", cutoff=1.0))
     central = make_scheme("central_difference")
@@ -538,8 +538,8 @@ def oracle_correction_row(cfg, Lambda1, s):
     return {"eps": eps, "sample": s,
             "gap_uncorrected": _trajectory_gap(run1, run2, cfg.M, cfg.T)[0],
             "gap_corrected": _trajectory_gap(run1, run2c, cfg.M, cfg.T)[0],
-            "signed_mean_gap": float((run1.grid(ia, cfg.M).values
-                                      - run2.grid(jb, cfg.M).values).mean())}
+            "signed_mean_gap": float((run1.grid(ia, cfg.M)
+                                      - run2.grid(jb, cfg.M)).mean())}
 
 
 def oracle_converge_rows(cfg, Lambda, s):

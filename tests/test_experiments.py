@@ -268,8 +268,8 @@ class TestFluctuationExperiment:
             patch.setattr(experiments, "lambda_eps", counted)
             patch.setattr(lift, "lambda_eps", per_lift)
             rows = fluctuation_experiment(cfg).per_sample
-        # the centring constants and the decay table, nu = 1
-        assert len(set(pairs)) == len(pairs) / 2 == 4
+        # the decay table's values are the centring constants: each pair once
+        assert sorted(pairs) == sorted(set(pairs)) and len(pairs) == 4
         # the same rows as when the statistic computes its own constant
         monkeypatch.setattr(experiments, "fluctuation_statistic",
                             lambda *args: lift.fluctuation_statistic(*args[:5]))
@@ -322,7 +322,7 @@ class TestDiagnostics:
 
     def test_upsilon_zero_when_dg_zero(self):
         out = upsilon_diagnostic(*self._run(make_model(1, G="zero", theta="one")))
-        assert np.abs(out.values).max() == 0.0
+        assert np.abs(out).max() == 0.0
 
     def test_upsilon_requires_reference(self):
         """A reference whose recorded times do not begin with the run's."""
@@ -335,15 +335,15 @@ class TestDiagnostics:
         # a reference recorded at more times than the run is fine
         traj, cfg, _ = self._run(make_model(1, G="state", theta="one"), (0.01, 0.02))
         _, _, reference = self._run(self.LINEAR)
-        assert np.abs(upsilon_diagnostic(traj, cfg, reference).values).max() > 0
+        assert np.abs(upsilon_diagnostic(traj, cfg, reference)).max() > 0
 
     def test_xi_reduces_to_first_term_plus_upsilon(self):
         model = make_model(1, G="state", theta="one")
         run = self._run(model)
         xi = xi_diagnostic(*run)
         ups = upsilon_diagnostic(*run)
-        assert np.abs(xi.values).max() > 0
-        assert np.abs(ups.values).max() > 0
+        assert np.abs(xi).max() > 0
+        assert np.abs(ups).max() > 0
 
     def test_experiment_failure_when_everything_truncates(self):
         cfg = small_cfg("converge", samples=2, blowup_cap=1e-12,
@@ -457,13 +457,21 @@ def test_sample_rng_streams_are_stable():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("kind", ["converge", "fluctuation"])
+@pytest.mark.parametrize("kind", ["converge", "correction", "fluctuation", "lift"])
 def test_worker_pool_matches_serial(monkeypatch, kind):
+    from schemelab import experiments
+
     cfg = small_cfg(kind, samples=4)
-    run = {"converge": converge_experiment, "fluctuation": fluctuation_experiment}[kind]
+    run = {"converge": converge_experiment, "correction": correction_experiment,
+           "fluctuation": fluctuation_experiment, "lift": lift_experiment}[kind]
     serial = run(cfg)
     monkeypatch.setenv("SCHEMELAB_WORKERS", "2")
     # the chunks shrink to two samples so that each worker gets one
     assert [list(c) for c in _chunks(cfg.samples)] == [[0, 1], [2, 3]]
+    mapped, pool_map = [], experiments._pool_map
+    monkeypatch.setattr(experiments, "_pool_map",
+                        lambda fn, args: mapped.append(fn.__name__) or pool_map(fn, args))
     parallel = run(cfg)
+    # the experiment maps its chunks over the pool
+    assert mapped == [f"_{kind}_chunk"]
     assert serial.per_sample == parallel.per_sample

@@ -21,7 +21,7 @@ from schemelab.lift import (
 )
 from schemelab import lift as lift_module, spectral
 from schemelab.schemes import CutoffScheme, make_function, make_scheme
-from schemelab.spectral import half_spectrum
+from schemelab.spectral import SQRT_2PI, grid_points, sobolev_minus_alpha_norm
 
 def random_state(rng, scheme, eps, N, n, t=0.7):
     state = ModeState.zero(scheme, eps, N, n)
@@ -100,7 +100,7 @@ class TestEvolveModes:
 class TestAssembleX:
     def test_zero_state_zero_field(self, forward):
         field = assemble_X(ModeState.zero(forward, 0.1, 8, 2))
-        assert np.all(field.coeffs == 0.0)
+        assert field.shape == (2, 9) and np.all(field == 0.0)
 
     def test_single_mode_profile(self, forward):
         xi = np.zeros((5, 1), dtype=complex)
@@ -108,13 +108,13 @@ class TestAssembleX:
         state = ModeState(xi, forward, 0.1, 1.0)
         field, grid = assemble_X(state, 64)
         q = mode_amplitudes(forward, 0.1, 4)[2]
-        np.testing.assert_allclose(grid.values[0], 2 * q * np.cos(2 * grid.x),
+        np.testing.assert_allclose(grid[0], 2 * q * np.cos(2 * grid_points(64)),
                                    atol=1e-12)
 
     def test_reality(self, rng, forward):
         state = random_state(rng, forward, 0.1, 16, 2)
         field = assemble_X(state)
-        assert field.reality_defect() <= 1e-15
+        assert np.all(field[:, 0].imag == 0.0)          # mode 0 is real
 
     def test_spatial_variance_matches_series(self, forward):
         rng = np.random.default_rng(31)
@@ -123,7 +123,7 @@ class TestAssembleX:
         for _ in range(S):
             st = random_state(rng, forward, eps, N, 1, t=t)
             _, grid = assemble_X(st, 128)
-            acc += (grid.values[0] ** 2).mean()
+            acc += (grid[0] ** 2).mean()
         acc /= S
         q = mode_amplitudes(forward, eps, N)
         K = np.array([t] + [1.0 - np.exp(-2.0 * k * k * t)
@@ -134,7 +134,7 @@ class TestAssembleX:
     def test_state_round_trip(self, rng, forward):
         state = random_state(rng, forward, 0.1, 12, 2)
         field = assemble_X(state)
-        back = state_from_coeffs(half_spectrum(field.coeffs), forward, 0.1, state.t)
+        back = state_from_coeffs(field, forward, 0.1, state.t)
         np.testing.assert_allclose(back.xi, state.xi, atol=1e-13)
 
 
@@ -365,11 +365,8 @@ class TestFluctuationStatistic:
         lift = lift_XX(st, M, [2 * np.pi / M, eps, -eps])
         stat = fluctuation_statistic(lift, central, eps, t, 0.45)
         # Lambda_eps = 0, so the statistic is the norm of the field itself
-        from schemelab.spectral import SQRT_2PI, SpectralField, sobolev_minus_alpha_norm
-
         field = d_eps_xx(lift, central, eps)
-        raw = sobolev_minus_alpha_norm(
-            SpectralField(SQRT_2PI * field.coeffs[None, :, 0, 0]), 0.45)
+        raw = sobolev_minus_alpha_norm(SQRT_2PI * field.coeffs[:, 0, 0], 0.45)
         assert stat == pytest.approx(raw, rel=1e-12)
 
     def test_time_mismatch_rejected(self, rng, forward):
@@ -390,14 +387,10 @@ class TestFluctuationStatistic:
             field = d_eps_xx(lift, forward, eps)
             acc = field.coeffs if acc is None else acc + field.coeffs
         acc /= S
-        from schemelab.spectral import SQRT_2PI, SpectralField, sobolev_minus_alpha_norm
-
-        uncentred = sobolev_minus_alpha_norm(
-            SpectralField(SQRT_2PI * acc[None, :, 0, 0]), 0.45)
+        uncentred = sobolev_minus_alpha_norm(SQRT_2PI * acc[:, 0, 0], 0.45)
         centred_coeffs = acc.copy()
         centred_coeffs[2 * N, 0, 0] -= lambda_eps(forward, eps, t, N)
-        centred = sobolev_minus_alpha_norm(
-            SpectralField(SQRT_2PI * centred_coeffs[None, :, 0, 0]), 0.45)
+        centred = sobolev_minus_alpha_norm(SQRT_2PI * centred_coeffs[:, 0, 0], 0.45)
         assert centred <= 0.25 * uncentred
 
     @pytest.mark.parametrize("smooth", [False, True])

@@ -148,8 +148,8 @@ def assert_rows_close(new, old):
 def test_fluctuation_rows_match_oracle(monkeypatch):
     cfg = small_cfg("fluctuation")
     args = ([_lift_plan(cfg, eps) for eps in cfg.eps_ladder],
-            {eps: {t: lambda_eps(cfg.scheme, eps, t, cfg.N) for t in cfg.times}
-             for eps in cfg.eps_ladder})
+            {(eps, t): lambda_eps(cfg.scheme, eps, t, cfg.N)
+             for eps in cfg.eps_ladder for t in cfg.times})
     new = [row for rows in _fluctuation_chunk((cfg, *args, range(cfg.samples))) for row in rows]
     monkeypatch.setattr(experiments, "lift_XX", oracle.lift_XX)
     old = [row for rows in _fluctuation_chunk((cfg, *args, range(cfg.samples))) for row in rows]

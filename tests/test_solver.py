@@ -19,21 +19,15 @@ from schemelab.solver import (
     step,
     stochastic_convolution,
 )
-from schemelab.spectral import (
-    GridField,
-    SpectralField,
-    Transform,
-    full_spectrum,
-    semigroup_apply,
-    to_physical,
-)
+from schemelab.spectral import Transform, full_spectrum, semigroup_apply, to_physical
+from spectral_oracle import half_spectrum
 
 
 def random_initial(rng, N, scale=0.3):
+    """Modes 0..N (1, N+1) of a random real field."""
     c = scale * (rng.standard_normal(2 * N + 1)
                  + 1j * rng.standard_normal(2 * N + 1))
-    c = 0.5 * (c + np.conj(c[::-1]))
-    return SpectralField(c[None, :])
+    return half_spectrum(0.5 * (c + np.conj(c[::-1])))[None, :]
 
 
 def zero_model():
@@ -111,6 +105,45 @@ class TestModels:
         assert const.shape == (1, 1) and not const.flags.writeable
 
 
+class TestReality:
+    """The fields are real: a run's state and snapshots are modes 0..N with
+    a real mode 0."""
+
+    def test_initial_data_must_be_modes_0_to_N(self, forward):
+        kw = dict(scheme=forward, eps=0.1, N=8, M=32, dt=1e-3, T=0.01, model=make_model(1))
+        for shape in ((1, 17), (2, 9), (1, 8), (9,)):       # (1, 17): modes -8..8
+            with pytest.raises(ValueError, match="shape"):
+                SolverConfig(initial=np.zeros(shape, dtype=complex), **kw)
+        half = np.zeros((1, 9), dtype=complex)
+        half[0, 3] = 0.2 + 0.1j
+        half[0, 0] = 0.5 + 1e-300j
+        with pytest.raises(ValueError, match="real mode 0"):
+            SolverConfig(initial=half, **kw)
+        half[0, 0] = 0.5
+        assert np.array_equal(SolverConfig(initial=half, **kw).initial, half)
+
+    @pytest.mark.parametrize("conservative", [False, True])
+    @pytest.mark.parametrize("theta", ["one", "bounded_sqrt", "state"])
+    def test_every_snapshot_has_a_real_mode_0(self, forward, theta, conservative):
+        """A plain run and a drift run of one batch, from real initial data
+        with a nonzero mode 0, record an imaginary part of exactly 0 in mode
+        0 at every recorded time."""
+        rng = np.random.default_rng(17)
+        N, dt = 12, 1e-3
+        initial = random_initial(rng, N)
+        initial[0, 0] = 0.3
+        configs = [SolverConfig(scheme=forward, eps=0.125, N=N, M=40, dt=dt, T=0.05,
+                                model=make_model(1, G="state", theta=theta), Lambda=Lambda,
+                                record_times=(0.0, 0.01, 0.03, 0.05), initial=initial,
+                                conservation_form=conservative)
+                   for Lambda in (0.0, 0.25)]
+        runs = simulate_coupled(configs, NoiseStream(rng, configs[0].steps, N, 1))
+        for run in runs:
+            assert run.truncation_time is None and len(run.coeffs) == 4
+            assert [float(np.abs(c[:, 0].imag).max()) for c in run.coeffs] == [0.0] * 4
+        assert not np.array_equal(runs[0].coeffs[-1], runs[1].coeffs[-1])
+
+
 class TestStep:
     def test_pure_decay_single_mode(self, forward):
         N = 8
@@ -133,17 +166,15 @@ class TestStep:
         # S runs in one batch, each on its own stream of its own generator:
         # streams made one after another from one generator would overlap
         streams = [NoiseStream(r, cfg.steps, N, 1) for r in rng.spawn(S)]
-        acc = np.zeros(2 * N + 1)
+        acc = np.zeros(N + 1)
         for traj in simulate_coupled([cfg] * S, streams):
-            acc += np.abs(traj.spectral(-1).coeffs[0]) ** 2
+            acc += np.abs(traj.coeffs[-1][0]) ** 2
         acc /= S
-        from schemelab.spectral import SQRT_2PI
-
         for k in (1, 2, 5):
             K = 1.0 - np.exp(-2.0 * k * k * T)
             expected = 2 * np.pi * mode_amplitudes(forward, 0.1, N)[k] ** 2 * K
             se = expected * np.sqrt(2.0 / S)
-            assert abs(acc[N + k] - expected) <= 5 * se + 0.01 * expected
+            assert abs(acc[k] - expected) <= 5 * se + 0.01 * expected
 
     def test_conservation_vs_nonconservation_form(self, forward):
         # u D_eps u against D_eps(u^2/2) on smooth data: the gap halves with eps
@@ -174,7 +205,7 @@ class TestSimulate:
         steps = cfg.steps
         traj = simulate(cfg, increments=np.zeros((steps, N + 1, 1), complex))
         exact = semigroup_apply(u0, forward, 0.1, T)
-        assert np.abs(traj.spectral(-1).coeffs - exact.coeffs).max() <= 1e-13
+        assert np.abs(traj.coeffs[-1] - exact).max() <= 1e-13
 
     def test_bitwise_determinism(self, forward):
         model = make_model(1, G="state", theta="bounded_sqrt")
@@ -201,7 +232,7 @@ class TestSimulate:
         c = np.array([[2.0 + 0.0j]])
         cfg = SolverConfig(scheme=forward, eps=0.1, N=N, M=M, dt=dt, T=T,
                            model=model, record_times=(T,),
-                           initial=SpectralField(c))
+                           initial=c)
         rng = np.random.default_rng(10)
         S = 1500
         # S runs in one batch, each on its own stream, drawn from rng in the
@@ -248,7 +279,7 @@ class TestStochasticConvolution:
         inc = draw_noise(np.random.default_rng(0), steps, N, 1)
         theta = np.zeros((steps, 1, 1, M))
         out = stochastic_convolution(theta, forward, 0.1, 1e-3, N, M, inc)
-        assert np.all(out.values == 0.0)
+        assert np.all(out == 0.0)
 
     def test_identity_theta_matches_reference_field(self, forward):
         steps, N, M, dt = 30, 12, 48, 1e-3
@@ -259,8 +290,8 @@ class TestStochasticConvolution:
                            T=steps * dt, model=zero_model(),
                            record_times=(steps * dt,))
         # the linear model's run is the reference field X
-        ref = to_physical(simulate(cfg, increments=inc).spectral(-1), M)
-        np.testing.assert_allclose(psi.values, ref.values, atol=1e-12)
+        ref = to_physical(simulate(cfg, increments=inc).coeffs[-1], M)
+        np.testing.assert_allclose(psi, ref, atol=1e-12)
 
     def test_deterministic_theta_mode_variance(self, forward):
         # spatially varying deterministic theta: the discrete variance of each
@@ -275,7 +306,7 @@ class TestStochasticConvolution:
         for _ in range(S):
             inc = draw_noise(rng, steps, N, 1)
             psi = stochastic_convolution(theta, forward, 0.1, dt, N, M, inc)
-            acc += np.abs(full_spectrum(Transform(N, M).to_coeffs(psi.values)[0])) ** 2
+            acc += np.abs(full_spectrum(Transform(N, M).to_coeffs(psi)[0])) ** 2
         acc /= S
         # exact discrete second moment: per step the mode-k input is
         # (1/sqrt(2pi)) sum_l theta_hat(k-l) h dw_l, then decay weights apply
@@ -307,7 +338,7 @@ class TestRemainderDiagnostic:
         cfg = SolverConfig(scheme=forward, eps=0.1, N=N, M=M, dt=dt,
                            T=steps * dt, model=zero_model(),
                            record_times=(steps * dt,))
-        X = to_physical(simulate(cfg, increments=inc).spectral(-1), M)
+        X = to_physical(simulate(cfg, increments=inc).coeffs[-1], M)
         return psi, X, theta[0]
 
     def test_constant_theta_remainder_vanishes(self):
@@ -318,7 +349,7 @@ class TestRemainderDiagnostic:
 
     def test_zero_theta_zero(self):
         psi, X, _ = self.setup_psi(0.0)
-        val = remainder_diagnostic(psi, np.zeros((1, 1, X.M)), X, 0.4)
+        val = remainder_diagnostic(psi, np.zeros((1, 1, X.shape[-1])), X, 0.4)
         assert val == 0.0
 
     def test_small_gamma_approaches_sup(self):
@@ -331,9 +362,9 @@ class TestRemainderDiagnostic:
         cfg = SolverConfig(scheme=forward, eps=0.1, N=N, M=M, dt=dt,
                            T=steps * dt, model=zero_model(),
                            record_times=(steps * dt,))
-        X = to_physical(simulate(cfg, increments=inc).spectral(-1), M)
+        X = to_physical(simulate(cfg, increments=inc).coeffs[-1], M)
         sup_R = 0.0
-        P, Xv, th = psi.values, X.values, theta[0]
+        P, Xv, th = psi, X, theta[0]
         for i in range(M):
             R = (P - P[:, i][:, None]) - th[:, :, i] @ (Xv - Xv[:, i][:, None])
             sup_R = max(sup_R, np.abs(R).max())
@@ -360,7 +391,7 @@ class TestCorrectedReference:
                            model=model, Lambda=0.25, record_times=(0.05, 0.1))
         traj = simulate(cfg, increments=np.zeros((cfg.steps, 5, 1), complex))
         for i, t in enumerate(traj.times):
-            np.testing.assert_allclose(traj.grid(i, 16).values, -0.25 * t, rtol=1e-12)
+            np.testing.assert_allclose(traj.grid(i, 16), -0.25 * t, rtol=1e-12)
 
     def test_lambda_must_be_finite(self, central):
         with pytest.raises(ValueError, match="Lambda must be finite"):

@@ -13,26 +13,21 @@ from schemelab import spectral
 from schemelab.models import make_model
 from schemelab.schemes import make_scheme
 from schemelab.solver import SolverConfig, remainder_diagnostic, simulate
-from schemelab.spectral import (
-    GridField,
-    SpectralField,
-    Transform,
-    full_spectrum,
-    half_spectrum,
-    holder_seminorm_estimate,
-    to_physical,
-)
+from schemelab.spectral import Transform, full_spectrum, holder_seminorm_estimate, to_physical
+from spectral_oracle import half_spectrum
 
 
 def real_field(rng, n, N, scale=1.0):
+    """Coefficients -N..N (n, 2N+1) of a random real field."""
     c = scale * (rng.standard_normal((n, 2 * N + 1))
                  + 1j * rng.standard_normal((n, 2 * N + 1)))
-    return SpectralField(0.5 * (c + np.conj(c[:, ::-1])))
+    return 0.5 * (c + np.conj(c[:, ::-1]))
 
 
 @st.composite
 def fields(draw):
-    """A real field (n, 2N+1) and a grid M >= 2N+1, odd or even."""
+    """The coefficients -N..N (n, 2N+1) of a real field and a grid
+    M >= 2N+1, odd or even."""
     n = draw(st.integers(1, 3))
     N = draw(st.integers(0, 24))
     M = 2 * N + 1 + draw(st.integers(0, 9))
@@ -46,27 +41,30 @@ def fields(draw):
 @settings(max_examples=120, deadline=None)
 @given(fields())
 def test_grid_values_match_the_complex_transform(case):
-    f, M = case
-    new, old = to_physical(f, M).values, oracle.to_physical(f, M).values
-    scale = float(np.abs(f.coeffs).max())
-    assert np.abs(new - old).max() <= 1e-14 * scale * (2 * f.N + 1)
-    half = Transform(f.N, M).to_grid(half_spectrum(f.coeffs))
-    assert np.array_equal(new, half)
+    c, M = case
+    half = half_spectrum(c)
+    N = half.shape[-1] - 1
+    new, old = to_physical(half, M), oracle.to_physical(c, M)
+    scale = float(np.abs(c).max())
+    assert np.abs(new - old).max() <= 1e-14 * scale * (2 * N + 1)
+    assert np.array_equal(new, Transform(N, M).to_grid(half))
 
 
 @settings(max_examples=120, deadline=None)
 @given(fields())
 def test_round_trip_reality_and_parseval(case):
-    f, M = case
-    g = to_physical(f, M)
-    back = SpectralField(full_spectrum(Transform(f.N, M).to_coeffs(g.values)))
-    scale = float(np.abs(f.coeffs).max())
-    assert np.abs(back.coeffs - f.coeffs).max() <= 1e-13 * scale
-    assert back.reality_defect() == 0.0
-    old = oracle.to_spectral(g, f.N)
-    assert np.abs(back.coeffs - old.coeffs).max() <= 1e-13 * scale
-    lhs = float((np.abs(f.coeffs) ** 2).sum())
-    rhs = 2.0 * np.pi / M * float((g.values ** 2).sum())
+    c, M = case
+    half = half_spectrum(c)
+    N = half.shape[-1] - 1
+    g = to_physical(half, M)
+    back = Transform(N, M).to_coeffs(g)
+    scale = float(np.abs(c).max())
+    assert np.abs(full_spectrum(back) - c).max() <= 1e-13 * scale
+    assert np.all(back[:, 0].imag == 0.0)
+    old = oracle.to_spectral(g, N)
+    assert np.abs(full_spectrum(back) - old).max() <= 1e-13 * scale
+    lhs = float((np.abs(c) ** 2).sum())
+    rhs = 2.0 * np.pi / M * float((g ** 2).sum())
     assert rhs == pytest.approx(lhs, rel=1e-12, abs=1e-300)
 
 
@@ -74,9 +72,8 @@ def test_round_trip_reality_and_parseval(case):
 @given(st.integers(0, 20), st.integers(0, 9), st.integers(0, 2 ** 32 - 1))
 def test_reality_is_exact_for_any_real_grid(N, extra, seed):
     M = 2 * N + 1 + extra
-    g = GridField(np.random.default_rng(seed).standard_normal((2, M)))
-    f = SpectralField(full_spectrum(Transform(N, M).to_coeffs(g.values)))
-    assert f.reality_defect() == 0.0
+    half = Transform(N, M).to_coeffs(np.random.default_rng(seed).standard_normal((2, M)))
+    assert np.all(half[:, 0].imag == 0.0)          # mode 0 is real
 
 
 # (N, M): odd and even M, M = 2N + 1, the solvers' M = 3N, and the lift's
@@ -164,21 +161,6 @@ def test_transform_rejects_a_small_grid():
     Transform(8, 17)
 
 
-def test_to_physical_rejects_a_non_real_field():
-    # a lone mode +1 is e^{ix}/sqrt(2 pi): not real; an irfft of its half
-    # spectrum would silently drop the non-Hermitian part
-    N = 4
-    c = np.zeros((1, 2 * N + 1), dtype=complex)
-    c[0, N + 1] = 1.0
-    with pytest.raises(ValueError, match="reality"):
-        to_physical(SpectralField(c), 16)
-    # a defect within the tolerance passes
-    f = real_field(np.random.default_rng(1), 1, N)
-    c = f.coeffs.copy()
-    c[0, N + 1] += 0.1 * spectral.REALITY_TOL
-    to_physical(SpectralField(c), 16)
-
-
 def test_trajectory_grid_and_spectral_agree():
     cfg = SolverConfig(scheme=make_scheme("forward_difference"), eps=0.25, N=12,
                        M=40, dt=1e-3, T=0.02, model=make_model(1, G="state"),
@@ -186,15 +168,13 @@ def test_trajectory_grid_and_spectral_agree():
     traj = simulate(cfg, seed=3)
     for i in range(len(traj.times)):
         assert traj.coeffs[i].shape == (1, cfg.N + 1)
-        assert np.array_equal(traj.spectral(i).coeffs, full_spectrum(traj.coeffs[i]))
-        assert np.array_equal(traj.grid(i, cfg.M).values,
-                              to_physical(traj.spectral(i), cfg.M).values)
+        assert np.array_equal(traj.grid(i, cfg.M), to_physical(traj.coeffs[i], cfg.M))
 
 
 # -- the pair kernel ------------------------------------------------------------
 
 def smooth_grid(rng, n, N, M):
-    return to_physical(real_field(rng, n, N), M)
+    return to_physical(half_spectrum(real_field(rng, n, N)), M)
 
 
 @pytest.mark.parametrize("stride", [1, 4, 16])
@@ -215,9 +195,6 @@ def test_remainder_is_bitwise_the_loop(n, stride):
     for gamma in (1e-9, 0.4):
         assert (remainder_diagnostic(psi, theta, X, gamma, stride)
                 == oracle.remainder_diagnostic(psi, theta, X, gamma, stride))
-    if n == 1:                                   # a scalar theta field
-        assert (remainder_diagnostic(psi, theta[0], X, 0.4, stride)
-                == oracle.remainder_diagnostic(psi, theta[0], X, 0.4, stride))
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -226,7 +203,7 @@ def test_remainder_is_bitwise_the_loop(n, stride):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_small_blocks_change_no_bit(block, n, M, stride, seed):
     rng = np.random.default_rng(seed)
-    u, X = GridField(rng.standard_normal((n, M))), GridField(rng.standard_normal((n, M)))
+    u, X = rng.standard_normal((n, M)), rng.standard_normal((n, M))
     theta = rng.standard_normal((n, n, M))
     saved = spectral.PAIR_BLOCK
     spectral.PAIR_BLOCK = block
@@ -242,7 +219,7 @@ def test_small_blocks_change_no_bit(block, n, M, stride, seed):
 @pytest.mark.parametrize("stride", [0, -1])
 def test_a_stride_below_one_is_rejected(stride):
     rng = np.random.default_rng(2)
-    u = GridField(rng.standard_normal((1, 32)))
+    u = rng.standard_normal((1, 32))
     with pytest.raises(ValueError, match="stride"):
         remainder_diagnostic(u, np.ones((1, 1, 32)), u, 0.4, stride)
     with pytest.raises(ValueError, match="stride"):
