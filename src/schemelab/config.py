@@ -92,8 +92,8 @@ SOLVER = (
         (">= 2N+1", lambda v, r: v >= 2 * r["solver"]["N"] + 1), ("lift", "fluctuation")),
     Row("dt", "float", 1e-3),
     Row("T", "float", 0.1),
-    Row("record_times", "floats", lambda r: (r["solver"]["T"],),
-        ("a list with a time > 0", lambda v, r: max(v, default=0) > 0),
+    Row("record_times", "floats", None,                   # ExperimentConfig's (T,)
+        ("a list with a time > 0", lambda v, r: v is None or max(v, default=0) > 0),
         ("converge", "correction")),
     Row("blowup_cap", "float", 1e6, ("> 0", lambda v, r: v > 0), STEPPED),
     Row("eps_ref", "float", 1e-2, ("in (0, the finest eps_ladder rung)",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from schemelab.schemes import CutoffScheme, laplacian_multiplier
+from schemelab.schemes import AtomicSignedMeasure, CutoffScheme, laplacian_multiplier
 from schemelab.spectral import SQRT_2PI
 
 
@@ -97,10 +97,8 @@ def lambda_integral(atoms, f, h, nu: float = 1.0, tol: float = 1e-9,
                     limit: int = 400) -> LambdaResult:
     """Raw correction integral for an explicit atom list (no scheme validation)."""
     total, err, evals = 0.0, 0.0, 0
-    for z, weight in atoms:
-        if z == 0.0 or weight == 0.0:
-            continue
-        v, e, n = _lambda_single_atom(float(z), f, h, limit, tol)
+    for z, weight in AtomicSignedMeasure(atoms).shifting_atoms:
+        v, e, n = _lambda_single_atom(z, f, h, limit, tol)
         total += weight * v
         err += abs(weight) * e
         evals += n
@@ -148,7 +146,7 @@ def _lambda_closed_form(scheme: CutoffScheme, nu: float) -> float | None:
     f, h = scheme.f, scheme.h
     if f.name != "one" or f.params:
         return None
-    atoms = [(abs(z), w) for z, w in scheme.mu.atoms if z != 0.0 and w != 0.0]
+    atoms = [(abs(z), w) for z, w in scheme.mu.shifting_atoms]
     if h.name == "one" and not h.params:
         return math.fsum(w * s for s, w in atoms) / (4.0 * nu)
     c = h.params.get("cutoff", 1.0)
@@ -221,7 +219,7 @@ def lambda_z_tail_bound(scheme: CutoffScheme, eps: float, N: int) -> float:
 def lambda_eps(scheme: CutoffScheme, eps: float, t: float, N: int) -> float:
     """Finite-eps correction constant: the mu-integral of lambda_z_eps."""
     return float(sum(w * lambda_z_eps(scheme, z, eps, t, N)
-                     for z, w in scheme.mu.atoms if z != 0.0 and w != 0.0))
+                     for z, w in scheme.mu.shifting_atoms))
 
 
 def _theta_theta(theta: np.ndarray) -> np.ndarray:

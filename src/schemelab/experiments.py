@@ -29,11 +29,9 @@ import numpy.random  # numpy 2 loads it lazily: load it with the module, not in 
 from schemelab.correction import lambda_eps, lambda_exact, lambda_z_tail_bound
 from schemelab.lift import (
     LiftPlan,
-    ModeState,
     draw_increments,
     evolve_modes,
     fluctuation_statistic,
-    lift_offsets,
     lift_XX,
     d_eps_xx,
     state_from_coeffs,
@@ -154,7 +152,7 @@ class ExperimentConfig:
     M: int
     dt: float = 1e-3
     T: float = 0.1
-    record_times: tuple = ()
+    record_times: tuple | None = None      # None: (T,)
     blowup_cap: float = 1e6
     eps_ref: float = 1e-2
     norms: NormConfig = field(default_factory=NormConfig)
@@ -168,6 +166,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.eps_ladder = tuple(float(e) for e in self.eps_ladder)
+        if self.record_times is None:
+            self.record_times = (self.T,)
         self.record_times = tuple(sorted(float(t) for t in self.record_times))
         self.times = tuple(sorted(float(t) for t in self.times))
 
@@ -472,21 +472,14 @@ def _chunk_lifts(cfg: ExperimentConfig, plans: list, samples, times):
     eps evolves from the same increments, drawn once per time from each
     sample's own generator."""
     rngs = [sample_rng(cfg.master_seed, s) for s in samples]
-    states = [ModeState(np.zeros((len(rngs), cfg.N + 1, cfg.model.n)), cfg.scheme, plan.eps, 0.0)
-              for plan in plans]
+    states = [np.zeros((len(rngs), cfg.N + 1, cfg.model.n), dtype=complex) for _ in plans]
     prev = 0.0
     for t in times:
         increments = np.stack([draw_increments(rng, cfg.N, cfg.model.n) for rng in rngs])
         for i, plan in enumerate(plans):
-            states[i] = evolve_modes(states[i], t - prev, increments)
-            yield t, i, lift_XX(states[i], plan=plan)
+            states[i] = evolve_modes(plan, states[i], t - prev, increments)
+            yield t, i, lift_XX(plan, states[i])
         prev = t
-
-
-def _lift_plan(cfg, eps: float) -> LiftPlan:
-    """The lift plan of ``cfg``'s scheme, N and M (an ExperimentConfig or a
-    SolverConfig) at ``eps``."""
-    return LiftPlan(cfg.scheme, eps, cfg.N, cfg.M, lift_offsets(cfg.scheme, eps, cfg.M))
 
 
 def _fluctuation_chunk(args):
@@ -494,8 +487,7 @@ def _fluctuation_chunk(args):
     cfg, plans, centers, samples = args
     best = [[0.0] * len(samples) for _ in plans]
     for t, i, lift in _chunk_lifts(cfg, plans, samples, cfg.times):
-        eps = plans[i].eps
-        stats = fluctuation_statistic(lift, cfg.scheme, eps, t, cfg.alpha, centers[eps, t])
+        stats = fluctuation_statistic(lift, cfg.alpha, centers[plans[i].eps, t])
         # max(b, nan) is b: a NaN at any time makes the sample's statistic NaN
         best[i] = [stat if math.isnan(stat) else max(b, stat) for b, stat in zip(best[i], stats)]
         del lift                                  # before the next lift is made
@@ -514,7 +506,7 @@ def fluctuation_experiment(cfg: ExperimentConfig) -> RunRecord:
     table = lambda_decay_table(cfg)
     # the statistic's centring constant Lambda_eps(t), the table's, per (eps, t)
     centers = {(row["eps"], row["t"]): row["lambda_eps"] for row in table["rows"]}
-    plans = [_lift_plan(cfg, eps) for eps in cfg.eps_ladder]
+    plans = [LiftPlan(cfg.scheme, eps, cfg.N, cfg.M) for eps in cfg.eps_ladder]
     chunks = _pool_map(_fluctuation_chunk, [
         (cfg, plans, centers, samples) for samples in _chunks(cfg.samples)])
     rows = [r for per_eps in zip(*chunks) for chunk in per_eps for r in chunk]
@@ -555,8 +547,8 @@ def _lift_chunk(args):
     """The rows of ``samples``: one lift of their reference fields at t."""
     cfg, plan, t, center, samples = args
     (_, _, lift), = _chunk_lifts(cfg, [plan], samples, (t,))
-    dxx = d_eps_xx(lift, cfg.scheme, plan.eps)
-    stats = fluctuation_statistic(lift, cfg.scheme, plan.eps, t, cfg.alpha, center, dxx)
+    dxx = d_eps_xx(lift)
+    stats = fluctuation_statistic(lift, cfg.alpha, center, dxx)
     return [{"eps": plan.eps, "t": t, "sample": s, "statistic": stat,
              "dxx_trace_mean": float(np.trace(values.mean(axis=0)) / cfg.model.n)}
             for s, stat, values in zip(samples, stats, dxx.values)]
@@ -568,7 +560,7 @@ def lift_experiment(cfg: ExperimentConfig) -> RunRecord:
     eps = cfg.eps_ladder[0]
     t = cfg.times[-1]
     center = lambda_eps(cfg.scheme, eps, t, cfg.N)
-    plan = _lift_plan(cfg, eps)
+    plan = LiftPlan(cfg.scheme, eps, cfg.N, cfg.M)
     rows = [r for chunk in _pool_map(_lift_chunk, [
         (cfg, plan, t, center, samples) for samples in _chunks(cfg.samples)]) for r in chunk]
     mean, se, nkept = mean_and_se([r["statistic"] for r in rows])
@@ -618,16 +610,14 @@ def upsilon_diagnostic(traj: Trajectory, config: SolverConfig,
     if reference.times[:len(traj.times)] != traj.times:
         raise ValueError("reference times do not begin with the trajectory's")
     model = config.model
-    eps = config.eps
-    plan = _lift_plan(config, eps)
+    plan = LiftPlan(config.scheme, config.eps, config.N, config.M)
 
     def integrand(transform, i):
         u_grid = transform.to_grid(traj.coeffs[i])
         theta = model.theta(u_grid)
         DG = model.DG(u_grid)
-        state = state_from_coeffs(reference.coeffs[i], config.scheme, eps, traj.times[i])
-        lift = lift_XX(state, plan=plan)
-        D = d_eps_xx(lift, config.scheme, eps).values       # (M, n, n)
+        lift = lift_XX(plan, state_from_coeffs(plan, reference.coeffs[i]))
+        D = d_eps_xx(lift).values                           # (M, n, n)
         return np.einsum("dijm,dlm,mlk,jkm->im", DG, theta, D, theta)
 
     return _left_rule(traj, config, integrand)

@@ -138,6 +138,12 @@ class AtomicSignedMeasure:
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms])
 
+    @property
+    def shifting_atoms(self) -> tuple:
+        """The atoms (z, w) with z != 0 and w != 0, in order: the ones that
+        move a field, the only ones Lambda, Lambda_eps and D_eps XX read."""
+        return tuple((z, w) for z, w in self.atoms if z != 0.0 and w != 0.0)
+
     def total_mass(self) -> float:
         return float(math.fsum(w for _, w in self.atoms))
 

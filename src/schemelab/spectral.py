@@ -9,11 +9,11 @@ reads  sum |uhat|^2 = (2 pi / M) sum_m |u(x_m)|^2  for band-limited data,
 and the heat semigroup acts modewise as exp(-k^2 f(eps k) t).
 
 A field is its array.  The fields are real (uhat(-k) = conj uhat(k)), so
-a spectral field is its half spectrum, modes 0..N, (n, N+1) complex with a
-real mode 0, the layout of ``Transform``, ``to_physical`` and
-``semigroup_apply``; a grid field is its (n, M) float values at the x_m.
-``sobolev_minus_alpha_norm`` alone reads the full layout -K..K (..., 2K+1)
-of ``full_spectrum``, in which the lift holds its product modes.
+a spectral field is its half spectrum, modes 0..N, (..., N+1) complex with
+a real mode 0, the layout every function here takes and returns; a grid
+field is its (n, M) float values at the x_m.  ``full_spectrum`` gives the
+modes -N..N of a half spectrum, for the one sum that runs over them, the
+m = 0 block of the lift.
 """
 
 from __future__ import annotations
@@ -124,13 +124,16 @@ def semigroup_apply(half: np.ndarray, scheme: CutoffScheme, eps: float,
 
 
 def sobolev_minus_alpha_norm(coeffs: np.ndarray, alpha: float) -> np.ndarray:
-    """Negative Sobolev norm ( sum_k (1+k^2)^{-alpha} |uhat(k)|^2 )^(1/2) of
-    each row of coefficients -K..K (..., 2K+1), summed along its mode axis
-    (contiguous rows keep the bits of one-row arrays)."""
+    """Negative Sobolev norm ( sum_{|k| <= K} (1+k^2)^{-alpha} |uhat(k)|^2 )^(1/2)
+    of each real field with modes 0..K (..., K+1): mode 0 counts once, every
+    mode above it twice, for itself and its conjugate.  Summed along the mode
+    axis (contiguous rows keep the bits of one-row arrays)."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    k = np.arange(-(coeffs.shape[-1] // 2), coeffs.shape[-1] // 2 + 1, dtype=float)
-    return np.sqrt(((1.0 + k * k) ** (-alpha) * np.abs(coeffs) ** 2).sum(axis=-1))
+    k = np.arange(coeffs.shape[-1], dtype=float)
+    weight = 2.0 * (1.0 + k * k) ** (-alpha)
+    weight[0] = 1.0
+    return np.sqrt((weight * np.abs(coeffs) ** 2).sum(axis=-1))
 
 
 def _pair_distances(M: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from schemelab.lift import LiftSample, ModeState, OffsetLift, mode_amplitudes
+from schemelab.lift import LiftSample, OffsetLift, mode_amplitudes
 from schemelab.roughpath import RoughPathSample
 from schemelab.spectral import REALITY_TOL, grid_points
 
@@ -60,57 +60,48 @@ def xx_coeffs(a: np.ndarray, ls: np.ndarray, u: float) -> np.ndarray:
     return out
 
 
-def lift_XX(state: ModeState, M: int | None = None, offsets=None, *, plan=None) -> LiftSample:
-    """The lift of ``state`` over each shift in ``offsets``, one shift at a
-    time; same contract as ``schemelab.lift.lift_XX``, with every grid value
-    evaluated at once and a ``plan`` read for its M and shifts only.  A chunk
-    is lifted one sample at a time."""
-    if plan is not None:
-        M, offsets = plan.M, plan.offsets
-    if state.xi.ndim == 3:
-        lifts = [lift_XX(ModeState(xi, state.scheme, state.eps, state.t), M, offsets)
-                 for xi in state.xi]
+def lift_XX(plan, xi: np.ndarray) -> LiftSample:
+    """The lift of the state ``xi`` over each shift of ``plan``, one shift at
+    a time; same contract as ``schemelab.lift.lift_XX``, with every shift,
+    the grid spacing too, and every grid value evaluated at once, and the
+    plan read for its scheme, eps, N, M and shifts only.  A chunk is lifted
+    one sample at a time."""
+    xi = np.asarray(xi, dtype=complex)
+    if xi.ndim == 3:
+        lifts = [lift_XX(plan, one) for one in xi]
         table = {}
         for u in lifts[0].offsets:
-            table[u] = OffsetLift(u, np.stack([s.offsets[u].coeffs for s in lifts]), None, None)
+            table[u] = OffsetLift(np.stack([s.offsets[u].coeffs for s in lifts]), None)
             table[u].values = np.stack([s.offsets[u].values for s in lifts])
-        chunk = LiftSample(state=state, M=M, offsets=table, plan=None)
+        chunk = LiftSample(plan, xi, table)
         chunk.rough = [s.rough for s in lifts]
         return chunk
-    N, n = state.N, state.n
+    N, M = plan.N, plan.M
     if M < 2 * N + 1:
         raise ValueError(f"grid size {M} too small for max mode {N}")
-    q = mode_amplitudes(state.scheme, state.eps, N)
+    q = mode_amplitudes(plan.scheme, plan.eps, N)
     ls = np.arange(-N, N + 1)
-    a = np.zeros((2 * N + 1, n), dtype=complex)
-    a[N:] = q[:, None] * state.xi
+    a = np.zeros((2 * N + 1, xi.shape[1]), dtype=complex)
+    a[N:] = q[:, None] * xi
     a[:N] = np.conj(a[N + 1:])[::-1]
-
-    dx = 2.0 * np.pi / M
-    offsets = list(offsets)
-    grid_key = None
-    for u in offsets:
-        if abs(u - dx) <= 1e-12:
-            grid_key = float(u)
-    if grid_key is None:
-        raise ValueError("offsets must include the grid spacing 2*pi/M")
 
     table = {}
     ms = np.arange(-2 * N, 2 * N + 1)
-    for u in offsets:
+    for u in plan.us:
         C = xx_coeffs(a, ls, float(u))
         vals = eval_modes_on_grid(np.moveaxis(C, 0, -1), ms, M)   # (n, n, M)
         scale = max(1.0, float(np.abs(vals.real).max()))
         if float(np.abs(vals.imag).max()) > REALITY_TOL * scale:
             raise FloatingPointError("lift lost the reality constraint")
-        table[float(u)] = OffsetLift(u=float(u), coeffs=C, half=None, grid=None)
+        # the package's layout: modes 0..2N on the last axis
+        table[float(u)] = OffsetLift(coeffs=np.moveaxis(C[2 * N:], 0, -1), grid=None)
         table[float(u)].values = np.moveaxis(vals.real, -1, 0)
 
     field_vals = eval_modes_on_grid(a.T, ls, M).real.T          # (M, n)
-    lift = LiftSample(state=state, M=M, offsets=table, plan=None)
+    lift = LiftSample(plan, xi, table)
     lift.rough = RoughPathSample(
         x=grid_points(M),
         X=field_vals,
-        XXinc=table[grid_key].values,
+        XXinc=table[plan.us[-1]].values,
     )
     return lift

@@ -11,8 +11,8 @@ Tests compare the chunked experiments' rows with these, bit for bit.
 
 Before one chunk made one pass over the whole eps ladder,
 ``fluctuation_experiment`` mapped (eps, chunk) pairs over the pool: each
-pair drew its chunk's increments from fresh generators, lifted without a
-plan and summed the statistic one sample and one matrix entry at a time
+pair drew its chunk's increments from fresh generators, lifted by a plan of
+its own and summed the statistic one sample and one matrix entry at a time
 through ``sobolev_minus_alpha_norm``.  ``fluctuation_rows`` is that path.
 """
 
@@ -24,8 +24,7 @@ import numpy as np
 
 from schemelab.correction import lambda_eps
 from schemelab.experiments import _chunks, sample_rng
-from schemelab.lift import (ModeState, d_eps_xx, draw_increments, evolve_modes, lift_offsets,
-                            lift_XX)
+from schemelab.lift import LiftPlan, d_eps_xx, draw_increments, evolve_modes, lift_XX
 from schemelab.solver import (
     NoiseStream,
     Trajectory,
@@ -125,15 +124,15 @@ def correction_row(cfg, Lambda1, s):
 
 # -- one (eps, chunk) pair at a time ---------------------------------------------
 
-def _statistics(lift, cfg, eps, center):
+def _statistics(lift, cfg, center):
     """The fluctuation statistic of each sample of a chunk's lift, one
     matrix entry at a time."""
-    coeffs = d_eps_xx(lift, cfg.scheme, eps).coeffs.copy()
-    N, n = cfg.N, cfg.model.n
-    coeffs[..., 2 * N, range(n), range(n)] -= center
+    coeffs = d_eps_xx(lift).coeffs.copy()
+    n = cfg.model.n
+    coeffs[..., range(n), range(n), 0] -= center
     stats = []
     for c in coeffs:
-        entries = (SQRT_2PI * c[:, i, j] for i in range(n) for j in range(n))
+        entries = (SQRT_2PI * c[i, j] for i in range(n) for j in range(n))
         stats.append(float(np.sqrt(sum(sobolev_minus_alpha_norm(e, cfg.alpha) ** 2
                                        for e in entries))))
     return stats
@@ -145,13 +144,13 @@ def fluctuation_rows(cfg):
     for eps in cfg.eps_ladder:
         for samples in _chunks(cfg.samples):
             rngs = [sample_rng(cfg.master_seed, s) for s in samples]
-            state = ModeState(np.zeros((len(rngs), cfg.N + 1, cfg.model.n)), cfg.scheme, eps, 0.0)
+            plan = LiftPlan(cfg.scheme, eps, cfg.N, cfg.M)
+            xi = np.zeros((len(rngs), cfg.N + 1, cfg.model.n), dtype=complex)
             best, prev = [0.0] * len(samples), 0.0
             for t in cfg.times:
                 increments = np.stack([draw_increments(rng, cfg.N, cfg.model.n) for rng in rngs])
-                state, prev = evolve_modes(state, t - prev, increments), t
-                lift = lift_XX(state, cfg.M, lift_offsets(cfg.scheme, eps, cfg.M))
-                stats = _statistics(lift, cfg, eps, lambda_eps(cfg.scheme, eps, t, cfg.N))
+                xi, prev = evolve_modes(plan, xi, t - prev, increments), t
+                stats = _statistics(lift_XX(plan, xi), cfg, lambda_eps(cfg.scheme, eps, t, cfg.N))
                 best = [stat if math.isnan(stat) else max(b, stat) for b, stat in zip(best, stats)]
             rows += [{"eps": eps, "sample": s, "statistic": b} for s, b in zip(samples, best)]
     return rows

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lift_oracle import lift_XX
-from schemelab.lift import d_eps_xx, lift_offsets, state_from_coeffs
+from schemelab.lift import LiftPlan, d_eps_xx, state_from_coeffs
 from schemelab.models import ModelFunctions
 from schemelab.schemes import (
     derivative_multiplier,
@@ -192,15 +192,14 @@ def upsilon_diagnostic(traj: Trajectory, config: SolverConfig) -> np.ndarray:
     ops = Operators(config)
     model, eps = config.model, config.eps
     t_final = traj.times[-1]
-    offsets = lift_offsets(config.scheme, eps, config.M)
+    plan = LiftPlan(config.scheme, eps, config.N, config.M)
     acc = np.zeros((model.n, 2 * config.N + 1), dtype=complex)
     lap = laplacian_multiplier(config.scheme, ops.ks, eps)
     for i in range(len(traj.times) - 1):
         s = traj.times[i]
         u_grid = ops.to_grid(full_spectrum(traj.coeffs[i]))
         theta = model.theta(u_grid)
-        state = state_from_coeffs(traj.X_coeffs[i], config.scheme, eps, s)
-        D = d_eps_xx(lift_XX(state, config.M, offsets), config.scheme, eps).values
+        D = d_eps_xx(lift_XX(plan, state_from_coeffs(plan, traj.X_coeffs[i]))).values
         integrand = np.einsum("dijm,dlm,mlk,jkm->im", model.DG(u_grid), theta, D, theta)
         acc += ((traj.times[i + 1] - s) * np.exp(lap * (t_final - s))
                 * ops.to_coeffs(integrand))

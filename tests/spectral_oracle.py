@@ -6,9 +6,12 @@ before one real-FFT ``schemelab.spectral.Transform`` and one blocked pair
 kernel replaced them: ``to_physical`` evaluates the full -N..N spectrum with
 a complex inverse FFT and keeps the real part, ``to_spectral`` takes a full
 complex FFT and symmetrises, and every estimator loops over its start points
-one at a time.  They are deliberately slow and simple.  Fields are arrays,
-as in the package: coefficients -N..N (n, 2N+1) here, grid values (n, M);
-``half_spectrum`` gives the package's modes 0..N of the former.
+one at a time; ``sobolev_minus_alpha_norm`` sums over the full spectrum, in
+which the lift once held its product modes.  They are deliberately slow and
+simple.  Fields are arrays, as in the package: coefficients -N..N
+(..., 2N+1) here, grid values (n, M); ``half_spectrum`` gives the package's
+modes 0..N of the former and ``schemelab.spectral.full_spectrum`` their
+inverse.
 """
 
 from __future__ import annotations
@@ -44,6 +47,15 @@ def to_spectral(values: np.ndarray, N: int) -> np.ndarray:
     coeffs = F[:, np.mod(ks, M)] * np.where(ks % 2 == 0, 1.0, -1.0)
     coeffs *= SQRT_2PI / M
     return 0.5 * (coeffs + np.conj(coeffs[:, ::-1]))
+
+
+def sobolev_minus_alpha_norm(coeffs: np.ndarray, alpha: float) -> np.ndarray:
+    """( sum_k (1+k^2)^{-alpha} |uhat(k)|^2 )^(1/2) of each row of
+    coefficients -K..K (..., 2K+1)."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    k = np.arange(-(coeffs.shape[-1] // 2), coeffs.shape[-1] // 2 + 1, dtype=float)
+    return np.sqrt(((1.0 + k * k) ** (-alpha) * np.abs(coeffs) ** 2).sum(axis=-1))
 
 
 def _pair_distances(M: int) -> np.ndarray:

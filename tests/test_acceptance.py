@@ -17,7 +17,7 @@ from schemelab.experiments import (
     rate_fit,
 )
 from schemelab.lift import (
-    ModeState,
+    LiftPlan,
     draw_increments,
     evolve_modes,
     lift_XX,
@@ -43,12 +43,15 @@ def _report(criterion, ok, detail):
     return ok
 
 
-def _random_lift(seed, N, M, n, eps=0.1, t=0.5, scheme=None, offsets=()):
-    scheme = scheme or make_scheme("forward_difference")
-    rng = np.random.default_rng(seed)
-    state = ModeState.zero(scheme, eps, N, n)
-    state = evolve_modes(state, t, draw_increments(rng, N, n))
-    return lift_XX(state, M, [2 * np.pi / M, *offsets])
+def _random_state(plan, rng, n, t):
+    """The state of ``plan``'s field at t, one transition from zero."""
+    zero = np.zeros((plan.N + 1, n), dtype=complex)
+    return evolve_modes(plan, zero, t, draw_increments(rng, plan.N, n))
+
+
+def _random_lift(seed, N, M, n, eps=0.1, t=0.5, scheme=None):
+    plan = LiftPlan(scheme or make_scheme("forward_difference"), eps, N, M)
+    return lift_XX(plan, _random_state(plan, np.random.default_rng(seed), n, t))
 
 
 def _sincos_rough(M):
@@ -57,8 +60,7 @@ def _sincos_rough(M):
     xi = np.zeros((3, 2), dtype=complex)
     xi[1, 0] = 1.0 / (2j * q[1])
     xi[1, 1] = 1.0 / (2.0 * q[1])
-    state = ModeState(xi, scheme, 0.1, 1.0)
-    return lift_XX(state, M, [2 * np.pi / M]).rough
+    return lift_XX(LiftPlan(scheme, 0.1, 2, M), xi).rough
 
 
 def test_criterion_1_chen_relation():
@@ -79,15 +81,14 @@ def test_criterion_2_scalar_geometricity():
     scheme = make_scheme("forward_difference")
     eps, N, M = 0.1, 256, 640
     worst_rel = 0.0
+    plan = LiftPlan(scheme, eps, N, M)
     for s in range(20):
-        rng = np.random.default_rng(2000 + s)
-        state = ModeState.zero(scheme, eps, N, 1)
-        state = evolve_modes(state, 0.5, draw_increments(rng, N, 1))
-        lift = lift_XX(state, M, [2 * np.pi / M, eps])
+        xi = _random_state(plan, np.random.default_rng(2000 + s), 1, 0.5)
+        lift = lift_XX(plan, xi)
         ks = np.arange(-N, N + 1)
         q = mode_amplitudes(scheme, eps, N)
-        a = np.concatenate([np.conj((q[1:] * state.xi[1:, 0]))[::-1],
-                            q * state.xi[:, 0]])
+        a = np.concatenate([np.conj((q[1:] * xi[1:, 0]))[::-1],
+                            q * xi[:, 0]])
         for u in (2 * np.pi / M, eps):
             xs = lift.rough.x
             Xu = np.real(np.exp(1j * np.outer(xs + u, ks)) @ a)
@@ -106,15 +107,14 @@ def test_criterion_3_lift_oracle_equivalence():
     for seed, (n, N) in enumerate([(1, 4), (1, 8), (2, 16)]):
         scheme = make_scheme("forward_difference")
         rng = np.random.default_rng(3000 + seed)
-        state = ModeState.zero(scheme, 0.25, N, n)
-        state = evolve_modes(state, 0.7, draw_increments(rng, N, n))
         M = 64
+        xi = _random_state(LiftPlan(scheme, 0.25, N, M), rng, n, 0.7)
         for u in (0.9, 0.37):
-            lift = lift_XX(state, M, [2 * np.pi / M, u])
+            lift = lift_XX(LiftPlan(scheme, 0.25, N, M, shifts=(u,)), xi)
             ks = np.arange(-N, N + 1)
             q = mode_amplitudes(scheme, 0.25, N)
             a = np.zeros((2 * N + 1, n), dtype=complex)
-            a[N:] = q[:, None] * state.xi
+            a[N:] = q[:, None] * xi
             a[:N] = np.conj(a[N + 1:])[::-1]
             for idx in (3, 40):
                 x0 = lift.rough.x[idx]
@@ -181,14 +181,15 @@ def test_criterion_7_mode_covariance():
     sums = {(k, t): np.zeros((n, n), dtype=complex) for k in ks for t in stages}
     sqsums = {(k, t): np.zeros((n, n)) for k in ks for t in stages}
     rng = np.random.default_rng(7007)
+    plan = LiftPlan(scheme, 0.1, N, 2 * N + 1)
     for _ in range(S):
-        state = ModeState.zero(scheme, 0.1, N, n)
+        xi = np.zeros((N + 1, n), dtype=complex)
         prev = 0.0
         for t in stages:
-            state = evolve_modes(state, t - prev, draw_increments(rng, N, n))
+            xi = evolve_modes(plan, xi, t - prev, draw_increments(rng, N, n))
             prev = t
             for k in ks:
-                outer = np.outer(state.xi[k], np.conj(state.xi[k]))
+                outer = np.outer(xi[k], np.conj(xi[k]))
                 sums[(k, t)] += outer
                 sqsums[(k, t)] += np.abs(outer) ** 2
     ok = True

@@ -51,7 +51,14 @@ def schema_rows(table=schema.TOP, prefix=""):
             yield from schema_rows(row.type, f"{prefix}{row.key}.")
 
 
-DELETE = object()
+class _Delete:
+    """The sentinel that removes a key; its repr keeps the test ids stable."""
+
+    def __repr__(self):
+        return "DELETE"
+
+
+DELETE = _Delete()
 WRONG_TYPE = {"int": [1.5, True, "1"], "float": [True, "1", None], "bool": ["no", "false", 0],
               "str": [1, None], "floats": [None, [True], 0.5], "pairs": [[[1.0]], None],
               "object": [[], None]}

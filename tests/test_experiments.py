@@ -194,6 +194,25 @@ class TestConvergeExperiment:
         assert payload["kind"] == "converge"
         assert payload["samples"] == len(record.per_sample)
 
+    def test_record_times_default_to_the_final_time(self):
+        # a config built in code without record_times records at T, as a
+        # config file without the key does; an empty default read as
+        # "every sample truncated" once
+        from schemelab.config import parse_config
+
+        cfg = ExperimentConfig(kind="converge", scheme=make_scheme("forward_difference"),
+                               model=make_model(1, G="state", theta="one"), eps_ladder=(0.5,),
+                               samples=1, master_seed=3, N=8, M=32, T=0.01)
+        loaded = parse_config({"version": 1, "kind": "converge", "seed": 3,
+                               "scheme": {"name": "forward_difference"},
+                               "model": {"G": "state"}, "experiment": {"eps_ladder": [0.5]},
+                               "solver": {"N": 8, "M": 32, "T": 0.01}})
+        assert cfg.record_times == loaded.record_times == (0.01,)
+        assert cfg.config_hash() == loaded.config_hash()
+        record = converge_experiment(cfg)
+        assert [a["truncated_fraction"] for a in record.aggregates] == [0.0]
+        assert [r["last_common_time"] for r in record.per_sample] == [0.01]
+
     def test_split_half_independence(self):
         cfg = small_cfg("converge", samples=8, eps_ladder=(0.25,))
         record = converge_experiment(cfg)
@@ -255,25 +274,25 @@ class TestFluctuationExperiment:
 
         cfg = small_cfg("fluctuation", samples=3, eps_ladder=(0.25, 0.125),
                         N=12, M=48, times=(0.1, 0.3))
-        pairs = []
+        pairs, centres = [], []
 
         def counted(scheme, eps, t, N):
             pairs.append((eps, t))
             return lambda_eps(scheme, eps, t, N)
 
-        def per_lift(*args):
-            raise AssertionError("lambda_eps called once per lift")
+        def recorded(lifted, alpha, center, *args):
+            centres.append((lifted.plan.eps, center))
+            return lift.fluctuation_statistic(lifted, alpha, center, *args)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(experiments, "lambda_eps", counted)
-            patch.setattr(lift, "lambda_eps", per_lift)
-            rows = fluctuation_experiment(cfg).per_sample
+        monkeypatch.setattr(experiments, "lambda_eps", counted)
+        monkeypatch.setattr(experiments, "fluctuation_statistic", recorded)
+        fluctuation_experiment(cfg)
         # the decay table's values are the centring constants: each pair once
         assert sorted(pairs) == sorted(set(pairs)) and len(pairs) == 4
-        # the same rows as when the statistic computes its own constant
-        monkeypatch.setattr(experiments, "fluctuation_statistic",
-                            lambda *args: lift.fluctuation_statistic(*args[:5]))
-        assert fluctuation_experiment(cfg).per_sample == rows
+        # each lift, time by time and eps by eps, is centred by its own
+        # Lambda_eps(t)
+        assert centres == [(eps, lambda_eps(cfg.scheme, eps, t, cfg.N))
+                           for t in cfg.times for eps in cfg.eps_ladder]
 
     @pytest.mark.parametrize("nan_time", [0.1, 0.3])
     def test_nan_at_any_time_makes_the_sample_nan(self, monkeypatch, nan_time):
@@ -282,10 +301,11 @@ class TestFluctuationExperiment:
         cfg = small_cfg("fluctuation", samples=3, eps_ladder=(0.25, 0.125, 0.0625),
                         N=12, M=48, times=(0.1, 0.3))
         clean = fluctuation_experiment(cfg)
+        nan_center = lambda_eps(cfg.scheme, 0.125, nan_time, cfg.N)
 
-        def one_nan(lifted, scheme, eps, t, *args):
-            stats = lift.fluctuation_statistic(lifted, scheme, eps, t, *args)
-            return [math.nan if (eps, t, s) == (0.125, nan_time, 1) else v
+        def one_nan(lifted, alpha, center, *args):
+            stats = lift.fluctuation_statistic(lifted, alpha, center, *args)
+            return [math.nan if (lifted.plan.eps, center, s) == (0.125, nan_center, 1) else v
                     for s, v in enumerate(stats)]
 
         monkeypatch.setattr(experiments, "fluctuation_statistic", one_nan)

@@ -15,18 +15,14 @@ import lift_oracle as oracle
 from strategies import schemes
 from schemelab import experiments
 from schemelab.correction import lambda_eps
-from schemelab.experiments import (ExperimentConfig, _fluctuation_chunk, _lift_plan,
-                                   lift_experiment)
+from schemelab.experiments import ExperimentConfig, _fluctuation_chunk, lift_experiment
 from schemelab.lift import (
     LiftPlan,
-    ModeState,
     d_eps_xx,
     draw_increments,
     evolve_modes,
     fluctuation_statistic,
-    lift_offsets,
     lift_XX,
-    mode_amplitudes,
 )
 from schemelab.models import ModelFunctions
 from schemelab.schemes import make_scheme
@@ -48,18 +44,18 @@ def gap_within(new, old, slack=0.0):
     return gap <= RTOL * float(np.abs(old).max()) + ROUND * slack + TINY
 
 
-def term_scale(state, u):
+def term_scale(plan, xi, u):
     """(sum_l |a_l|)(sum_l |l a_l|)(2 + |u|) over l = -N..N, a_l = q_l xi_l."""
-    a = np.abs(mode_amplitudes(state.scheme, state.eps, state.N)[:, None] * state.xi)
-    l = np.arange(state.N + 1)[:, None]
+    a = np.abs(plan.q[:, None] * xi)
+    l = np.arange(plan.N + 1)[:, None]
     return float((a[0] + 2 * a[1:].sum(axis=0)).max()
                  * (2 * l * a).sum(axis=0).max() * (2.0 + abs(u)))
 
 
 @st.composite
 def lift_cases(draw):
-    """A random state, grid and shift list: M from the edge 2N+1 upward,
-    shifts covering zero, negative, off-grid and |u| > pi."""
+    """A plan and a random state: M from the edge 2N+1 upward, extra shifts
+    covering zero, negative, off-grid and |u| > pi."""
     n = draw(st.sampled_from([1, 2, 3]))
     N = draw(st.integers(1, 12))
     M = 2 * N + 1 + draw(st.integers(0, 2 * N + 3))
@@ -67,39 +63,41 @@ def lift_cases(draw):
     eps = draw(st.floats(0.05, 0.5))
     t = draw(st.floats(0.05, 2.0))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    state = evolve_modes(ModeState.zero(scheme, eps, N, n), t, draw_increments(rng, N, n))
     extra = draw(st.lists(st.one_of(st.just(0.0), st.floats(-7.0, 7.0)), max_size=3))
-    return state, M, lift_offsets(scheme, eps, M) + extra
+    plan = LiftPlan(scheme, eps, N, M, extra)
+    zero = np.zeros((N + 1, n), dtype=complex)
+    return plan, evolve_modes(plan, zero, t, draw_increments(rng, N, n)), t
 
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(lift_cases())
 def test_lift_matches_oracle(case):
-    state, M, offsets = case
-    new, old = lift_XX(state, M, offsets), oracle.lift_XX(state, M, offsets)
-    width = 4 * state.N + 1
+    plan, xi, t = case
+    new, old = lift_XX(plan, xi), oracle.lift_XX(plan, xi)
+    width = 4 * plan.N + 1
     # the grid-spacing shift is made on first read, the other shifts at once
     assert set(new.offsets) <= set(old.offsets)
     for u, entry in old.offsets.items():
         assert new.offset(u).coeffs.shape == entry.coeffs.shape
         assert new.offset(u).values.shape == entry.values.shape
-        assert gap_within(new.offset(u).coeffs, entry.coeffs, term_scale(state, u))
+        assert gap_within(new.offset(u).coeffs, entry.coeffs, term_scale(plan, xi, u))
         assert gap_within(new.offset(u).values, entry.values,
-                          width * term_scale(state, u))
+                          width * term_scale(plan, xi, u))
     assert np.array_equal(new.rough.x, old.rough.x)
     assert gap_within(new.rough.X, old.rough.X)
     assert gap_within(new.rough.XXinc, old.rough.XXinc,
-                      width * term_scale(state, offsets[0]))
+                      width * term_scale(plan, xi, plan.us[-1]))
 
-    scheme, eps, t = state.scheme, state.eps, state.t
-    slack = sum(abs(w) * term_scale(state, eps * z) for z, w in scheme.mu.atoms) / eps
-    dn, do = d_eps_xx(new, scheme, eps), d_eps_xx(old, scheme, eps)
+    scheme, eps = plan.scheme, plan.eps
+    slack = sum(abs(w) * term_scale(plan, xi, eps * z) for z, w in scheme.mu.atoms) / eps
+    dn, do = d_eps_xx(new), d_eps_xx(old)
     assert gap_within(dn.coeffs, do.coeffs, slack)
     assert gap_within(dn.values, do.values, width * slack)
-    assert gap_within(fluctuation_statistic(new, scheme, eps, t, 0.45),
-                      fluctuation_statistic(old, scheme, eps, t, 0.45),
-                      state.n * width * slack)
+    center = lambda_eps(scheme, eps, t, plan.N)
+    assert gap_within(fluctuation_statistic(new, 0.45, center),
+                      fluctuation_statistic(old, 0.45, center),
+                      xi.shape[1] * width * slack)
 
 
 def test_grid_spacing_shift_made_on_first_read_matches_oracle():
@@ -109,13 +107,12 @@ def test_grid_spacing_shift_made_on_first_read_matches_oracle():
     scheme, eps, N, M, n = make_scheme("central_difference"), 0.2, 12, 30, 2
     rng = np.random.default_rng(4)
     increments = np.stack([draw_increments(rng, N, n) for _ in range(3)])
-    state = evolve_modes(ModeState(np.zeros_like(increments), scheme, eps, 0.0), 0.4, increments)
-    offsets = lift_offsets(scheme, eps, M)
-    new = lift_XX(state, plan=LiftPlan(scheme, eps, N, M, offsets))
-    old = oracle.lift_XX(state, M, offsets)
+    plan = LiftPlan(scheme, eps, N, M)
+    xi = evolve_modes(plan, np.zeros_like(increments), 0.4, increments)
+    new, old = lift_XX(plan, xi), oracle.lift_XX(plan, xi)
     dx = 2 * np.pi / M
-    assert dx not in new.offsets and len(new.offsets) == len(offsets) - 1
-    slack = max(term_scale(ModeState(xi, scheme, eps, state.t), dx) for xi in state.xi)
+    assert dx not in new.offsets and len(new.offsets) == len(plan.us) - 1
+    slack = max(term_scale(plan, one, dx) for one in xi)
     assert gap_within(new.offset(dx).coeffs, old.offset(dx).coeffs, slack)
     assert gap_within(new.offset(dx).values, old.offset(dx).values, (4 * N + 1) * slack)
     for a, b in zip(new.rough, old.rough, strict=True):
@@ -147,7 +144,7 @@ def assert_rows_close(new, old):
 
 def test_fluctuation_rows_match_oracle(monkeypatch):
     cfg = small_cfg("fluctuation")
-    args = ([_lift_plan(cfg, eps) for eps in cfg.eps_ladder],
+    args = ([LiftPlan(cfg.scheme, eps, cfg.N, cfg.M) for eps in cfg.eps_ladder],
             {(eps, t): lambda_eps(cfg.scheme, eps, t, cfg.N)
              for eps in cfg.eps_ladder for t in cfg.times})
     new = [row for rows in _fluctuation_chunk((cfg, *args, range(cfg.samples))) for row in rows]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schemelab.lift import ModeState, draw_increments, evolve_modes, lift_XX, mode_amplitudes
+from schemelab.lift import LiftPlan, draw_increments, evolve_modes, lift_XX, mode_amplitudes
 from schemelab.roughpath import (
     ControlledPath,
     RoughPathSample,
@@ -21,10 +21,9 @@ from schemelab.schemes import make_function, make_scheme
 
 
 def gaussian_rough(rng, N=48, M=256, n=1, eps=0.1, t=0.5, scheme=None):
-    scheme = scheme or make_scheme("forward_difference")
-    state = ModeState.zero(scheme, eps, N, n)
-    state = evolve_modes(state, t, draw_increments(rng, N, n))
-    return lift_XX(state, M, [2 * np.pi / M]).rough
+    plan = LiftPlan(scheme or make_scheme("forward_difference"), eps, N, M)
+    xi = evolve_modes(plan, np.zeros((N + 1, n), dtype=complex), t, draw_increments(rng, N, n))
+    return lift_XX(plan, xi).rough
 
 
 def sincos_rough(M=256):
@@ -35,8 +34,7 @@ def sincos_rough(M=256):
     xi = np.zeros((N + 1, 2), dtype=complex)
     xi[1, 0] = 1.0 / (2j * q[1])
     xi[1, 1] = 1.0 / (2.0 * q[1])
-    state = ModeState(xi, scheme, eps, 1.0)
-    return lift_XX(state, M, [2 * np.pi / M]).rough
+    return lift_XX(LiftPlan(scheme, eps, N, M), xi).rough
 
 
 def coarsen(rp: RoughPathSample, s: int) -> RoughPathSample:

@@ -16,6 +16,7 @@ from schemelab.spectral import (
     sobolev_minus_alpha_norm,
     to_physical,
 )
+import spectral_oracle
 from spectral_oracle import half_spectrum
 
 
@@ -142,16 +143,20 @@ class TestSemigroup:
 
 class TestNorms:
     def test_sobolev_single_coefficient(self):
-        c = np.zeros(11, dtype=complex)
-        c[8] = 1.0   # mode +3
-        assert sobolev_minus_alpha_norm(c, 0.45) == pytest.approx((1.0 + 9.0) ** (-0.225))
+        c = np.zeros(6, dtype=complex)
+        c[3] = 1.0   # modes +3 and -3
+        assert sobolev_minus_alpha_norm(c, 0.45) == pytest.approx(
+            np.sqrt(2.0) * (1.0 + 9.0) ** (-0.225))
+        c = np.zeros(6, dtype=complex)
+        c[0] = 2.0   # mode 0 alone
+        assert sobolev_minus_alpha_norm(c, 0.45) == 2.0
 
     def test_sobolev_zero(self):
-        assert np.all(sobolev_minus_alpha_norm(np.zeros((2, 11), dtype=complex), 0.3) == 0.0)
+        assert np.all(sobolev_minus_alpha_norm(np.zeros((2, 6), dtype=complex), 0.3) == 0.0)
 
     def test_sobolev_parseval_additivity(self):
-        c1 = np.zeros(11, dtype=complex); c1[7] = 2.0
-        c2 = np.zeros(11, dtype=complex); c2[9] = 1.5
+        c1 = np.zeros(6, dtype=complex); c1[2] = 2.0
+        c2 = np.zeros(6, dtype=complex); c2[4] = 1.5
         a = sobolev_minus_alpha_norm(c1, 0.4)
         b = sobolev_minus_alpha_norm(c2, 0.4)
         both = sobolev_minus_alpha_norm(c1 + c2, 0.4)
@@ -159,11 +164,25 @@ class TestNorms:
 
     def test_sobolev_rows_of_a_batch_are_the_one_row_fields_bit_for_bit(self):
         rng = np.random.default_rng(5)
-        c = rng.standard_normal((3, 2, 4, 33)) + 1j * rng.standard_normal((3, 2, 4, 33))
+        c = rng.standard_normal((3, 2, 4, 17)) + 1j * rng.standard_normal((3, 2, 4, 17))
         norms = sobolev_minus_alpha_norm(c, 0.45)
         assert norms.shape == (3, 2, 4)
         for idx in np.ndindex(norms.shape):
             assert norms[idx] == sobolev_minus_alpha_norm(c[idx][None], 0.45)[0]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.45])
+    def test_sobolev_matches_the_full_spectrum_norm(self, alpha):
+        # a real field's modes 0..K against the -K..K sum it replaced: one
+        # field, and a batch of them
+        rng = np.random.default_rng(9)
+        c = random_field(rng, 6, 40)
+        c[:, 0] += 3.0                                  # a dominant mode 0
+        norms = sobolev_minus_alpha_norm(c, alpha)
+        np.testing.assert_allclose(norms, spectral_oracle.sobolev_minus_alpha_norm(
+            full_spectrum(c), alpha), rtol=1e-12, atol=0.0)
+        assert sobolev_minus_alpha_norm(c[2], alpha) == pytest.approx(
+            spectral_oracle.sobolev_minus_alpha_norm(full_spectrum(c[2]), alpha),
+            rel=1e-12, abs=0.0)
 
     def test_holder_constant_field(self):
         assert holder_seminorm_estimate(np.ones((1, 64)), 0.5) == 0.0
