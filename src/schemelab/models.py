@@ -7,7 +7,10 @@ direction d.  F may be None, a declared zero (``make_model(F="zero")``
 gives one).  When a potential is supplied its Jacobian must reproduce G;
 ``validate_gradient`` checks that with central differences.  A model whose
 theta does not depend on u may declare it as the constant (n, n) matrix
-``theta_constant``; the solver then adds the noise in spectral space.
+``theta_constant``; the solver then adds the noise in spectral space.  A
+model whose DG does not depend on u may declare it as the constant
+(n, n, n) array ``dg_constant``; with theta constant and F = None the
+solver then transforms the corrected drift once per step plan.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# tolerance, relative to the largest entry, of a declared constant theta
-# against theta at the probe points
-THETA_CONSTANT_RTOL = 1e-12
+# tolerance, relative to the largest entry, of a declared constant theta or
+# DG against theta or DG at the probe points
+CONSTANT_RTOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -35,41 +38,49 @@ class ModelFunctions:
     potential: callable | None = None
     label: str = "custom"
     theta_constant: np.ndarray | None = None
+    dg_constant: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.theta_constant is None:
-            return
-        const = np.array(self.theta_constant, dtype=float)
-        if const.shape != (self.n, self.n):
-            raise ValueError(f"theta_constant must have shape {(self.n, self.n)}, "
-                             f"not {const.shape}")
+        self.theta_constant = self._checked("theta_constant", "theta", 2)
+        self.dg_constant = self._checked("dg_constant", "DG", 3)
+
+    def _checked(self, name: str, fn: str, rank: int) -> np.ndarray | None:
+        """The declared constant ``name`` as a read-only float array of shape
+        (n,) * rank, checked against the callable ``fn`` at probe points."""
+        if getattr(self, name) is None:
+            return None
+        const = np.array(getattr(self, name), dtype=float)
+        shape = (self.n,) * rank
+        if const.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, not {const.shape}")
         probe = np.linspace(-2.0, 3.0, 3 * self.n).reshape(self.n, 3)
-        gap = np.abs(np.asarray(self.theta(probe)) - const[..., None]).max()
-        if not gap <= THETA_CONSTANT_RTOL * max(np.abs(const).max(), 1e-300):
-            raise ValueError(f"theta_constant differs from theta by {gap:.2e} "
+        gap = np.abs(np.asarray(getattr(self, fn)(probe)) - const[..., None]).max()
+        if not gap <= CONSTANT_RTOL * max(np.abs(const).max(), 1e-300):
+            raise ValueError(f"{name} differs from {fn} by {gap:.2e} "
                              "at a probe point")
         const.flags.writeable = False
-        self.theta_constant = const
+        return const
 
     def __eq__(self, other):
-        # field by field, the constant by value: == on two arrays is not a bool
+        # field by field, the constants by value: == on two arrays is not a bool
         if not isinstance(other, ModelFunctions):
             return NotImplemented
         return self._key() == other._key()
 
     def _key(self) -> tuple:
-        const = self.theta_constant
         return (self.n, self.F, self.G, self.DG, self.theta, self.potential,
-                self.label, None if const is None else const.tobytes())
+                self.label, *(None if c is None else c.tobytes()
+                              for c in (self.theta_constant, self.dg_constant)))
 
     def describe(self) -> dict:
-        """n, the label, the constant theta and each callable by its
+        """n, the label, the constant theta and DG and each callable by its
         ``module.qualname`` (None for None): the model as ``config_hash``
         digests it.  Raises ValueError for a lambda or a nested function,
         whose name does not identify it."""
-        const = self.theta_constant
         return {"n": self.n, "label": self.label,
-                "theta_constant": None if const is None else const.tolist(),
+                **{name: None if c is None else c.tolist()
+                   for name, c in (("theta_constant", self.theta_constant),
+                                   ("dg_constant", self.dg_constant))},
                 **{name: _qualified_name(getattr(self, name))
                    for name in ("F", "G", "DG", "theta", "potential")}}
 
@@ -157,9 +168,9 @@ def _theta_bounded_sqrt(u):
 
 
 _F_REGISTRY = {"zero": None}                 # a declared zero
-_G_REGISTRY = {
-    "zero": (_zero_mat, _zero_dmat, None),
-    "state": (_g_state, _dg_state, _potential_half_square),
+_G_REGISTRY = {                             # G, DG, potential, the constant DG
+    "zero": (_zero_mat, _zero_dmat, None, 0.0),
+    "state": (_g_state, _dg_state, _potential_half_square, 1.0),
 }
 _THETA_REGISTRY = {
     "one": _theta_one,
@@ -173,6 +184,7 @@ def make_model(n: int = 1, F: str = "zero", G: str = "zero",
     """Assemble a scalar model from named pieces.
 
     F in {zero}; G in {zero, state}; theta in {one, state, bounded_sqrt}.
+    Both G declare their DG constant, and theta = one declares theta constant.
     """
     if n != 1:
         raise ValueError("the registry ships scalar models; build vector "
@@ -183,9 +195,10 @@ def make_model(n: int = 1, F: str = "zero", G: str = "zero",
         raise KeyError(f"unknown G {G!r}")
     if theta not in _THETA_REGISTRY:
         raise KeyError(f"unknown theta {theta!r}")
-    g, dg, pot = _G_REGISTRY[G]
+    g, dg, pot, dg_const = _G_REGISTRY[G]
     return ModelFunctions(
         n=1, F=_F_REGISTRY[F], G=g, DG=dg, theta=_THETA_REGISTRY[theta],
         potential=pot, label=f"n1:F={F}:G={G}:theta={theta}",
         theta_constant=np.ones((1, 1)) if theta == "one" else None,
+        dg_constant=np.full((1, 1, 1), dg_const),
     )

@@ -43,7 +43,8 @@ theta(u) there.  The loop makes a sub-block's noise when it reaches it,
 for the runs still in the batch.  So the noise working set holds the
 sub-block being stepped, and the next one while it is made, of at most
 NOISE_ROWS rows each whatever the batch width B, unless one step alone holds
-more.  The loop carries one state: the Gaussian reference field X is a run
+more; a noise grid and its modes are written into buffers of the plan, over
+the last sub-block's.  The loop carries one state: the Gaussian reference field X is a run
 of its own, of the linear model (F = G = 0, theta = Id declared constant)
 on the same noise, with Lambda = 0, zero initial data and no
 conservation form (see ``upsilon_diagnostic``).
@@ -64,10 +65,16 @@ unless theta is a declared constant and F a declared zero (None), and then
 R counts the drift runs.  One DG call and one contraction give the drift
 of every drift run of a step, with theta theta^T from the plan when theta
 is constant, else from the theta grid that the noise term made, so theta
-is evaluated at most once per step.  Both transforms are
-unscaled: the grid phase (-1)^k, the 1/sqrt(2 pi) scales, dt, the
-dealiasing mask and the conservation form's D_eps live in per-run input and
-output multipliers.  ``_Operators`` makes them, the rest rows and the
+is evaluated at most once per step.  When DG is a declared constant too
+(``ModelFunctions.dg_constant``, set by ``make_model``), with theta
+constant and F = None, a drift run's rest is the same every step: the plan
+makes it by the same contraction and transforms it once, and the steps add
+its modes, so R = 0 and a step makes no DG call and no contraction.  Both
+transforms are unscaled: the grid phase (-1)^k, the 1/sqrt(2 pi) scales,
+dt, the dealiasing mask and the conservation form's D_eps live in per-run
+input and output multipliers, and they call numpy's pocketfft ufuncs into
+buffers the plan owns (``spectral.Transform``).  ``_Operators`` makes the
+multipliers, the rest rows, the transformed constant drift and the
 buffers, the step plan, once per set of live runs: when a truncated run
 leaves the batch, the plan of the runs left is made anew from their
 configs.  ``simulate`` is a batch of one, so there is a single
@@ -112,7 +119,7 @@ class SolverConfig:
     T: float
     model: ModelFunctions
     Lambda: float = 0.0                # the run's drift is -Lambda theta DG theta
-    record_times: tuple = ()
+    record_times: tuple | None = None  # None: (T,)
     blowup_cap: float = 1e6
     initial: np.ndarray | None = None  # modes 0..N (n, N+1), mode 0 real
     conservation_form: bool = False
@@ -124,6 +131,8 @@ class SolverConfig:
             raise ValueError("eps, dt and T must be > 0")
         if not np.isfinite(self.Lambda):
             raise ValueError("Lambda must be finite")
+        if self.record_times is None:
+            self.record_times = (self.T,)
         self.record_times = tuple(sorted(set(float(t) for t in self.record_times)))
         for t in self.record_times:
             if not 0.0 <= t <= self.T + 1e-12:
@@ -161,11 +170,17 @@ class _Operators:
     u, plus F, plus -Lambda theta DG theta for a drift run (Lambda != 0),
     filled in that order.  It can be nonzero for every run when F is not a
     declared zero (None) or theta depends on u, else only for the drift
-    runs: those R runs get a rest row.  The plan holds the work buffers (u
-    and D_eps u, and the grid rows of the B products and the R rests), the
-    drift runs with their rest rows and -Lambda column, theta theta^T when
-    theta is constant, and the multipliers into which the transform scales
-    are folded:
+    runs: those R runs get a rest row, unless DG is declared constant too.
+    Then each drift run's rest is the same every step, and the plan makes
+    it once, by the contraction a step would make, and keeps its modes
+    times coeff_scale dt as ``drift_hat`` (n, R_drift, N+1); R = 0.  The
+    plan holds the work buffers (the modes of u and D_eps u, their grid
+    values, the grid rows of the B products and the R rests, and their
+    modes), the drift runs with their rest rows and -Lambda column, theta
+    theta^T when theta is constant, and the multipliers into which the
+    transform scales are folded (complex, x + 0j, where they multiply
+    complex states: the bits of the real multiplier without a cast per
+    step):
 
     - ``in_mult`` (2, 1, B, N+1): sign / sqrt(2 pi) and dmult times that,
       which put u and D_eps u on the grid by one unscaled irfft;
@@ -189,7 +204,8 @@ class _Operators:
         transform = Transform(N, M)
         self.N, self.model, self.transform = N, model, transform
         self.decay = np.array([
-            np.exp(laplacian_multiplier(c.scheme, ks, c.eps) * c.dt) for c in configs])
+            np.exp(laplacian_multiplier(c.scheme, ks, c.eps) * c.dt) for c in configs],
+            dtype=complex)
         dmult = np.array([derivative_multiplier(c.scheme, ks, c.eps) for c in configs])
         hmult = np.array([noise_multiplier(c.scheme, ks, c.eps) for c in configs])
         Lambda = np.array([c.Lambda for c in configs], dtype=float)
@@ -205,7 +221,11 @@ class _Operators:
         # with a rest row per run the drift adds to the noise term or F, else
         # the drift runs' rows are all the rest rows, and it assigns them
         self.drift_adds = const is None or model.F is not None
-        rest_runs = list(range(B)) if self.drift_adds else drift_runs
+        # ... unless DG is constant too: then the drift rows are the same every
+        # step, and the plan transforms them once
+        folded = not self.drift_adds and model.dg_constant is not None
+        rest_runs = (list(range(B)) if self.drift_adds else
+                     [] if folded else drift_runs)
         self.rest_runs = _positions(rest_runs) if rest_runs else None
         self.drift_runs = _positions(drift_runs) if drift_runs else None
         self.drift_rows = self.drift_runs if self.drift_adds else slice(None)
@@ -221,13 +241,22 @@ class _Operators:
         if self.any_conservation:                     # complex then
             out = np.where(self.conservation[:, None], out * dmult, out)
         self.out_mult = np.concatenate(
-            [out, np.broadcast_to(transform.coeff_scale * dt, (R, N + 1))])
+            [out, np.broadcast_to(transform.coeff_scale * dt, (R, N + 1))], dtype=complex)
+        self.drift_hat = None
+        if folded and drift_runs:
+            dg = np.broadcast_to(model.dg_constant[..., None, None],
+                                 (n, n, n, len(drift_runs), M))
+            drift = _contract(self.minus_Lambda, dg, self.drift_tt)
+            self.drift_hat = transform.grid_sums(drift) * (transform.coeff_scale * dt)
         sqrt_dt = np.sqrt(dt)
         self.noise_mult = (hmult * sqrt_dt if const is not None
                            else hmult * (transform.sign / (SQRT_2PI * sqrt_dt)))
         self.coeff_buf = transform.mode_buffer((2, n, B))
         self.coeff_modes = self.coeff_buf[..., :N + 1]
+        self.grid_out = np.empty((2, n, B, M))
         self.grid_buf = np.empty((n, B + R, M))
+        self.hat_buf = transform.mode_buffer((n, B + R))
+        self.noise_bufs = None            # made by ``noise`` for its first shape
 
         # runs of one noise group with equal multipliers have equal noise
         keys = [(g, h.tobytes()) for g, h in zip(self.group, hmult)]
@@ -241,18 +270,23 @@ class _Operators:
         spectral (..., n, B, N+1), when theta is a constant Theta, else w / dt
         on the grid (..., n, B, M).  Each run scales its group's draws by
         ``noise_mult``; runs with equal noise share one computation and one
-        transform."""
+        transform.  The transform reads and writes buffers of the plan, so
+        a grid result holds until the next call of the same shape."""
         r = self.noise_runs
         draws = np.moveaxis(np.swapaxes(draws, -1, -2)[self.group[r]], 0, -2)
         const = self.model.theta_constant
         if const is None:                         # the irfft reads a mode_buffer
-            modes = self.transform.mode_buffer(draws.shape[:-1])
+            lead = draws.shape[:-1]
+            if self.noise_bufs is None or self.noise_bufs[1].shape[:-1] != lead:
+                self.noise_bufs = (self.transform.mode_buffer(lead),
+                                   np.empty(lead + (self.transform.M,)))
+            modes, grid = self.noise_bufs
             w = np.multiply(draws, self.noise_mult[r], out=modes[..., :self.N + 1])
         else:
             w = draws * self.noise_mult[r]
         del draws                                 # before the result is made
         w[..., 0] = w[..., 0].real                # mode 0 is real
-        noise = (self.transform.mode_sums(modes) if const is None
+        noise = (self.transform.mode_sums(modes, out=grid) if const is None
                  else const[0, 0] * w if len(const) == 1      # as in _apply
                  else np.einsum("ij,...jbk->...ibk", const, w))
         return noise if len(r) == len(self.group) else noise[..., self.noise_row, :]
@@ -293,15 +327,18 @@ def step(u_hat: np.ndarray, ops: _Operators, noise: np.ndarray):
     the B products, which alone are dealiased, and the rests of the R runs
     whose rest can be nonzero (theta(u) times the noise grid, F and
     -Lambda theta DG theta; all runs unless theta is constant and F a
-    declared zero, then the drift runs).  One multiplication by ``out_mult``
-    applies the scale, dt, the dealiasing mask and, in conservation form,
-    D_eps; the rest modes are then added to their runs.
+    declared zero, then the drift runs, or none when DG is constant too).
+    One multiplication by ``out_mult`` applies the scale, dt, the
+    dealiasing mask and, in conservation form, D_eps; the rest modes, or
+    the plan's ``drift_hat``, are then added to their runs.  Both calls
+    write into the plan's buffers: the grid values returned are a view that
+    the next step overwrites, and the next state is a new array.
     """
     model = ops.model
     B = u_hat.shape[1]
     grids = ops.grid_buf
     np.multiply(u_hat, ops.in_mult, out=ops.coeff_modes)
-    u_grid, de_u = ops.transform.mode_sums(ops.coeff_buf)
+    u_grid, de_u = ops.transform.mode_sums(ops.coeff_buf, out=ops.grid_out)
     prod, rest = grids[:, :B], grids[:, B:]
 
     cons, plain = ops.conservation, ops.plain
@@ -323,7 +360,7 @@ def step(u_hat: np.ndarray, ops: _Operators, noise: np.ndarray):
         else:
             rest[:] = model.F(u_grid)
     runs = ops.drift_runs
-    if runs is not None:
+    if runs is not None and ops.drift_hat is None:
         tt = ops.drift_tt if const is not None else _theta_theta(theta[:, :, runs])
         drift = _contract(ops.minus_Lambda, model.DG(u_grid[:, runs]), tt)
         if ops.drift_adds:
@@ -331,12 +368,14 @@ def step(u_hat: np.ndarray, ops: _Operators, noise: np.ndarray):
         else:
             rest[:, ops.drift_rows] = drift
 
-    hats = ops.transform.grid_sums(grids)
+    hats = ops.transform.grid_sums(grids, out=ops.hat_buf)
     hats *= ops.out_mult
-    u_next = hats[:, :B]             # the products' modes, then the next state
+    modes = hats[:, :B]              # the products' modes, then the rests added
     if ops.rest_runs is not None:
-        u_next[:, ops.rest_runs] += hats[:, B:]
-    u_next += u_hat
+        modes[:, ops.rest_runs] += hats[:, B:]
+    elif ops.drift_hat is not None:
+        modes[:, runs] += ops.drift_hat
+    u_next = modes + u_hat           # a new array: the buffer is the next step's
     if const is not None:
         u_next += noise
     u_next *= ops.decay

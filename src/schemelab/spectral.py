@@ -22,6 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft  # numpy 2 loads it lazily: load it with the module, not in a run
+# the pocketfft ufuncs that np.fft's rfft and irfft call (numpy >= 2.0): a
+# call of their own skips np.fft's Python wrapper and writes into ``out``
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from schemelab.schemes import CutoffScheme, laplacian_multiplier
 
@@ -41,7 +44,9 @@ class Transform:
     ``mode_sums`` and ``grid_sums`` are the bare transforms, for callers that
     fold those scales into multipliers of their own: ``to_grid(half)`` is
     ``mode_sums(half * sign / sqrt(2 pi))`` and ``to_coeffs(values)`` is
-    ``grid_sums(values) * coeff_scale``, up to rounding.
+    ``grid_sums(values) * coeff_scale``, up to rounding.  They call the
+    pocketfft ufuncs of np.fft's irfft and rfft with its factor for these
+    norms, 1, so they give np.fft's bits, into an ``out`` buffer if given.
     """
 
     def __init__(self, N: int, M: int):
@@ -52,6 +57,7 @@ class Transform:
         self.sign[1::2] = -1.0
         self.grid_scale = M / SQRT_2PI
         self.coeff_scale = self.sign * (SQRT_2PI / M)
+        self._rfft = _pocketfft.rfft_n_even if M % 2 == 0 else _pocketfft.rfft_n_odd
 
     def to_grid(self, half: np.ndarray) -> np.ndarray:
         """Real grid values (..., M) of modes 0..N (..., N+1)."""
@@ -64,21 +70,28 @@ class Transform:
     def mode_buffer(self, lead: tuple) -> np.ndarray:
         """Zero modes 0..M//2, shape lead + (M // 2 + 1,), for modes 0..N
         written to ``[..., :N + 1]``.  ``mode_sums`` of a buffer equals that
-        of modes 0..N bit for bit in about 30% less time, np.fft's irfft
-        being slow to zero-pad short rows (M = 768, 3 to 24 rows, numpy 2.4
-        on a 2-vCPU x86 VM)."""
+        of modes 0..N bit for bit in about 30% less time, the irfft being
+        slow to zero-pad short rows (M = 768, 3 to 24 rows, numpy 2.4 on a
+        2-vCPU x86 VM).  Also the ``out`` of ``grid_sums``."""
         return np.zeros(lead + (self.M // 2 + 1,), dtype=complex)
 
-    def mode_sums(self, modes: np.ndarray) -> np.ndarray:
+    def mode_sums(self, modes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The sums sum_k c_k e^{2 pi i k m / M}, c_{-k} = conj c_k, at
         m = 0..M-1 (..., M), of modes 0..N (..., N+1) or of a
-        ``mode_buffer`` holding them: unscaled."""
-        return np.fft.irfft(modes, n=self.M, axis=-1, norm="forward")
+        ``mode_buffer`` holding them: unscaled, ``np.fft.irfft(modes, M,
+        norm="forward")``, written to ``out`` (..., M) if given."""
+        if out is None:
+            out = np.empty(modes.shape[:-1] + (self.M,))
+        return _pocketfft.irfft(modes, 1, out=out)
 
-    def grid_sums(self, values: np.ndarray) -> np.ndarray:
+    def grid_sums(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The sums sum_m v_m e^{-2 pi i k m / M} for k = 0..N (..., N+1) of
-        grid values (..., M): unscaled."""
-        return np.fft.rfft(values, axis=-1)[..., :self.N + 1]
+        grid values (..., M): unscaled, ``np.fft.rfft(values)[..., :N + 1]``.
+        The rfft writes modes 0..M//2 to ``out``, a ``mode_buffer``, if
+        given; the result is its view ``out[..., :N + 1]``."""
+        if out is None:
+            out = np.empty(values.shape[:-1] + (self.M // 2 + 1,), dtype=complex)
+        return self._rfft(values, 1, out=out)[..., :self.N + 1]
 
 
 def full_spectrum(half: np.ndarray) -> np.ndarray:

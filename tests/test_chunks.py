@@ -143,6 +143,7 @@ def test_runs_sharing_a_drift_evaluate_it_once_per_step():
 
     model = dataclasses.replace(base, DG=counted("DG", base.DG),
                                 theta=counted("theta", base.theta))
+    calls.clear()                      # the probe of the declared constant DG
 
     def cfg(eps, Lambda):
         return SolverConfig(scheme=scheme, eps=eps, N=8, M=32, dt=1e-3, T=0.02,

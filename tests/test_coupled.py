@@ -28,6 +28,7 @@ from schemelab.experiments import (
 )
 from schemelab.models import ModelFunctions, make_model
 from schemelab.schemes import make_function, make_scheme
+from schemelab import solver
 from schemelab.solver import (
     NOISE_ROWS,
     NumericalAbort,
@@ -357,9 +358,9 @@ def forward_rows(monkeypatch):
     rows = []
     grid_sums = Transform.grid_sums
 
-    def spy(self, values):
+    def spy(self, values, **kwargs):
         rows.append(values.shape[-2])
-        return grid_sums(self, values)
+        return grid_sums(self, values, **kwargs)
 
     monkeypatch.setattr(Transform, "grid_sums", spy)
     return rows
@@ -373,17 +374,18 @@ def assert_oracle_run_by_run(configs, inc):
 
 
 def test_declared_zero_F_is_never_called_and_rest_rows_are_drift_runs(monkeypatch):
-    """make_model declares F = 0 as None: with constant theta only the run
-    with the correction drift has a rest row (3 + 1 forward rows per step).
-    The same model with a zero F callable calls it once per step on the
-    whole batch and transforms a rest row for every run (3 + 3)."""
+    """make_model declares F = 0 as None: with constant theta and DG no run
+    has a rest row; the plan transforms the drift run's constant drift once
+    (1 row) and each step its 3 products.  The same model with a zero F
+    callable calls it once per step on the whole batch and transforms a
+    rest row for every run (3 + 3)."""
     model = make_model(1, G="state", theta="one")
     assert model.F is None
     inc = draw_noise(np.random.default_rng(33), 150, 12, 1)
     build = correction_runs()
     rows = forward_rows(monkeypatch)
     declared = simulate_coupled(build(model), inc)
-    assert rows == [4] * 150
+    assert rows == [1] + [3] * 150
     calls = []
 
     def zero(u):
@@ -420,12 +422,26 @@ def truncated_correction_runs(truncate, N=12, M=40, steps=150):
             cfg("central_difference", Lambda)]
 
 
-@pytest.mark.parametrize("truncate, rows_after", [(2, 2), (0, 3)])
-def test_truncation_replans_the_rest_rows(monkeypatch, truncate, rows_after):
-    """A truncated drift run takes the last rest row with it (R goes 1 -> 0,
-    2 + 0 forward rows); a truncated run without a drift leaves R = 1
-    (2 + 1 rows).  Every run matches the oracle."""
+def undeclared_dg(configs):
+    """``configs`` with the model's constant DG left undeclared."""
+    model = dataclasses.replace(configs[0].model, dg_constant=None)
+    return [dataclasses.replace(c, model=model) for c in configs]
+
+
+@pytest.mark.parametrize("declared", [True, False])
+@pytest.mark.parametrize("truncate", [2, 0])
+def test_truncation_replans_the_rest_rows(monkeypatch, truncate, declared):
+    """With DG declared constant, a truncated drift run takes its drift
+    with it (the plan of the two runs left transforms none), and a truncated
+    run without a drift leaves the drift run, whose drift the new plan
+    transforms once more (1 row); every step transforms its products alone
+    (3, then 2 rows).  With DG undeclared, the drift run has a rest row: a
+    truncated drift run takes it with it (R goes 1 -> 0, 2 + 0 rows), a
+    truncated run without a drift leaves R = 1 (2 + 1 rows).  Every run
+    matches the oracle."""
     configs = truncated_correction_runs(truncate)
+    if not declared:
+        configs = undeclared_dg(configs)
     inc = draw_noise(np.random.default_rng(41), configs[0].steps, 12, 1)
     rows = forward_rows(monkeypatch)
     runs = assert_oracle_run_by_run(configs, inc)
@@ -433,15 +449,56 @@ def test_truncation_replans_the_rest_rows(monkeypatch, truncate, rows_after):
     assert [t is not None for t in cut] == [b == truncate for b in range(3)]
     k = round(cut[truncate] / 1e-3)
     assert 0.02 < cut[truncate] < 0.15 and k % sub_block(configs) != 0
-    # the step from state k, whose grid shows the crossing, still has 4 rows
-    assert rows == [4] * (k + 1) + [rows_after] * (configs[0].steps - k - 1)
+    after = configs[0].steps - k - 1
+    # the step from state k, whose grid shows the crossing, still has 3 runs
+    if declared:
+        assert rows == [1] + [3] * (k + 1) + [1] * (truncate == 0) + [2] * after
+    else:
+        assert rows == [4] * (k + 1) + [2 + (truncate == 0)] * after
 
 
-@pytest.mark.parametrize("theta, rows", [("one", 3 + 1), ("bounded_sqrt", 3 + 3)])
-def test_conservation_form_run_with_a_drift_matches_oracle(monkeypatch, theta, rows):
+@pytest.mark.parametrize("truncate", [2, 0])
+def test_constant_drift_takes_no_dg_call_and_no_contraction(monkeypatch, truncate):
+    """A plan with theta and DG declared constant and F = None makes the
+    drift run's drift once, by the one contraction of a plan, and its steps
+    call neither DG nor the contraction.  The same model with DG undeclared
+    makes one DG call and one contraction per step and gives the same
+    trajectories bit for bit, beside a truncating run."""
+    calls = []
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapped
+
+    configs = truncated_correction_runs(truncate)
+    model = configs[0].model
+    model = dataclasses.replace(model, DG=counted("DG", model.DG))
+    configs = [dataclasses.replace(c, model=model) for c in configs]
+    monkeypatch.setattr(solver, "_contract", counted("contract", solver._contract))
+    inc = draw_noise(np.random.default_rng(41), configs[0].steps, 12, 1)
+    calls.clear()                          # the probe of the model's check
+    folded = simulate_coupled(configs, inc)
+    k = round(folded[truncate].truncation_time / 1e-3)
+    plans = 1 + (truncate == 0)            # a drift run is left after the cut
+    assert calls == ["contract"] * plans
+    calls.clear()
+    per_step = simulate_coupled(undeclared_dg(configs), inc)
+    drift_steps = k + 1 + (truncate == 0) * (configs[0].steps - k - 1)
+    assert calls == ["DG", "contract"] * drift_steps
+    for a, b in zip(folded, per_step):
+        assert a.times == b.times and a.truncation_time == b.truncation_time
+        assert all(np.array_equal(x, y) for x, y in zip(a.coeffs, b.coeffs))
+
+
+@pytest.mark.parametrize("theta, plan, rows", [("one", [1], 3), ("bounded_sqrt", [], 3 + 3)])
+def test_conservation_form_run_with_a_drift_matches_oracle(monkeypatch, theta, plan, rows):
     """A conservation-form run carrying a correction drift, beside a plain
     run and a conservation-form run without one: the output multipliers
-    fold D_eps into the first and third runs' product rows only."""
+    fold D_eps into the first and third runs' product rows only.  With
+    theta constant the plan transforms the drift (``plan`` rows) and the
+    steps no rest row."""
     model = make_model(1, G="state", theta=theta)
     rng = np.random.default_rng(12)
     forward, central = make_scheme("forward_difference"), make_scheme("central_difference")
@@ -458,11 +515,12 @@ def test_conservation_form_run_with_a_drift_matches_oracle(monkeypatch, theta, r
     spy = forward_rows(monkeypatch)
     runs = assert_oracle_run_by_run(configs, inc)
     assert all(run.truncation_time is None for run in runs)
-    assert spy == [rows] * configs[0].steps
+    assert spy == plan + [rows] * configs[0].steps
 
 
-@pytest.mark.parametrize("theta, rows", [("one", (3 + 1, 2 + 1)), ("bounded_sqrt", (3 + 3, 2 + 2))])
-def test_truncated_conservation_run_leaves_a_replanned_batch(monkeypatch, theta, rows):
+@pytest.mark.parametrize("theta, plan, rows",
+                         [("one", [1], (3, 2)), ("bounded_sqrt", [], (3 + 3, 2 + 2))])
+def test_truncated_conservation_run_leaves_a_replanned_batch(monkeypatch, theta, plan, rows):
     """A conservation-form run leaves the batch in the middle of a noise
     sub-block, beside a conservation-form drift run and a plain run.  The
     first run has an indicator h and the other two share their noise
@@ -485,15 +543,15 @@ def test_truncated_conservation_run_leaves_a_replanned_batch(monkeypatch, theta,
     configs = [cfg(narrow, True, mean=1.0), cfg(central, True, Lambda=0.25),
                cfg(central, False)]
     inc = draw_noise(np.random.default_rng(41), steps, N, 1)
+    assert list(_Operators(configs).noise_row) == [0, 1, 1]
     spy = forward_rows(monkeypatch)
     runs = assert_oracle_run_by_run(configs, inc)
     cut = [run.truncation_time for run in runs]
     assert cut[0] is not None and cut[1:] == [None, None]
-    assert list(_Operators(configs).noise_row) == [0, 1, 1]
     k, sub = round(cut[0] / 1e-3), sub_block(configs)
     # a recorded time before the cut, and a sub-block made for the runs left
     assert 0.02 < cut[0] and k % sub != 0 and (k // sub + 1) * sub < steps
-    assert spy == [rows[0]] * (k + 1) + [rows[1]] * (steps - k - 1)
+    assert spy == plan + [rows[0]] * (k + 1) + plan + [rows[1]] * (steps - k - 1)
 
 
 def _f2(u):

@@ -378,7 +378,7 @@ def test_config_hash_follows_the_resolved_seed():
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "correction.json")
     plain = load_config(path).config_hash()
     # the file's own seed (1111); pinned so a change of the digest shows
-    assert plain == "1f19f82360633deb"
+    assert plain == "02daf1a1bdb19619"
     assert load_config(path, seed=1111).config_hash() == plain
     hashes = {load_config(path, seed=s).config_hash() for s in (1, 2)}
     assert len(hashes) == 2 and plain not in hashes
@@ -411,9 +411,13 @@ def test_config_hash_covers_every_resolved_field():
     # the same model with its constant theta left undeclared
     undeclared = dataclasses.replace(base["model"], theta_constant=None)
     assert ExperimentConfig(**dict(base, model=undeclared)).config_hash() != plain
+    # ... and with its constant DG left undeclared
+    undeclared = dataclasses.replace(base["model"], dg_constant=None)
+    assert ExperimentConfig(**dict(base, model=undeclared)).config_hash() != plain
     # the same label with other module-level callables ...
     zero_g = make_model(1, G="zero", theta="one")
-    other = dataclasses.replace(base["model"], G=zero_g.G, DG=zero_g.DG)
+    other = dataclasses.replace(base["model"], G=zero_g.G, DG=zero_g.DG,
+                                dg_constant=zero_g.dg_constant)
     assert other.label == base["model"].label
     assert ExperimentConfig(**dict(base, model=other)).config_hash() != plain
     # ... and a lambda, whose name does not identify it, is no model to hash

@@ -66,6 +66,12 @@ class TestModels:
         for theta in ("state", "bounded_sqrt"):
             assert make_model(1, theta=theta).theta_constant is None
 
+    def test_constant_dg_is_declared_for_every_g(self):
+        assert make_model(1, G="state").dg_constant.tolist() == [[[1.0]]]
+        assert make_model(1, G="zero").dg_constant.tolist() == [[[0.0]]]
+        for theta in ("one", "state", "bounded_sqrt"):
+            assert make_model(1, G="state", theta=theta).dg_constant is not None
+
     def test_separately_built_models_still_batch(self, forward):
         a, b = (make_model(1, G="state", theta="one") for _ in range(2))
         assert a.theta_constant is not b.theta_constant and a == b
@@ -90,6 +96,22 @@ class TestModels:
         base = make_model(1, G="state", theta="one")
         assert base != dataclasses.replace(base, theta_constant=None)
 
+    def test_models_compare_dg_constants_by_value(self):
+        a, b = (make_model(1, G="state") for _ in range(2))
+        assert a.dg_constant is not b.dg_constant and a == b
+        assert a != dataclasses.replace(a, dg_constant=None)
+        dg2 = np.arange(8.0).reshape(2, 2, 2)
+
+        def dg(u):
+            return np.broadcast_to(dg2[..., None], (2, 2, 2) + u.shape[1:])
+
+        def model(const):
+            return ModelFunctions(n=2, F=None, G=None, DG=dg, theta=None,
+                                  label="n2", dg_constant=const)
+
+        assert model(dg2.copy()) == model(dg2.copy())
+        assert model(dg2) != model(None)
+
     def test_theta_constant_must_fit_theta(self):
         base = make_model(1, G="state", theta="one")
         with pytest.raises(ValueError, match="shape"):
@@ -103,6 +125,24 @@ class TestModels:
             dataclasses.replace(state, theta_constant=[[1.0]])
         const = dataclasses.replace(base, theta_constant=[[1.0]]).theta_constant
         assert const.shape == (1, 1) and not const.flags.writeable
+
+    def test_dg_constant_must_fit_dg(self):
+        base = make_model(1, G="state", theta="one")
+        with pytest.raises(ValueError, match="shape"):
+            dataclasses.replace(base, dg_constant=np.ones((1, 1)))
+        with pytest.raises(ValueError, match="shape"):
+            dataclasses.replace(base, dg_constant=np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="dg_constant differs from DG"):
+            dataclasses.replace(base, dg_constant=[[[2.0]]])
+        with pytest.raises(ValueError, match="differs"):
+            dataclasses.replace(base, dg_constant=[[[1.0 + 1e-9]]])
+        zero = make_model(1, G="zero", theta="one")
+        with pytest.raises(ValueError, match="differs"):        # 0 fits 0 alone
+            dataclasses.replace(zero, dg_constant=[[[1e-300]]])
+        with pytest.raises(ValueError, match="differs"):
+            dataclasses.replace(zero, dg_constant=[[[1.0]]])
+        const = dataclasses.replace(base, dg_constant=[[[1.0]]]).dg_constant
+        assert const.shape == (1, 1, 1) and not const.flags.writeable
 
 
 class TestReality:
@@ -206,6 +246,14 @@ class TestSimulate:
         traj = simulate(cfg, increments=np.zeros((steps, N + 1, 1), complex))
         exact = semigroup_apply(u0, forward, 0.1, T)
         assert np.abs(traj.coeffs[-1] - exact).max() <= 1e-13
+
+    def test_record_times_default_to_the_final_time(self, forward):
+        cfg = SolverConfig(scheme=forward, eps=0.5, N=8, M=32, dt=1e-3, T=0.01,
+                           model=make_model(1))
+        assert cfg.record_times == (0.01,)
+        traj = simulate(cfg, np.random.default_rng(4))
+        assert traj.times == (0.01,) and len(traj.coeffs) == 1
+        assert traj.coeffs[0].shape == (1, 9) and np.abs(traj.coeffs[0]).max() > 0
 
     def test_bitwise_determinism(self, forward):
         model = make_model(1, G="state", theta="bounded_sqrt")

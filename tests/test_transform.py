@@ -110,23 +110,32 @@ def test_bare_transforms_fold_the_scales(N, M, B):
 FFT_NAMES = ("fft", "fftpack")
 
 
+def _is_fft(name: list) -> bool:
+    """A dotted name, as its parts, of numpy's or scipy's FFT module or of
+    numpy's pocketfft ufunc module, whatever it is reached through."""
+    return ((len(name) > 1 and name[0] in ("np", "numpy", "scipy") and name[1] in FFT_NAMES)
+            or any("pocketfft" in part for part in name))
+
+
 def fft_uses(source: str) -> list:
-    """Lines of ``source`` that import numpy's or scipy's FFT module or read
-    it as an attribute of np, numpy or scipy; prose never counts."""
-    lines = []
+    """Lines of ``source`` that import numpy's or scipy's FFT module or
+    numpy's pocketfft ufuncs, or read them as an attribute (the FFT module
+    of np, numpy or scipy, the ufunc module of anything); prose never
+    counts."""
+    lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [a.name.split(".") for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
             module = node.module.split(".")
             names = [module] + [module + [a.name] for a in node.names]
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            names = [[node.value.id, node.attr]]
+        elif isinstance(node, ast.Attribute):
+            names = [[node.value.id, node.attr] if isinstance(node.value, ast.Name)
+                     else [node.attr]]
         else:
             continue
-        if any(len(n) > 1 and n[0] in ("np", "numpy", "scipy") and n[1] in FFT_NAMES
-               for n in names):
-            lines.append(node.lineno)
+        if any(_is_fft(n) for n in names):
+            lines.add(node.lineno)
     return sorted(lines)
 
 
@@ -141,8 +150,45 @@ def test_fft_use_finder():
         "import numpy.fft as nf",
         "z = numpy.fft",
         "w = np.linalg.norm(y)",
+        "from numpy.fft import _pocketfft_umath as pf",
+        "v = fft_module._pocketfft_umath.irfft(y, 1)",
+        "u = np.fft._pocketfft_umath",
+        "# _pocketfft_umath in a comment does not count",
     ])
-    assert fft_uses(source) == [3, 4, 5, 6, 7, 8]
+    assert fft_uses(source) == [3, 4, 5, 6, 7, 8, 10, 11, 12]
+
+
+# leading shapes of 1-D to 5-D arrays, and grids of even and odd M
+LEADS = [(), (3,), (2, 3), (2, 1, 3), (1, 2, 1, 3)]
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("N, M", [(0, 1), (4, 9), (4, 10), (12, 41), (256, 768), (256, 769)])
+def test_bare_transforms_are_np_fft_bit_for_bit(N, M, lead):
+    """``mode_sums`` and ``grid_sums`` call numpy's pocketfft ufuncs with
+    np.fft's factor: of modes 0..N or of a ``mode_buffer``, of contiguous or
+    strided grid values, with and without ``out``, they give the bits of
+    ``np.fft.irfft(..., norm="forward")`` and ``np.fft.rfft(...)[..., :N+1]``,
+    and with ``out`` they write to it."""
+    rng = np.random.default_rng(N + M + len(lead))
+    t = Transform(N, M)
+    half = rng.standard_normal(lead + (N + 1,)) + 1j * rng.standard_normal(lead + (N + 1,))
+    buf = t.mode_buffer(lead)
+    buf[..., :N + 1] = half
+    grid = np.fft.irfft(half, M, norm="forward")
+    grid_out = np.empty(lead + (M,))
+    for got in (t.mode_sums(half), t.mode_sums(buf),
+                t.mode_sums(half, out=grid_out), t.mode_sums(buf, out=grid_out)):
+        assert got.shape == grid.shape and got.tobytes() == grid.tobytes()
+    assert t.mode_sums(buf, out=grid_out) is grid_out
+
+    wide = rng.standard_normal(lead + (2 * M,))
+    modes_out = t.mode_buffer(lead)
+    for values in (wide[..., :M], wide[..., ::2]):        # contiguous rows, strided
+        modes = np.fft.rfft(values)[..., :N + 1]
+        for got in (t.grid_sums(values), t.grid_sums(values, out=modes_out)):
+            assert got.shape == modes.shape and got.tobytes() == modes.tobytes()
+        assert np.shares_memory(t.grid_sums(values, out=modes_out), modes_out)
 
 
 def test_fft_calls_only_in_spectral():
