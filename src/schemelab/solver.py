@@ -270,8 +270,10 @@ class _Operators:
         spectral (..., n, B, N+1), when theta is a constant Theta, else w / dt
         on the grid (..., n, B, M).  Each run scales its group's draws by
         ``noise_mult``; runs with equal noise share one computation and one
-        transform.  The transform reads and writes buffers of the plan, so
-        a grid result holds until the next call of the same shape."""
+        transform.  A grid result may be the plan's buffer, which the next
+        call of the same shape writes over: a caller is done with it by
+        then.  Reusing them spares allocating a mode buffer and a grid, each
+        about NOISE_ROWS x M floats, per sub-block."""
         r = self.noise_runs
         draws = np.moveaxis(np.swapaxes(draws, -1, -2)[self.group[r]], 0, -2)
         const = self.model.theta_constant
@@ -501,6 +503,8 @@ def simulate_coupled(configs, increments) -> list:
         i = j % sub
         if j < steps:
             if i == 0:
+                # a grid noise may be the plan's buffer, written over here:
+                # the last sub-block's steps are done with it
                 noise = ops.noise(np.stack([next(r) for r in readers]))
             u_next, u_grid = step(u_hat, ops, noise[i])
         else:

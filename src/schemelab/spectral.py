@@ -22,8 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft  # numpy 2 loads it lazily: load it with the module, not in a run
-# the pocketfft ufuncs that np.fft's rfft and irfft call (numpy >= 2.0): a
-# call of their own skips np.fft's Python wrapper and writes into ``out``
+# the pocketfft ufuncs that np.fft's rfft and irfft call: a call of their own
+# skips np.fft's Python wrapper and writes into ``out``.  The module is
+# private; numpy 2.0 first ships it, and these names and their (a, fct, out=)
+# calling convention are tested on numpy 2.4.6 (pyproject.toml bounds numpy
+# to the tested minor versions, tests/test_transform.py checks the bits)
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from schemelab.schemes import CutoffScheme, laplacian_multiplier
@@ -43,10 +46,11 @@ class Transform:
 
     ``mode_sums`` and ``grid_sums`` are the bare transforms, for callers that
     fold those scales into multipliers of their own: ``to_grid(half)`` is
-    ``mode_sums(half * sign / sqrt(2 pi))`` and ``to_coeffs(values)`` is
-    ``grid_sums(values) * coeff_scale``, up to rounding.  They call the
-    pocketfft ufuncs of np.fft's irfft and rfft with its factor for these
-    norms, 1, so they give np.fft's bits, into an ``out`` buffer if given.
+    ``mode_sums(half * sign / sqrt(2 pi))`` up to rounding, and
+    ``to_coeffs(values)`` is ``grid_sums(values) * coeff_scale``.  All four
+    call the pocketfft ufuncs of np.fft's irfft and rfft with the factor
+    np.fft passes for their norm, so they give np.fft's bits; the bare ones
+    write into an ``out`` buffer if given.
     """
 
     def __init__(self, N: int, M: int):
@@ -60,12 +64,14 @@ class Transform:
         self._rfft = _pocketfft.rfft_n_even if M % 2 == 0 else _pocketfft.rfft_n_odd
 
     def to_grid(self, half: np.ndarray) -> np.ndarray:
-        """Real grid values (..., M) of modes 0..N (..., N+1)."""
-        return np.fft.irfft(half * self.sign, n=self.M, axis=-1) * self.grid_scale
+        """Real grid values (..., M) of modes 0..N (..., N+1): the bits of
+        ``np.fft.irfft(half * sign, M) * grid_scale``."""
+        grid = np.empty(half.shape[:-1] + (self.M,))
+        return _pocketfft.irfft(half * self.sign, 1 / self.M, out=grid) * self.grid_scale
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Modes 0..N (..., N+1) of real grid values (..., M)."""
-        return np.fft.rfft(values, axis=-1)[..., :self.N + 1] * self.coeff_scale
+        return self.grid_sums(values) * self.coeff_scale
 
     def mode_buffer(self, lead: tuple) -> np.ndarray:
         """Zero modes 0..M//2, shape lead + (M // 2 + 1,), for modes 0..N

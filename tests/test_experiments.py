@@ -414,12 +414,13 @@ def test_config_hash_covers_every_resolved_field():
     # ... and with its constant DG left undeclared
     undeclared = dataclasses.replace(base["model"], dg_constant=None)
     assert ExperimentConfig(**dict(base, model=undeclared)).config_hash() != plain
-    # the same label with other module-level callables ...
+    # the same label with other module-level callables, and nothing else
+    # changed: both leave DG undeclared, so only the callables' names differ
     zero_g = make_model(1, G="zero", theta="one")
-    other = dataclasses.replace(base["model"], G=zero_g.G, DG=zero_g.DG,
-                                dg_constant=zero_g.dg_constant)
-    assert other.label == base["model"].label
-    assert ExperimentConfig(**dict(base, model=other)).config_hash() != plain
+    other = dataclasses.replace(undeclared, G=zero_g.G, DG=zero_g.DG)
+    assert other.label == undeclared.label
+    assert (ExperimentConfig(**dict(base, model=other)).config_hash()
+            != ExperimentConfig(**dict(base, model=undeclared)).config_hash())
     # ... and a lambda, whose name does not identify it, is no model to hash
     anonymous = dataclasses.replace(base["model"], F=lambda u: 0.0 * u)
     with pytest.raises(ValueError, match="<lambda>"):

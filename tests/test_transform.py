@@ -169,7 +169,8 @@ def test_bare_transforms_are_np_fft_bit_for_bit(N, M, lead):
     np.fft's factor: of modes 0..N or of a ``mode_buffer``, of contiguous or
     strided grid values, with and without ``out``, they give the bits of
     ``np.fft.irfft(..., norm="forward")`` and ``np.fft.rfft(...)[..., :N+1]``,
-    and with ``out`` they write to it."""
+    and with ``out`` they write to it.  ``to_grid`` and ``to_coeffs`` call
+    the same ufuncs and give the bits of np.fft's scaled transforms."""
     rng = np.random.default_rng(N + M + len(lead))
     t = Transform(N, M)
     half = rng.standard_normal(lead + (N + 1,)) + 1j * rng.standard_normal(lead + (N + 1,))
@@ -181,6 +182,8 @@ def test_bare_transforms_are_np_fft_bit_for_bit(N, M, lead):
                 t.mode_sums(half, out=grid_out), t.mode_sums(buf, out=grid_out)):
         assert got.shape == grid.shape and got.tobytes() == grid.tobytes()
     assert t.mode_sums(buf, out=grid_out) is grid_out
+    scaled = np.fft.irfft(half * t.sign, M) * t.grid_scale
+    assert t.to_grid(half).tobytes() == scaled.tobytes()
 
     wide = rng.standard_normal(lead + (2 * M,))
     modes_out = t.mode_buffer(lead)
@@ -189,6 +192,8 @@ def test_bare_transforms_are_np_fft_bit_for_bit(N, M, lead):
         for got in (t.grid_sums(values), t.grid_sums(values, out=modes_out)):
             assert got.shape == modes.shape and got.tobytes() == modes.tobytes()
         assert np.shares_memory(t.grid_sums(values, out=modes_out), modes_out)
+        scaled = np.fft.rfft(values)[..., :N + 1] * t.coeff_scale
+        assert t.to_coeffs(values).tobytes() == scaled.tobytes()
 
 
 def test_fft_calls_only_in_spectral():
